@@ -7,7 +7,7 @@ handful of names almost every caller touches.
 __version__ = "0.1.0"
 
 from .channel import PropagationConfig
-from .domain import LABELS, NUM_CLASSES, STEADY_STATE, CsiPacket, Trial
+from .domain import LABELS, NUM_CLASSES, STEADY_STATE, Trial
 from .errors import (
     ChecksumError,
     CsiSenseError,
@@ -21,7 +21,6 @@ from .model import ArchConfig, TrainConfig, build
 __all__ = [
     "ArchConfig",
     "ChecksumError",
-    "CsiPacket",
     "CsiSenseError",
     "DomainError",
     "FormatError",

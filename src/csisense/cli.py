@@ -50,7 +50,7 @@ from .postprocess import (
 from .profiles import load_profiles
 from .render import render_label_plot
 from .rng import CounterRng
-from .simulate import build_geometry, pair_envelope_scale, synth_trial, trial_seed
+from .simulate import build_geometry, dataset_trials, synth_trial
 from .weights import load_weights, model_from_weights, save_weights, weights_from_model
 
 
@@ -124,7 +124,7 @@ def _simulate_job(job) -> dict:
         "trial_id": trial_id,
         "pair_id": pair_id,
         "class_name": LABELS[profile.label],
-        "length": len(trial.packets),
+        "length": len(trial.timestamps),
     }
 
 
@@ -140,20 +140,12 @@ def cmd_simulate(args) -> int:
     trials_dir = out / "trials"
     trials_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs_list = []
-    for p in range(args.pairs):
-        pair_id = f"pair{p:02d}"
-        scale = pair_envelope_scale(args.pair_variation, CounterRng(args.seed, "pair-envelope", p))
-        for profile in profiles:
-            name = LABELS[profile.label]
-            for k in range(args.trials_per_class):
-                trial_id = f"{pair_id}-{name}-{k:02d}"
-                jobs_list.append((
-                    profile, config, geometry, scale,
-                    meta.packet_rate, meta.jitter, meta.csi_noise,
-                    trial_seed(args.seed, p, profile.label, k),
-                    pair_id, trial_id, str(trials_dir / f"{trial_id}.trial"),
-                ))
+    plan = dataset_trials(profiles, args.pairs, args.trials_per_class, args.pair_variation, args.seed)
+    jobs_list = [
+        (profile, config, geometry, scale, meta.packet_rate, meta.jitter, meta.csi_noise,
+         seed_value, pair_id, trial_id, str(trials_dir / f"{trial_id}.trial"))
+        for pair_id, scale, profile, _, trial_id, seed_value in plan
+    ]
     rows = _run_jobs(_simulate_job, jobs_list, _resolve_jobs(args))
 
     manifest = Manifest(

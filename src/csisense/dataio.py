@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import CsiPacket, Trial
+from .domain import Trial
 from .errors import ChecksumError, DomainError, FormatError, VersionError
 from .features import FeatureFrame, RobustScalerParams, SplitSpec
 from .postprocess import PredictionTrace
@@ -60,7 +60,7 @@ def record_stride(dims: tuple[int, int, int]) -> int:
 def write_trial(trial: Trial, path: str | Path, labeled: bool = True) -> None:
     """Serialize a trial.  ``labeled=False`` marks the stored labels invalid
     (they are written as zero) for inference-only inputs."""
-    dims = tuple(int(d) for d in trial.dims)
+    dims = trial.dims
     pair_raw = trial.pair_id.encode("utf-8")
     trial_raw = trial.trial_id.encode("utf-8")
     flags = _FLAG_LABELED if labeled else 0
@@ -69,20 +69,19 @@ def write_trial(trial: Trial, path: str | Path, labeled: bool = True) -> None:
     head += struct.pack("<BBBBH", TRIAL_VERSION, flags, dims[0], dims[1], dims[2])
     head += struct.pack("<H", len(pair_raw)) + pair_raw
     head += struct.pack("<H", len(trial_raw)) + trial_raw
-    head += struct.pack("<I", len(trial.packets))
+    n = len(trial.timestamps)
+    head += struct.pack("<I", n)
 
-    records = np.empty(len(trial.packets), dtype=_record_dtype(dims))
-    for i, p in enumerate(trial.packets):
-        records[i]["timestamp"] = p.timestamp
-        records[i]["noise"] = p.noise
-        records[i]["agc"] = p.agc
-        records[i]["rssi"] = np.asarray(p.rssi, dtype=np.float32)
-        csi = np.asarray(p.csi, dtype=np.complex128).ravel(order="C")
-        inter = np.empty(2 * csi.size, dtype=np.float32)
-        inter[0::2] = csi.real
-        inter[1::2] = csi.imag
-        records[i]["csi"] = inter
-        records[i]["label"] = p.label if labeled else 0
+    records = np.empty(n, dtype=_record_dtype(dims))
+    records["timestamp"] = trial.timestamps
+    records["noise"] = trial.noise
+    records["agc"] = trial.agc
+    records["rssi"] = trial.rssi
+    # complex128 viewed as float64 interleaves real and imaginary parts
+    records["csi"] = np.ascontiguousarray(trial.csi, dtype=np.complex128).reshape(n, -1).view(np.float64)
+    records["label"] = trial.labels if labeled else 0
+    if labeled and not np.array_equal(records["label"], trial.labels):
+        raise DomainError(f"trial {trial.trial_id}: labels must lie in 0..255 to fit the record")
 
     body = bytes(head) + records.tobytes()
     _atomic_write_bytes(path, body + struct.pack("<I", zlib.crc32(body)))
@@ -129,22 +128,16 @@ def read_trial(path: str | Path) -> Trial:
     if len(body) != expected:
         raise FormatError(f"{path}: expected {expected} data bytes, found {len(body)}")
     records = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
-    n_tx, n_rx, n_sc = dims
-    packets = []
-    for rec in records:
-        inter = rec["csi"].astype(np.float64)
-        csi = (inter[0::2] + 1j * inter[1::2]).reshape(n_tx, n_rx, n_sc)
-        packets.append(
-            CsiPacket(
-                timestamp=float(rec["timestamp"]),
-                noise=float(rec["noise"]),
-                agc=float(rec["agc"]),
-                rssi=rec["rssi"].astype(np.float64),
-                csi=csi,
-                label=int(rec["label"]),
-            )
-        )
-    return Trial(packets=tuple(packets), pair_id=pair_id, trial_id=trial_id, dims=dims)
+    return Trial(
+        timestamps=records["timestamp"].astype(np.float64),
+        noise=records["noise"].astype(np.float64),
+        agc=records["agc"].astype(np.float64),
+        rssi=records["rssi"].astype(np.float64),
+        csi=records["csi"].astype(np.float64).view(np.complex128).reshape(count, *dims),
+        labels=records["label"].astype(np.int64),
+        pair_id=pair_id,
+        trial_id=trial_id,
+    )
 
 
 def trial_is_labeled(path: str | Path) -> bool:

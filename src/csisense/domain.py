@@ -1,4 +1,4 @@
-"""Core vocabulary: interaction labels, CSI packets, trials.
+"""Core vocabulary: interaction labels and trials.
 
 A trial is one recording of a two-person interaction seen by a MIMO-OFDM
 receiver: a sequence of packets, each carrying a complex channel matrix of
@@ -6,7 +6,9 @@ shape (n_tx, n_rx, n_subcarriers) plus the receiver's side readings (RSSI per
 receive antenna, AGC, noise floor) and a timestamp in seconds relative to the
 trial start.  Every packet is labeled with the interaction happening when it
 was captured; the steady-state label marks the no-movement dwell that each
-recording contains at one end.
+recording contains at one end.  A trial holds each of these readings as one
+array whose leading axis runs over the packets, mirroring the packed records
+of a trial file (FORMATS.md).
 """
 
 from __future__ import annotations
@@ -54,31 +56,32 @@ def index_to_label(index: int) -> str:
 
 
 @dataclass(frozen=True)
-class CsiPacket:
-    """One received packet.  Arrays are treated as immutable after construction.
+class Trial:
+    """One recording as per-packet columns: row i of every array is packet i.
 
-    timestamp  seconds relative to trial start
-    noise      receiver noise floor, dB
-    agc        automatic gain control setting, dB
-    rssi       per-receive-antenna signal strength, dB, length n_rx
-    csi        complex channel matrix, shape (n_tx, n_rx, n_subcarriers)
-    label      interaction class code, 0..12
+    timestamps  (N,) seconds relative to trial start
+    noise       (N,) receiver noise floor, dB
+    agc         (N,) automatic gain control setting, dB
+    rssi        (N, n_rx) per-receive-antenna signal strength, dB
+    csi         (N, n_tx, n_rx, n_subcarriers) complex channel matrices
+    labels      (N,) interaction class codes, 0..12
+
+    Arrays are treated as immutable after construction.
     """
 
-    timestamp: float
-    noise: float
-    agc: float
+    timestamps: np.ndarray
+    noise: np.ndarray
+    agc: np.ndarray
     rssi: np.ndarray
     csi: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
-class Trial:
-    packets: tuple[CsiPacket, ...]
+    labels: np.ndarray
     pair_id: str
     trial_id: str
-    dims: tuple[int, int, int]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """(n_tx, n_rx, n_subcarriers), read off the csi array."""
+        return tuple(int(d) for d in self.csi.shape[1:])
 
 
 @dataclass
@@ -88,26 +91,30 @@ class ValidationReport:
 
 
 def validate_trial(trial: Trial) -> ValidationReport:
-    """Check a trial against its declared dims and the packet invariants.
+    """Check the trial's arrays against each other and the packet invariants.
 
-    Violations name the offending packet index; an empty trial is itself a
-    violation.  The report never raises, so callers can batch-validate.
+    Per-packet violations name the offending packet index, array-wide ones
+    the offending field; an empty trial is itself a violation.  The report
+    never raises, so callers can batch-validate.
     """
     violations: list[str] = []
-    n_tx, n_rx, n_sc = trial.dims
-    if min(trial.dims) < 1:
-        violations.append(f"dims {trial.dims} must all be at least 1")
-    if not trial.packets:
+    dims = trial.dims
+    if len(dims) != 3:
+        violations.append(f"csi shape {trial.csi.shape} is not (packets, n_tx, n_rx, n_sc)")
+    elif min(dims) < 1:
+        violations.append(f"dims {dims} must all be at least 1")
+    n = len(trial.timestamps)
+    if n == 0:
         violations.append("trial contains no packets")
-    prev_t = None
-    for i, p in enumerate(trial.packets):
-        if tuple(p.csi.shape) != (n_tx, n_rx, n_sc):
-            violations.append(f"csi shape {tuple(p.csi.shape)} does not match dims {trial.dims} at index {i}")
-        if len(p.rssi) != n_rx:
-            violations.append(f"rssi length {len(p.rssi)} does not match n_rx {n_rx} at index {i}")
-        if not 0 <= int(p.label) < NUM_CLASSES:
-            violations.append(f"label {p.label} out of range at index {i}")
-        if prev_t is not None and p.timestamp < prev_t:
-            violations.append(f"non-monotone timestamp at index {i}")
-        prev_t = p.timestamp
+    for name in ("noise", "agc", "rssi", "csi", "labels"):
+        rows = len(getattr(trial, name))
+        if rows != n:
+            violations.append(f"{name} has {rows} rows but timestamps has {n}")
+    if len(dims) == 3 and trial.rssi.shape[1:] != dims[1:2]:
+        violations.append(f"rssi shape {trial.rssi.shape} does not match n_rx {dims[1]}")
+    labels = np.asarray(trial.labels)
+    for i in np.flatnonzero((labels < 0) | (labels >= NUM_CLASSES)):
+        violations.append(f"label {labels[i]} out of range at index {i}")
+    for i in np.flatnonzero(np.diff(trial.timestamps) < 0) + 1:
+        violations.append(f"non-monotone timestamp at index {i}")
     return ValidationReport(ok=not violations, violations=violations)

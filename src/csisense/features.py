@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import STEADY_STATE, CsiPacket, Trial
+from .domain import STEADY_STATE, Trial
 from .errors import DomainError
 from .rng import CounterRng
 
@@ -90,42 +90,10 @@ class SplitSpec:
         )
 
 
-def _steady_run(labels: list[int], from_end: bool) -> int:
-    run = 0
-    seq = reversed(labels) if from_end else labels
-    for lab in seq:
-        if lab != STEADY_STATE:
-            break
-        run += 1
-    return run
-
-
-def _median_interarrival(packets) -> float:
-    if len(packets) < 2:
-        return 0.0
-    times = np.asarray([p.timestamp for p in packets])
-    return float(np.median(np.diff(times)))
-
-
-def _replica(edge: CsiPacket, timestamp: float) -> CsiPacket:
-    return CsiPacket(
-        timestamp=timestamp,
-        noise=edge.noise,
-        agc=edge.agc,
-        rssi=edge.rssi,
-        csi=edge.csi,
-        label=STEADY_STATE,
-    )
-
-
-def _rebase(packets: list[CsiPacket]) -> list[CsiPacket]:
-    t0 = packets[0].timestamp
-    if t0 == 0.0:
-        return packets
-    return [
-        CsiPacket(p.timestamp - t0, p.noise, p.agc, p.rssi, p.csi, p.label)
-        for p in packets
-    ]
+def _steady_run(labels: np.ndarray) -> int:
+    """Length of the steady-state run that ``labels`` starts with."""
+    moving = np.flatnonzero(labels != STEADY_STATE)
+    return int(moving[0]) if moving.size else len(labels)
 
 
 def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
@@ -142,13 +110,13 @@ def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
     """
     if target_len < 1:
         raise DomainError(f"target_len must be at least 1, got {target_len}")
-    if not trial.packets:
+    n = len(trial.timestamps)
+    if n == 0:
         raise DomainError("cannot normalize an empty trial")
-    n = len(trial.packets)
     if n == target_len:
         return trial
 
-    labels = [p.label for p in trial.packets]
+    labels = trial.labels
     if labels[0] == STEADY_STATE:
         steady_end = "begin"
     elif labels[-1] == STEADY_STATE:
@@ -160,21 +128,23 @@ def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
             "padding/clipping at the leading run"
         )
 
-    packets = list(trial.packets)
+    times = trial.timestamps
     if n < target_len:
         pad = target_len - n
-        dt = _median_interarrival(packets)
+        dt = float(np.median(np.diff(times))) if n > 1 else 0.0
+        steps = np.arange(pad)
         if steady_end == "begin":
-            edge = packets[0]
-            prefix = [_replica(edge, edge.timestamp - dt * (pad - i)) for i in range(pad)]
-            packets = prefix + packets
+            index = np.maximum(np.arange(target_len) - pad, 0)
+            times = np.concatenate([times[0] - dt * (pad - steps), times])
+            padded = slice(0, pad)
         else:
-            edge = packets[-1]
-            packets = packets + [_replica(edge, edge.timestamp + dt * (i + 1)) for i in range(pad)]
+            index = np.minimum(np.arange(target_len), n - 1)
+            times = np.concatenate([times, times[-1] + dt * (steps + 1)])
+            padded = slice(n, target_len)
     else:
         drop = n - target_len
-        front_run = _steady_run(labels, from_end=False)
-        back_run = _steady_run(labels, from_end=True)
+        front_run = _steady_run(labels)
+        back_run = _steady_run(labels[::-1])
         if front_run == n:  # all-steady trial: treat the declared end as the only run
             front_run, back_run = (n, 0) if steady_end == "begin" else (0, n)
         primary, secondary = (front_run, back_run) if steady_end == "begin" else (back_run, front_run)
@@ -191,15 +161,30 @@ def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
             front, back = take_primary + remainder, take_secondary
         else:
             front, back = take_secondary, take_primary + remainder
-        packets = packets[front : n - back]
+        index = np.arange(front, n - back)
+        times = times[index]
+        padded = slice(0)
 
-    packets = _rebase(packets)
-    return Trial(packets=tuple(packets), pair_id=trial.pair_id, trial_id=trial.trial_id, dims=trial.dims)
+    # replicas clone the steady-edge packet but carry the steady-state label
+    out_labels = labels[index]
+    out_labels[padded] = STEADY_STATE
+    if times[0] != 0.0:
+        times = times - times[0]
+    return Trial(
+        timestamps=times,
+        noise=trial.noise[index],
+        agc=trial.agc[index],
+        rssi=trial.rssi[index],
+        csi=trial.csi[index],
+        labels=out_labels,
+        pair_id=trial.pair_id,
+        trial_id=trial.trial_id,
+    )
 
 
 def packet_time_diffs(trial: Trial) -> np.ndarray:
     """Per-packet inter-arrival seconds; the first entry is 0."""
-    times = np.asarray([p.timestamp for p in trial.packets], dtype=np.float64)
+    times = np.asarray(trial.timestamps, dtype=np.float64)
     if times.size == 0:
         raise DomainError("trial contains no packets")
     diffs = np.empty_like(times)
@@ -214,25 +199,23 @@ def _principal_phase(csi: np.ndarray) -> np.ndarray:
     return np.where(phase == -np.pi, np.pi, phase)
 
 
-def packet_to_features(packet: CsiPacket, time_diff: float) -> np.ndarray:
-    """One packet's feature row; length 6 + 2 * csi.size."""
-    csi = np.asarray(packet.csi)
-    return np.concatenate(
-        [
-            np.asarray([time_diff, packet.noise, packet.agc], dtype=np.float64),
-            np.asarray(packet.rssi, dtype=np.float64),
-            np.abs(csi).ravel(order="C"),
-            _principal_phase(csi).ravel(order="C"),
-        ]
-    )
-
-
 def trial_features(trial: Trial) -> FeatureFrame:
-    """Stack all packet rows of a trial into an unscaled FeatureFrame."""
+    """One unscaled feature row per packet, in the column order of the module
+    docstring."""
     diffs = packet_time_diffs(trial)
-    rows = [packet_to_features(p, d) for p, d in zip(trial.packets, diffs)]
-    labels = np.asarray([p.label for p in trial.packets], dtype=np.int64)
-    return FeatureFrame(matrix=np.asarray(rows, dtype=np.float64), labels=labels, scaler_applied=False)
+    csi = trial.csi.reshape(len(diffs), -1)
+    matrix = np.concatenate(
+        [
+            np.column_stack([diffs, trial.noise, trial.agc]),
+            trial.rssi,
+            np.abs(csi),
+            _principal_phase(csi),
+        ],
+        axis=1,
+        dtype=np.float64,
+    )
+    labels = trial.labels.astype(np.int64)
+    return FeatureFrame(matrix=matrix, labels=labels, scaler_applied=False)
 
 
 def robust_fit(matrix: np.ndarray) -> RobustScalerParams:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -273,10 +273,6 @@ class SequenceClassifier:
 
 def build(arch: ArchConfig, seed: int = 0) -> SequenceClassifier:
     return SequenceClassifier(arch, seed)
-
-
-def forward(model: SequenceClassifier, frame: FeatureFrame, training: bool = False) -> np.ndarray:
-    return model.forward(frame.matrix, training)
 
 
 def _frame_batch(frames: list[FeatureFrame], classes: int) -> tuple[np.ndarray, np.ndarray]:

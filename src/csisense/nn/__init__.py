@@ -15,7 +15,6 @@ from .layers import (
     Dropout,
     MultiHeadSelfAttention,
     WeightedSkipAdd,
-    dropout,
     glorot_uniform,
     orthogonal,
     positional_encoding,
@@ -38,7 +37,6 @@ __all__ = [
     "adam_step",
     "cross_entropy",
     "cross_entropy_logit_grad",
-    "dropout",
     "early_stopping",
     "glorot_uniform",
     "grad_check",

@@ -47,23 +47,11 @@ def positional_encoding(seq_len: int, dim: int) -> np.ndarray:
     return table
 
 
-def dropout(x: np.ndarray, ratio: float, training: bool, seed: int) -> np.ndarray:
-    """Inverted dropout: zero each element with probability ``ratio`` and scale
-    survivors by 1/(1-ratio); identity when not training or ratio is 0."""
-    if not 0.0 <= ratio < 1.0:
-        raise DomainError(f"dropout ratio must be in [0, 1), got {ratio}")
-    if not training or ratio == 0.0:
-        return x
-    rng = np.random.default_rng(seed)
-    mask = (rng.uniform(size=x.shape) >= ratio) / (1.0 - ratio)
-    return x * mask
-
-
 class Dense:
     """y = activation(x @ W + b) applied to the last axis."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "none", rng: np.random.Generator | None = None):
-        if activation not in ("none", "relu", "softmax"):
+        if activation not in ("none", "relu"):
             raise DomainError(f"unknown activation {activation!r}")
         rng = rng or np.random.default_rng(0)
         self.activation = activation
@@ -84,23 +72,12 @@ class Dense:
                 f"dense expects {self.params['W'].shape[0]} input features, got {x.shape[-1]}"
             )
         z = x @ self.params["W"] + self.params["b"]
-        if self.activation == "relu":
-            y = relu(z)
-        elif self.activation == "softmax":
-            y = softmax(z)
-        else:
-            y = z
-        self._cache = (x, z, y)
-        return y
+        self._cache = (x, z)
+        return relu(z) if self.activation == "relu" else z
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, z, y = self._cache
-        if self.activation == "relu":
-            dz = dy * (z > 0.0)
-        elif self.activation == "softmax":
-            dz = (dy - (dy * y).sum(axis=-1, keepdims=True)) * y
-        else:
-            dz = dy
+        x, z = self._cache
+        dz = dy * (z > 0.0) if self.activation == "relu" else dy
         flat_x = x.reshape(-1, x.shape[-1])
         flat_dz = dz.reshape(-1, dz.shape[-1])
         self.grads["W"] += flat_x.T @ flat_dz

@@ -29,7 +29,7 @@ from .channel import (
     path_loss_db,
     received_power,
 )
-from .domain import LABELS, STEADY_STATE, CsiPacket, Trial
+from .domain import LABELS, STEADY_STATE, Trial
 from .errors import DomainError
 from .profiles import SimMeta, SyntheticClassProfile, amp_envelope, phase_envelope
 from .rng import CounterRng, derive_key
@@ -227,10 +227,13 @@ def synth_trial(
     n_tx, n_rx, n_sc = config.dims
     omega_c = 2.0 * math.pi * config.carrier_freq
     loss = path_loss_db(config, REF_LOSS_DB)
-    floor_wobble = floor_rng.normal(n_total)
+    noise = NOISE_FLOOR_DB + _NOISE_WOBBLE_DB * floor_rng.normal(n_total)
     weights = [_rx_weight(profile, r, n_rx) for r in range(n_rx)]
 
-    packets = []
+    agc = np.empty(n_total)
+    rssi = np.empty((n_total, n_rx))
+    csi = np.empty((n_total, n_tx, n_rx, n_sc), dtype=np.complex128)
+    labels = np.full(n_total, STEADY_STATE, dtype=np.int64)
     for i in range(n_total):
         active_index = i - n_steady if steady_first else i
         in_active = 0 <= active_index < n_active
@@ -238,11 +241,10 @@ def synth_trial(
             u = (active_index + 0.5) / n_active
             g_amp = amp_envelope(profile, u)
             g_phase = phase_envelope(profile, u)
-            label = profile.label
+            labels[i] = profile.label
         else:
             g_amp = 0.0
             g_phase = 0.0
-            label = STEADY_STATE
         grid = [
             [
                 _modulated_link(
@@ -255,31 +257,54 @@ def synth_trial(
         h = assemble_h_matrix(grid, config)
         if csi_noise > 0:
             h = h + csi_noise * csi_rng.complex_normal((n_tx, n_rx, n_sc))
-        rssi = np.empty(n_rx)
+        csi[i] = h
         for r in range(n_rx):
             power = np.mean([received_power(grid[t][r]) for t in range(n_tx)])
             gain_db = 10.0 * math.log10(max(power, 1e-12))
-            rssi[r] = min(_RSSI_MAX, max(0.0, round(RSSI_CALIBRATION_DB - loss + gain_db)))
-        agc = min(60.0, max(0.0, AGC_SETPOINT_DB - float(np.mean(rssi))))
-        noise = NOISE_FLOOR_DB + _NOISE_WOBBLE_DB * float(floor_wobble[i])
-        packets.append(
-            CsiPacket(
-                timestamp=float(timestamps[i]),
-                noise=noise,
-                agc=agc,
-                rssi=rssi,
-                csi=h,
-                label=label,
-            )
-        )
+            rssi[i, r] = min(_RSSI_MAX, max(0.0, round(RSSI_CALIBRATION_DB - loss + gain_db)))
+        agc[i] = min(60.0, max(0.0, AGC_SETPOINT_DB - float(np.mean(rssi[i]))))
 
     trial_id = trial_id or f"{pair_id}-{LABELS[profile.label]}-00"
-    return Trial(packets=tuple(packets), pair_id=pair_id, trial_id=trial_id, dims=config.dims)
+    return Trial(
+        timestamps=timestamps,
+        noise=noise,
+        agc=agc,
+        rssi=rssi,
+        csi=csi,
+        labels=labels,
+        pair_id=pair_id,
+        trial_id=trial_id,
+    )
 
 
 def trial_seed(seed: int, pair_index: int, label: int, trial_index: int) -> int:
     """Derived seed for one trial; documented so parallel workers agree."""
     return derive_key(seed, "trial-stream", pair_index, label, trial_index)
+
+
+def dataset_trials(
+    profiles: list[SyntheticClassProfile],
+    pairs: int,
+    trials_per_class: int,
+    pair_variation: float = 0.0,
+    seed: int = 0,
+) -> list[tuple[str, EnvelopeScale, SyntheticClassProfile, int, str, int]]:
+    """Enumerate a dataset's trials as (pair id, envelope scale, profile,
+    trial index, trial id, trial seed), ordered by (pair, class code, trial
+    index).  Deterministic under seed."""
+    if pairs < 1 or trials_per_class < 1:
+        raise DomainError("pairs and trials_per_class must be at least 1")
+    if pair_variation < 0:
+        raise DomainError("pair_variation must be non-negative")
+    out = []
+    for p in range(pairs):
+        pair_id = f"pair{p:02d}"
+        scale = pair_envelope_scale(pair_variation, CounterRng(seed, "pair-envelope", p))
+        for profile in sorted(profiles, key=lambda pr: pr.label):
+            for k in range(trials_per_class):
+                trial_id = f"{pair_id}-{LABELS[profile.label]}-{k:02d}"
+                out.append((pair_id, scale, profile, k, trial_id, trial_seed(seed, p, profile.label, k)))
+    return out
 
 
 def synth_dataset(
@@ -292,35 +317,24 @@ def synth_dataset(
     config: PropagationConfig | None = None,
     meta: SimMeta | None = None,
 ) -> list[Trial]:
-    """Generate pairs x classes x trials_per_class trials, ordered by
-    (pair, class code, trial index).  Deterministic under seed."""
-    if pairs < 1 or trials_per_class < 1:
-        raise DomainError("pairs and trials_per_class must be at least 1")
-    if pair_variation < 0:
-        raise DomainError("pair_variation must be non-negative")
+    """Generate pairs x classes x trials_per_class trials in the order of
+    :func:`dataset_trials`.  Deterministic under seed."""
+    plan = dataset_trials(profiles, pairs, trials_per_class, pair_variation, seed)
     config = config or PropagationConfig()
     meta = meta or SimMeta()
     geometry = build_geometry(config, CounterRng(seed, "geometry"))
-    trials = []
-    for p in range(pairs):
-        pair_id = f"pair{p:02d}"
-        scale_rng = CounterRng(seed, "pair-envelope", p)
-        scale = pair_envelope_scale(pair_variation, scale_rng)
-        for profile in sorted(profiles, key=lambda pr: pr.label):
-            name = LABELS[profile.label]
-            for k in range(trials_per_class):
-                trials.append(
-                    synth_trial(
-                        profile,
-                        config,
-                        meta.packet_rate,
-                        meta.jitter,
-                        trial_seed(seed, p, profile.label, k),
-                        csi_noise=meta.csi_noise,
-                        pair_id=pair_id,
-                        trial_id=f"{pair_id}-{name}-{k:02d}",
-                        geometry=geometry,
-                        envelope_scale=scale,
-                    )
-                )
-    return trials
+    return [
+        synth_trial(
+            profile,
+            config,
+            meta.packet_rate,
+            meta.jitter,
+            seed_value,
+            csi_noise=meta.csi_noise,
+            pair_id=pair_id,
+            trial_id=trial_id,
+            geometry=geometry,
+            envelope_scale=scale,
+        )
+        for pair_id, scale, profile, _, trial_id, seed_value in plan
+    ]

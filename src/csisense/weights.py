@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumError, DomainError, FormatError, VersionError
+from .dataio import _atomic_write_bytes, _check_and_strip_crc
+from .errors import DomainError, FormatError, VersionError
 from .features import RobustScalerParams
 from .model import ArchConfig, SequenceClassifier, build
 
@@ -85,20 +86,11 @@ def save_weights(w: ModelWeights, path: str | Path) -> None:
             out += struct.pack("<I", dim)
         out += arr.tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
-
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(out))
-    tmp.replace(path)
+    _atomic_write_bytes(path, bytes(out))
 
 
 def load_weights(path: str | Path) -> ModelWeights:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise FormatError(f"{path}: file too short")
-    body, stored = raw[:-4], struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(body) != stored:
-        raise ChecksumError(f"{path}: checksum mismatch; bundle is corrupted or truncated")
+    body = _check_and_strip_crc(Path(path).read_bytes(), path)
     if body[:4] != WEIGHTS_MAGIC:
         raise FormatError(f"{path}: not a weight bundle (bad magic)")
     (version,) = struct.unpack_from("<B", body, 4)

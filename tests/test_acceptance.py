@@ -31,7 +31,7 @@ from csisense.dataio import (
     write_predictions,
     write_trial,
 )
-from csisense.domain import CsiPacket, Trial
+from csisense.domain import Trial
 from csisense.errors import ChecksumError
 from csisense.features import FeatureFrame, robust_fit, robust_transform
 from csisense.model import ArchConfig, build, load_arch_config, param_count
@@ -318,22 +318,30 @@ def test_c09_ensemble_and_smoother_invariances():
 
 def _random_trial(rng, dims, packets, labeled_values=True):
     n_tx, n_rx, n_sc = dims
-    out = []
+    timestamps, noise, agc = np.empty(packets), np.empty(packets), np.empty(packets)
+    rssi = np.empty((packets, n_rx))
+    csi = np.empty((packets, n_tx, n_rx, n_sc), dtype=np.complex128)
+    labels = np.zeros(packets, dtype=np.int64)
     t = 0.0
-    for i in range(packets):
+    for i in range(packets):  # one packet's draws at a time
         t += float(rng.uniform(0.03, 0.05))
-        csi = rng.standard_normal((n_tx, n_rx, n_sc)) + 1j * rng.standard_normal((n_tx, n_rx, n_sc))
-        out.append(
-            CsiPacket(
-                timestamp=t,
-                noise=float(rng.uniform(-94, -90)),
-                agc=float(rng.integers(0, 61)),
-                rssi=rng.integers(0, 100, n_rx).astype(np.float64),
-                csi=csi,
-                label=int(rng.integers(0, 13)) if labeled_values else 0,
-            )
-        )
-    return Trial(packets=tuple(out), pair_id="pair00", trial_id="pair00-steady-state-00", dims=dims)
+        timestamps[i] = t
+        csi[i] = rng.standard_normal((n_tx, n_rx, n_sc)) + 1j * rng.standard_normal((n_tx, n_rx, n_sc))
+        noise[i] = rng.uniform(-94, -90)
+        agc[i] = rng.integers(0, 61)
+        rssi[i] = rng.integers(0, 100, n_rx)
+        if labeled_values:
+            labels[i] = rng.integers(0, 13)
+    return Trial(
+        timestamps=timestamps,
+        noise=noise,
+        agc=agc,
+        rssi=rssi,
+        csi=csi,
+        labels=labels,
+        pair_id="pair00",
+        trial_id="pair00-steady-state-00",
+    )
 
 
 def test_c10_formats_round_trip_and_reject_corruption(tmp_path):
@@ -344,13 +352,12 @@ def test_c10_formats_round_trip_and_reject_corruption(tmp_path):
     first = tmp_path / "a.trial"
     write_trial(trial, first)
     back = read_trial(first)
-    for orig, loaded in zip(trial.packets, back.packets):
-        assert loaded.timestamp == orig.timestamp
-        assert loaded.noise == np.float32(orig.noise)
-        assert loaded.agc == np.float32(orig.agc)
-        assert np.array_equal(loaded.rssi, orig.rssi.astype(np.float32))
-        assert np.array_equal(loaded.csi, orig.csi.astype(np.complex64))
-        assert loaded.label == orig.label
+    assert np.array_equal(back.timestamps, trial.timestamps)
+    assert np.array_equal(back.noise, trial.noise.astype(np.float32))
+    assert np.array_equal(back.agc, trial.agc.astype(np.float32))
+    assert np.array_equal(back.rssi, trial.rssi.astype(np.float32))
+    assert np.array_equal(back.csi, trial.csi.astype(np.complex64))
+    assert np.array_equal(back.labels, trial.labels)
     second = tmp_path / "b.trial"
     write_trial(back, second)
     assert first.read_bytes() == second.read_bytes()

@@ -3,7 +3,6 @@
 import json
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,27 +26,27 @@ from csisense.dataio import (
     write_predictions,
     write_trial,
 )
-from csisense.domain import CsiPacket, Trial
-from csisense.errors import ChecksumError, FormatError, VersionError
+from csisense.domain import Trial
+from csisense.errors import ChecksumError, DomainError, FormatError, VersionError
 from csisense.features import FeatureFrame, RobustScalerParams, SplitSpec
 from csisense.postprocess import PredictionTrace
 
 
 def _trial(n=5, dims=(2, 3, 30), seed=0, pair="pair00", tid="pair00-pushing-00"):
     rng = np.random.default_rng(seed)
-    packets = []
-    for i in range(n):
-        packets.append(
-            CsiPacket(
-                timestamp=0.1 * i,
-                noise=-92.0 + 0.25 * i,
-                agc=30.0,
-                rssi=np.array([40.0, 41.0, 39.5][: dims[1]]),
-                csi=rng.standard_normal(dims) + 1j * rng.standard_normal(dims),
-                label=i % 3,
-            )
-        )
-    return Trial(packets=tuple(packets), pair_id=pair, trial_id=tid, dims=dims)
+    csi = np.empty((n, *dims), dtype=np.complex128)
+    for i in range(n):  # same draw order as one packet at a time
+        csi[i] = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    return Trial(
+        timestamps=0.1 * np.arange(n),
+        noise=-92.0 + 0.25 * np.arange(n),
+        agc=np.full(n, 30.0),
+        rssi=np.tile([40.0, 41.0, 39.5][: dims[1]], (n, 1)),
+        csi=csi,
+        labels=np.arange(n) % 3,
+        pair_id=pair,
+        trial_id=tid,
+    )
 
 
 # ------------------------------------------------------------- trial binary
@@ -64,15 +63,14 @@ def test_trial_round_trip(tmp_path):
     assert back.pair_id == trial.pair_id
     assert back.trial_id == trial.trial_id
     assert back.dims == trial.dims
-    assert len(back.packets) == len(trial.packets)
-    for p, q in zip(trial.packets, back.packets):
-        assert q.timestamp == p.timestamp  # stored as float64
-        assert q.noise == np.float32(p.noise)
-        assert q.agc == np.float32(p.agc)
-        assert np.array_equal(q.rssi, p.rssi.astype(np.float32))
-        assert np.array_equal(q.csi.real, p.csi.real.astype(np.float32))
-        assert np.array_equal(q.csi.imag, p.csi.imag.astype(np.float32))
-        assert q.label == p.label
+    assert len(back.timestamps) == len(trial.timestamps)
+    assert np.array_equal(back.timestamps, trial.timestamps)  # stored as float64
+    assert np.array_equal(back.noise, trial.noise.astype(np.float32))
+    assert np.array_equal(back.agc, trial.agc.astype(np.float32))
+    assert np.array_equal(back.rssi, trial.rssi.astype(np.float32))
+    assert np.array_equal(back.csi.real, trial.csi.real.astype(np.float32))
+    assert np.array_equal(back.csi.imag, trial.csi.imag.astype(np.float32))
+    assert np.array_equal(back.labels, trial.labels)
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -93,8 +91,16 @@ def test_trial_labeled_flag(tmp_path):
     write_trial(trial, blind, labeled=False)
     assert trial_is_labeled(labeled) is True
     assert trial_is_labeled(blind) is False
-    assert all(p.label == 0 for p in read_trial(blind).packets)
-    assert [p.label for p in read_trial(labeled).packets] == [0, 1, 2, 0, 1]
+    assert (read_trial(blind).labels == 0).all()
+    assert read_trial(labeled).labels.tolist() == [0, 1, 2, 0, 1]
+
+
+def test_trial_label_outside_a_byte_is_rejected(tmp_path):
+    trial = _trial()
+    trial.labels[2] = 300  # would wrap to 44 in the one-byte label field
+    with pytest.raises(DomainError, match="0..255"):
+        write_trial(trial, tmp_path / "a.trial")
+    write_trial(trial, tmp_path / "a.trial", labeled=False)  # labels are not stored
 
 
 def test_trial_checksum_catches_corruption_anywhere(tmp_path):

@@ -1,5 +1,7 @@
 """Label table and trial validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from csisense.domain import (
     LABELS,
     NUM_CLASSES,
     STEADY_STATE,
-    CsiPacket,
     Trial,
     index_to_label,
     label_to_index,
@@ -50,51 +51,53 @@ def test_label_round_trip():
         index_to_label(-1)
 
 
-def _packet(t=0.0, dims=(2, 3, 4), n_rx=3, label=0):
-    return CsiPacket(
-        timestamp=t,
-        noise=-92.0,
-        agc=30.0,
-        rssi=np.zeros(n_rx),
-        csi=np.zeros(dims, dtype=np.complex128),
-        label=label,
+def _trial(timestamps, labels=None, dims=(2, 3, 4), n_rx=3):
+    n = len(timestamps)
+    return Trial(
+        timestamps=np.asarray(timestamps, dtype=np.float64),
+        noise=np.full(n, -92.0),
+        agc=np.full(n, 30.0),
+        rssi=np.zeros((n, n_rx)),
+        csi=np.zeros((n, *dims), dtype=np.complex128),
+        labels=np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels),
+        pair_id="pair00",
+        trial_id="t",
     )
+
+
+def test_trial_dims_come_from_csi():
+    assert _trial([0.0, 0.1]).dims == (2, 3, 4)
+    assert _trial([], dims=(1, 2, 30), n_rx=2).dims == (1, 2, 30)
 
 
 def test_validate_ok():
-    trial = Trial(
-        packets=(_packet(0.0), _packet(0.1), _packet(0.1), _packet(0.5, label=12)),
-        pair_id="pair00",
-        trial_id="t",
-        dims=(2, 3, 4),
-    )
-    report = validate_trial(trial)
+    report = validate_trial(_trial([0.0, 0.1, 0.1, 0.5], labels=[0, 0, 0, 12]))
     assert report.ok and report.violations == []
 
 
 def test_validate_flags_each_problem():
-    bad = Trial(
-        packets=(
-            _packet(0.0),
-            _packet(0.2, dims=(1, 3, 4)),  # wrong csi shape
-            _packet(0.1),  # timestamp goes backwards
-            _packet(0.3, n_rx=2),  # wrong rssi length
-            _packet(0.4, label=55),
-        ),
-        pair_id="p",
-        trial_id="t",
-        dims=(2, 3, 4),
-    )
+    bad = _trial([0.0, 0.2, 0.1, 0.3, 0.4], labels=[0, 0, 0, 0, 55], n_rx=2)
     report = validate_trial(bad)
     assert not report.ok
     text = "\n".join(report.violations)
-    assert "csi shape" in text and "index 1" in text
     assert "non-monotone timestamp at index 2" in text
-    assert "rssi length" in text and "index 3" in text
+    assert "rssi shape (5, 2) does not match n_rx 3" in text
     assert "label 55 out of range at index 4" in text
+    assert "label -1 out of range at index 0" in "\n".join(
+        validate_trial(_trial([0.0], labels=[-1])).violations
+    )
+
+
+@pytest.mark.parametrize("field", ["noise", "agc", "rssi", "csi", "labels"])
+def test_validate_names_a_field_whose_length_disagrees(field):
+    trial = _trial([0.0, 0.1, 0.2])
+    short = dataclasses.replace(trial, **{field: getattr(trial, field)[:2]})
+    report = validate_trial(short)
+    assert not report.ok
+    assert f"{field} has 2 rows but timestamps has 3" in report.violations
 
 
 def test_validate_empty_trial():
-    report = validate_trial(Trial(packets=(), pair_id="p", trial_id="t", dims=(2, 3, 4)))
+    report = validate_trial(_trial([]))
     assert not report.ok
     assert any("no packets" in v for v in report.violations)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csisense.domain import CsiPacket, Trial
+from csisense.domain import Trial
 from csisense.errors import DomainError
 from csisense.features import (
     FeatureFrame,
@@ -13,7 +13,6 @@ from csisense.features import (
     normalize_length,
     one_hot,
     packet_time_diffs,
-    packet_to_features,
     robust_fit,
     robust_transform,
     split_dataset,
@@ -22,31 +21,44 @@ from csisense.features import (
 
 
 def _trial(label_seq, dt=0.01, dims=(1, 1, 2), t0=0.0):
-    packets = []
-    for i, lab in enumerate(label_seq):
-        csi = np.full(dims, i + 1, dtype=np.complex128)  # payload tags the packet
-        packets.append(
-            CsiPacket(
-                timestamp=t0 + i * dt,
-                noise=-92.0,
-                agc=30.0,
-                rssi=np.zeros(dims[1]),
-                csi=csi,
-                label=lab,
-            )
-        )
-    return Trial(packets=tuple(packets), pair_id="p", trial_id="t", dims=dims)
+    n = len(label_seq)
+    tags = np.arange(1, n + 1, dtype=np.complex128)  # payload tags the packet
+    return Trial(
+        timestamps=t0 + np.arange(n) * dt,
+        noise=np.full(n, -92.0),
+        agc=np.full(n, 30.0),
+        rssi=np.zeros((n, dims[1])),
+        csi=np.broadcast_to(tags.reshape(n, 1, 1, 1), (n, *dims)).copy(),
+        labels=np.asarray(label_seq, dtype=np.int64),
+        pair_id="p",
+        trial_id="t",
+    )
 
 
 def _labels(trial):
-    return [p.label for p in trial.packets]
+    return trial.labels.tolist()
+
+
+def _packets(csi, timestamps, noise=-92.0, agc=30.0, rssi=0.0):
+    """Identical single-antenna packets carrying ``csi``, one per timestamp."""
+    n = len(timestamps)
+    return Trial(
+        timestamps=np.asarray(timestamps, dtype=np.float64),
+        noise=np.full(n, noise),
+        agc=np.full(n, agc),
+        rssi=np.full((n, 1), rssi),
+        csi=np.stack([csi] * n),
+        labels=np.zeros(n, dtype=np.int64),
+        pair_id="p",
+        trial_id="t",
+    )
 
 
 def test_normalize_identity_at_target():
     trial = _trial([0] * 5 + [3] * 5, t0=2.0)
     out = normalize_length(trial, 10)
     assert out is trial  # untouched, timestamps included
-    assert out.packets[0].timestamp == 2.0
+    assert out.timestamps[0] == 2.0
 
 
 def test_normalize_clip_front_steady():
@@ -56,8 +68,8 @@ def test_normalize_clip_front_steady():
     assert len(labs) == 1560
     assert labs[:120] == [0] * 120 and labs[120:] == [12] * 1440
     # the first surviving packet is original index 440
-    assert out.packets[0].csi.flat[0] == 441
-    assert out.packets[0].timestamp == 0.0
+    assert out.csi[0].flat[0] == 441
+    assert out.timestamps[0] == 0.0
 
 
 def test_normalize_clip_reaches_into_back_steady():
@@ -75,7 +87,7 @@ def test_normalize_clip_overruns_into_active_with_warning():
         out = normalize_length(trial, 1560)
     labs = _labels(out)
     assert labs == [7] * 1560
-    assert out.packets[0].csi.flat[0] == 441  # 100 steady + 340 active removed
+    assert out.csi[0].flat[0] == 441  # 100 steady + 340 active removed
 
 
 def test_normalize_pad_front():
@@ -84,9 +96,9 @@ def test_normalize_pad_front():
     labs = _labels(out)
     assert labs[:720] == [0] * 720 and labs[720:] == [4] * 840
     # replicas clone the steady-edge packet and keep the cadence
-    assert out.packets[0].csi.flat[0] == 1
+    assert out.csi[0].flat[0] == 1
     diffs = packet_time_diffs(out)
-    assert out.packets[0].timestamp == 0.0
+    assert out.timestamps[0] == 0.0
     assert np.allclose(diffs[1:], 0.02)
 
 
@@ -97,7 +109,7 @@ def test_normalize_tail_steady_trial_pads_at_tail():
     labs = _labels(out)
     assert len(labs) == 1560
     assert labs[:900] == [1] * 900 and labs[900:] == [0] * 660
-    assert out.packets[-1].csi.flat[0] == 1040  # replicated edge packet
+    assert out.csi[-1].flat[0] == 1040  # replicated edge packet
 
 
 def test_normalize_tail_steady_trial_clips_at_tail():
@@ -105,7 +117,7 @@ def test_normalize_tail_steady_trial_clips_at_tail():
     out = normalize_length(trial, 1560)
     labs = _labels(out)
     assert labs[:1500] == [1] * 1500 and labs[1500:] == [0] * 60
-    assert out.packets[0].csi.flat[0] == 1  # front untouched
+    assert out.csi[0].flat[0] == 1  # front untouched
 
 
 def test_normalize_all_steady():
@@ -125,7 +137,7 @@ def test_normalize_errors():
     with pytest.raises(DomainError):
         normalize_length(_trial([0, 1]), 0)
     with pytest.raises(DomainError):
-        normalize_length(Trial(packets=(), pair_id="p", trial_id="t", dims=(1, 1, 2)), 5)
+        normalize_length(_trial([]), 5)
 
 
 def test_packet_time_diffs():
@@ -135,8 +147,8 @@ def test_packet_time_diffs():
 
 def test_packet_feature_layout():
     csi = np.array([[[2.0 + 0.0j, -3.0j]]])
-    p = CsiPacket(timestamp=0.0, noise=-90.0, agc=25.0, rssi=np.array([7.0]), csi=csi, label=0)
-    row = packet_to_features(p, time_diff=0.125)
+    trial = _packets(csi, [1.0, 1.125], noise=-90.0, agc=25.0, rssi=7.0)
+    row = trial_features(trial).matrix[1]
     assert row.shape == (8,)  # 3 + 1 rssi + 2 magnitudes + 2 phases
     assert row[0] == 0.125 and row[1] == -90.0 and row[2] == 25.0 and row[3] == 7.0
     assert row[4] == 2.0 and row[5] == 3.0
@@ -145,18 +157,23 @@ def test_packet_feature_layout():
 
 def test_phase_is_principal_value():
     csi = np.array([[[-1.0 + 0.0j, 1.0 + 0.0j]]])
-    p = CsiPacket(0.0, -92.0, 30.0, np.array([0.0]), csi, 0)
-    row = packet_to_features(p, 0.0)
+    row = trial_features(_packets(csi, [0.0])).matrix[0]
     assert row[6] == np.pi  # not -pi
 
 
 def test_trial_features_full_width():
     dims = (2, 3, 30)
-    packets = tuple(
-        CsiPacket(i * 0.01, -92.0, 30.0, np.zeros(3), np.zeros(dims, dtype=complex), 0)
-        for i in range(4)
+    trial = Trial(
+        timestamps=np.arange(4) * 0.01,
+        noise=np.full(4, -92.0),
+        agc=np.full(4, 30.0),
+        rssi=np.zeros((4, 3)),
+        csi=np.zeros((4, *dims), dtype=complex),
+        labels=np.zeros(4, dtype=np.int64),
+        pair_id="p",
+        trial_id="t",
     )
-    frame = trial_features(Trial(packets=packets, pair_id="p", trial_id="t", dims=dims))
+    frame = trial_features(trial)
     assert frame.matrix.shape == (4, 366)
     assert not frame.scaler_applied
     assert np.array_equal(frame.labels, [0, 0, 0, 0])

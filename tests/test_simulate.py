@@ -20,6 +20,7 @@ from csisense.rng import CounterRng
 from csisense.simulate import (
     EnvelopeScale,
     build_geometry,
+    dataset_trials,
     pair_envelope_scale,
     synth_dataset,
     synth_trial,
@@ -228,8 +229,8 @@ def test_pair_envelope_scale():
 
 def test_synth_trial_segments_and_labels():
     trial = synth_trial(PUSHING, packet_rate=5.0, jitter=0.0, seed=1)
-    assert len(trial.packets) == 10 + 20
-    labels = [p.label for p in trial.packets]
+    assert len(trial.timestamps) == 10 + 20
+    labels = trial.labels.tolist()
     assert labels[:10] == [STEADY_STATE] * 10
     assert labels[10:] == [PUSHING.label] * 20
     validate_trial(trial)
@@ -237,8 +238,8 @@ def test_synth_trial_segments_and_labels():
 
 def test_synth_trial_approaching_ends_steady():
     trial = synth_trial(APPROACHING, packet_rate=4.0, jitter=0.0, seed=1)
-    assert len(trial.packets) == 14 + 8
-    labels = [p.label for p in trial.packets]
+    assert len(trial.timestamps) == 14 + 8
+    labels = trial.labels.tolist()
     assert labels[:14] == [APPROACHING.label] * 14
     assert labels[14:] == [STEADY_STATE] * 8
 
@@ -257,30 +258,29 @@ def test_synth_trial_is_byte_deterministic(tmp_path):
 
 def test_synth_trial_timestamp_jitter_bounds():
     trial = synth_trial(PUSHING, packet_rate=10.0, jitter=0.25, seed=7)
-    t = np.array([p.timestamp for p in trial.packets])
+    t = trial.timestamps
     diffs = np.diff(t)
     assert t[0] == 0.0
     assert (diffs >= 0.1 * 0.75 - 1e-12).all() and (diffs <= 0.1 * 1.25 + 1e-12).all()
     exact = synth_trial(PUSHING, packet_rate=10.0, jitter=0.0, seed=7)
-    te = np.array([p.timestamp for p in exact.packets])
+    te = exact.timestamps
     assert np.allclose(np.diff(te), 0.1, atol=1e-12)
 
 
 def test_synth_trial_receiver_side_values():
     trial = synth_trial(PUSHING, packet_rate=5.0, seed=3)
-    for p in trial.packets:
-        assert (p.rssi == np.round(p.rssi)).all()
-        assert (p.rssi >= 0).all() and (p.rssi <= 99).all()
-        assert 0.0 <= p.agc <= 60.0
-        assert -94.0 < p.noise < -90.0
+    assert (trial.rssi == np.round(trial.rssi)).all()
+    assert (trial.rssi >= 0).all() and (trial.rssi <= 99).all()
+    assert ((trial.agc >= 0.0) & (trial.agc <= 60.0)).all()
+    assert ((trial.noise > -94.0) & (trial.noise < -90.0)).all()
 
 
 def test_synth_trial_steady_packets_are_identical_without_noise():
     trial = synth_trial(PUSHING, packet_rate=5.0, jitter=0.0, seed=2, csi_noise=0.0)
-    steady = [p.csi for p in trial.packets[:10]]
+    steady = trial.csi[:10]
     for h in steady[1:]:
         assert np.array_equal(h, steady[0])
-    mid_active = trial.packets[20].csi  # envelope peak differs from the dwell
+    mid_active = trial.csi[20]  # envelope peak differs from the dwell
     assert not np.array_equal(mid_active, steady[0])
 
 
@@ -315,6 +315,11 @@ def test_synth_dataset_counts_and_ordering():
         "pair01-pushing-01",
     ]
     assert trials[0].pair_id == "pair00" and trials[-1].pair_id == "pair01"
+    # the enumeration orders by class code whatever order the profiles come in
+    plan = dataset_trials(profiles[::-1], pairs=2, trials_per_class=2, seed=1)
+    assert [trial_id for _, _, _, _, trial_id, _ in plan] == ids
+    expected_seeds = [trial_seed(1, p, c.label, k) for p in range(2) for c in profiles for k in range(2)]
+    assert [seed for *_, seed in plan] == expected_seeds
 
 
 def test_synth_dataset_shares_geometry_across_pairs():
@@ -323,10 +328,9 @@ def test_synth_dataset_shares_geometry_across_pairs():
     meta = SimMeta(packet_rate=5.0, jitter=0.0, csi_noise=0.0)
     trials = synth_dataset([PUSHING], pairs=2, trials_per_class=1, seed=4, meta=meta)
     a, b = trials
-    for pa, pb in zip(a.packets, b.packets):
-        assert np.array_equal(pa.csi, pb.csi)
-        assert np.array_equal(pa.rssi, pb.rssi)
-        assert pa.label == pb.label
+    assert np.array_equal(a.csi, b.csi)
+    assert np.array_equal(a.rssi, b.rssi)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_synth_dataset_trial_seeds_are_distinct():
