@@ -5,8 +5,11 @@ small set of scattered rays per transmit/receive antenna link.  Time-domain
 behaviour (received signal, power, Rician K factor, power density) treats each
 ray as a phasor with amplitude, phase and delay; frequency-domain behaviour
 (per-subcarrier channel matrix) evaluates the same rays at each subcarrier's
-absolute frequency.  All angles are radians, delays seconds, frequencies Hz,
-powers linear unless a name says dB.
+absolute frequency.  :class:`MultipathSet` holds one link's rays for the
+time-domain helpers; :func:`assemble_h_matrix` takes plain ray arrays with
+any leading axes, so a whole trial's packets assemble in one array pass.
+All angles are radians, delays seconds, frequencies Hz, powers linear unless
+a name says dB.
 """
 
 from __future__ import annotations
@@ -215,26 +218,32 @@ def channel_impulse_element(mp: MultipathSet, frequency: float, delay_bins: np.n
     return taps
 
 
-def _link_response(mp: MultipathSet, freqs: np.ndarray) -> np.ndarray:
-    amp, _phase, tau = mp.arrays()
-    if amp.size == 0:
-        return np.zeros(freqs.shape, dtype=np.complex128)
-    # sum over rays of a_k exp(-j 2 pi f tau_k); equals the bin-summed taps
-    return (amp[None, :] * np.exp(-2j * np.pi * np.outer(freqs, tau))).sum(axis=1)
+def assemble_h_matrix(amplitudes: np.ndarray, delays: np.ndarray, config: PropagationConfig) -> np.ndarray:
+    """Channel matrices H from ray arrays of shape (..., n_tx, n_rx, rays).
 
-
-def assemble_h_matrix(per_link_paths, config: PropagationConfig) -> np.ndarray:
-    """Channel matrix H of shape dims: element (t, r, s) is link (t, r)'s
-    frequency response at subcarrier s."""
-    n_tx, n_rx, n_sc = config.dims
-    if len(per_link_paths) != n_tx or any(len(row) != n_rx for row in per_link_paths):
-        raise DomainError(f"per_link_paths must be a {n_tx} x {n_rx} grid")
+    Element (..., t, r, s) is link (t, r)'s frequency response at subcarrier
+    s, the sum over rays of a_k exp(-j 2 pi f_s tau_k), which equals the
+    bin-summed taps of :func:`channel_impulse_element`.  Leading axes (one
+    per packet, say) pass through, so a whole trial is one call.
+    """
+    n_tx, n_rx, _ = config.dims
+    amplitudes = np.asarray(amplitudes, dtype=np.float64)
+    delays = np.asarray(delays, dtype=np.float64)
+    if amplitudes.shape != delays.shape or amplitudes.shape[-3:-1] != (n_tx, n_rx):
+        raise DomainError(
+            f"ray amplitudes {amplitudes.shape} and delays {delays.shape} must share "
+            f"a shape (..., {n_tx}, {n_rx}, rays)"
+        )
+    if (amplitudes < 0).any():
+        raise DomainError(f"path amplitude {amplitudes.min()} must be non-negative")
+    if (delays < 0).any():
+        raise DomainError(f"path delay {delays.min()} must be non-negative")
     freqs = subcarrier_frequencies(config)
-    h = np.empty((n_tx, n_rx, n_sc), dtype=np.complex128)
-    for t in range(n_tx):
-        for r in range(n_rx):
-            h[t, r, :] = _link_response(per_link_paths[t][r], freqs)
-    return h
+    # rays stay the innermost axis, so every link sums them in one order
+    h = -2j * np.pi * (delays[..., None, :] * freqs[:, None])
+    np.exp(h, out=h)
+    h *= amplitudes[..., None, :]
+    return h.sum(axis=-1)
 
 
 def apply_channel(h: np.ndarray, x: np.ndarray, awgn_sigma: float, seed: int) -> np.ndarray:

@@ -63,6 +63,14 @@ def derive_key(*parts: int | str) -> int:
     return key
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Normals from uniforms u1 in (0, 1] and u2 in [0, 1) of equal shape:
+    the cosine branch, then the sine branch, joined along the last axis."""
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+
+
 class CounterRng:
     """Keyed counter generator; all draws are pure functions of (key, counter)."""
 
@@ -105,11 +113,7 @@ class CounterRng:
         shape_t = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape_t)) if shape_t else 1
         half = (n + 1) // 2
-        u1 = self.uniform_open(half)
-        u2 = self.uniform(half)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+        z = _box_muller(self.uniform_open(half), self.uniform(half))[:n]
         return z.reshape(shape_t)
 
     def complex_normal(self, shape: int | tuple[int, ...]) -> np.ndarray:
@@ -117,6 +121,19 @@ class CounterRng:
         shape_t = (shape,) if isinstance(shape, int) else tuple(shape)
         re = self.normal(shape_t)
         im = self.normal(shape_t)
+        return re + 1j * im
+
+    def complex_normal_rows(self, rows: int, shape: tuple[int, ...]) -> np.ndarray:
+        """``rows`` stacked :meth:`complex_normal` draws of ``shape`` from one
+        block of raw draws; bit-identical to that many sequential calls."""
+        n = int(np.prod(shape))
+        half = (n + 1) // 2
+        # per row, in counter order: real part (u1, u2), then imaginary part
+        # (u1, u2); adding 2**-53 to a uniform gives uniform_open's value exactly
+        u = self.uniform(rows * 4 * half).reshape(rows, 2, 2, half)
+        z = _box_muller(u[:, :, 0] + 2.0**-53, u[:, :, 1])[..., :n]
+        re = z[:, 0].reshape(rows, *shape)
+        im = z[:, 1].reshape(rows, *shape)
         return re + 1j * im
 
     def shuffle(self, items: list) -> list:

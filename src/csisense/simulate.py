@@ -9,6 +9,10 @@ according to per-ray sensitivities and a left/right weighting across the
 receive array.  Every packet's CSI is the assembled channel matrix for the
 modulated ray set plus measurement noise.
 
+A trial is one array pass: the envelopes are evaluated once per packet, and
+the modulated rays, channel matrices, CSI noise, RSSI and AGC are arrays with
+a leading packet axis.
+
 All randomness comes from keyed counter streams (see rng.py), so a dataset is
 a pure function of its seed and can be produced in any packet/trial order,
 including in parallel, without changing a byte.
@@ -21,17 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    SPEED_OF_LIGHT,
-    MultipathSet,
-    PropagationConfig,
-    assemble_h_matrix,
-    path_loss_db,
-    received_power,
-)
+from .channel import SPEED_OF_LIGHT, PropagationConfig, assemble_h_matrix, path_loss_db
 from .domain import LABELS, STEADY_STATE, Trial
 from .errors import DomainError
-from .profiles import SimMeta, SyntheticClassProfile, amp_envelope, phase_envelope
+from .profiles import SyntheticClassProfile, amp_envelope, phase_envelope
 from .rng import CounterRng, derive_key
 
 # excess-delay multiples and base strengths of the four scattered rays
@@ -117,29 +114,6 @@ def _rx_weight(profile: SyntheticClassProfile, r: int, n_rx: int) -> float:
         return 1.0
     centered = (2.0 * r - (n_rx - 1)) / (n_rx - 1)  # -1 .. +1 across antennas
     return 1.0 + profile.asymmetry * centered
-
-
-def _modulated_link(
-    link: LinkGeometry,
-    profile: SyntheticClassProfile,
-    scale: EnvelopeScale,
-    g_amp: float,
-    g_phase: float,
-    rx_weight: float,
-    omega_c: float,
-) -> MultipathSet:
-    """Ray set for one link at one instant of the interaction envelope."""
-    gains = np.empty(link.amplitudes.shape)
-    gains[0] = 1.0 + profile.depth_los * scale.depth * g_amp
-    gains[1:] = 1.0 + profile.depth_scatter * scale.depth * g_amp * link.sensitivities[1:] * rx_weight
-    amps = link.amplitudes * np.maximum(gains, 0.0)
-    drift = profile.phase_drift * scale.drift * g_phase
-    delays = link.delays + link.sensitivities * (drift / omega_c)
-    phases = -omega_c * delays  # carrier phase of each ray, for the power helpers
-    paths = tuple(
-        (float(a), float(ph), float(d)) for a, ph, d in zip(amps, phases, delays)
-    )
-    return MultipathSet(paths=paths)
 
 
 def _scaled_profile(profile: SyntheticClassProfile, scale: EnvelopeScale) -> SyntheticClassProfile:
@@ -228,41 +202,49 @@ def synth_trial(
     omega_c = 2.0 * math.pi * config.carrier_freq
     loss = path_loss_db(config, REF_LOSS_DB)
     noise = NOISE_FLOOR_DB + _NOISE_WOBBLE_DB * floor_rng.normal(n_total)
-    weights = [_rx_weight(profile, r, n_rx) for r in range(n_rx)]
+    weights = np.array([_rx_weight(profile, r, n_rx) for r in range(n_rx)])
 
-    agc = np.empty(n_total)
-    rssi = np.empty((n_total, n_rx))
-    csi = np.empty((n_total, n_tx, n_rx, n_sc), dtype=np.complex128)
+    # envelope values per packet (zero in the steady dwell); the envelopes
+    # stay scalar calls, everything after them is array maths over packets
+    active = slice(n_steady, n_total) if steady_first else slice(0, n_active)
+    g_amp = np.zeros(n_total)
+    g_phase = np.zeros(n_total)
+    u = [(k + 0.5) / n_active for k in range(n_active)]
+    g_amp[active] = [amp_envelope(profile, x) for x in u]
+    g_phase[active] = [phase_envelope(profile, x) for x in u]
     labels = np.full(n_total, STEADY_STATE, dtype=np.int64)
-    for i in range(n_total):
-        active_index = i - n_steady if steady_first else i
-        in_active = 0 <= active_index < n_active
-        if in_active:
-            u = (active_index + 0.5) / n_active
-            g_amp = amp_envelope(profile, u)
-            g_phase = phase_envelope(profile, u)
-            labels[i] = profile.label
-        else:
-            g_amp = 0.0
-            g_phase = 0.0
-        grid = [
-            [
-                _modulated_link(
-                    geometry.links[t][r], profile, scale, g_amp, g_phase, weights[r], omega_c
-                )
-                for r in range(n_rx)
-            ]
-            for t in range(n_tx)
-        ]
-        h = assemble_h_matrix(grid, config)
-        if csi_noise > 0:
-            h = h + csi_noise * csi_rng.complex_normal((n_tx, n_rx, n_sc))
-        csi[i] = h
-        for r in range(n_rx):
-            power = np.mean([received_power(grid[t][r]) for t in range(n_tx)])
-            gain_db = 10.0 * math.log10(max(power, 1e-12))
-            rssi[i, r] = min(_RSSI_MAX, max(0.0, round(RSSI_CALIBRATION_DB - loss + gain_db)))
-        agc[i] = min(60.0, max(0.0, AGC_SETPOINT_DB - float(np.mean(rssi[i]))))
+    labels[active] = profile.label
+
+    # modulated rays, shape (packets, tx, rx, rays); index 0 is the line of sight
+    links = [link for row in geometry.links for link in row]
+    base_amps = np.array([link.amplitudes for link in links]).reshape(n_tx, n_rx, -1)
+    base_delays = np.array([link.delays for link in links]).reshape(n_tx, n_rx, -1)
+    sens = np.array([link.sensitivities for link in links]).reshape(n_tx, n_rx, -1)
+    g = g_amp[:, None, None, None]
+    gains = np.empty((n_total,) + base_amps.shape)
+    gains[..., :1] = 1.0 + profile.depth_los * scale.depth * g
+    gains[..., 1:] = 1.0 + profile.depth_scatter * scale.depth * g * sens[..., 1:] * weights[:, None]
+    amps = base_amps * np.maximum(gains, 0.0)
+    drift = profile.phase_drift * scale.drift * g_phase
+    delays = base_delays + sens * (drift / omega_c)[:, None, None, None]
+
+    csi = assemble_h_matrix(amps, delays, config)
+    if csi_noise > 0:
+        csi = csi + csi_noise * csi_rng.complex_normal_rows(n_total, (n_tx, n_rx, n_sc))
+
+    # received power per link as channel.received_power computes it, except
+    # that squares are x*x where it uses pow(): a last-bit difference that the
+    # whole-dB rounding absorbs.  The mean over transmit antennas runs on a
+    # contiguous last axis, so it adds in the order of a per-packet mean
+    phases = -omega_c * delays
+    m = np.sum(amps * np.cos(phases), axis=-1)
+    q = np.sum(amps * np.sin(phases), axis=-1)
+    power = np.ascontiguousarray((m * m + q * q).transpose(0, 2, 1)).mean(axis=-1)
+    # math.log10 per value: numpy's log10 differs from it in the last bit
+    gain_db = 10.0 * np.array([math.log10(p) for p in np.maximum(power, 1e-12).ravel().tolist()])
+    level = np.rint(RSSI_CALIBRATION_DB - loss + gain_db.reshape(power.shape))
+    rssi = np.minimum(_RSSI_MAX, np.maximum(0.0, level))
+    agc = np.minimum(60.0, np.maximum(0.0, AGC_SETPOINT_DB - rssi.mean(axis=1)))
 
     trial_id = trial_id or f"{pair_id}-{LABELS[profile.label]}-00"
     return Trial(
@@ -305,36 +287,3 @@ def dataset_trials(
                 trial_id = f"{pair_id}-{LABELS[profile.label]}-{k:02d}"
                 out.append((pair_id, scale, profile, k, trial_id, trial_seed(seed, p, profile.label, k)))
     return out
-
-
-def synth_dataset(
-    profiles: list[SyntheticClassProfile],
-    pairs: int,
-    trials_per_class: int,
-    pair_variation: float = 0.0,
-    seed: int = 0,
-    *,
-    config: PropagationConfig | None = None,
-    meta: SimMeta | None = None,
-) -> list[Trial]:
-    """Generate pairs x classes x trials_per_class trials in the order of
-    :func:`dataset_trials`.  Deterministic under seed."""
-    plan = dataset_trials(profiles, pairs, trials_per_class, pair_variation, seed)
-    config = config or PropagationConfig()
-    meta = meta or SimMeta()
-    geometry = build_geometry(config, CounterRng(seed, "geometry"))
-    return [
-        synth_trial(
-            profile,
-            config,
-            meta.packet_rate,
-            meta.jitter,
-            seed_value,
-            csi_noise=meta.csi_noise,
-            pair_id=pair_id,
-            trial_id=trial_id,
-            geometry=geometry,
-            envelope_scale=scale,
-        )
-        for pair_id, scale, profile, _, trial_id, seed_value in plan
-    ]

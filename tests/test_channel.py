@@ -1,7 +1,5 @@
 """Propagation and fading layer: spot values, oracles, brute-force checks."""
 
-import math
-
 import mpmath
 import numpy as np
 import pytest
@@ -183,26 +181,24 @@ def test_tap_sum_equals_frequency_response():
         assert abs(taps.sum() - direct) < 1e-9 * abs(direct)
 
 
-def _flat_grid(cfg, amp=1.0):
+def _flat_rays(cfg, amp=1.0):
+    # one ray per link at zero delay: a frequency-flat channel of gain amp
     n_tx, n_rx, _ = cfg.dims
-    return [
-        [MultipathSet(paths=((amp, 0.0, 0.0),)) for _ in range(n_rx)]
-        for _ in range(n_tx)
-    ]
+    return np.full((n_tx, n_rx, 1), amp), np.zeros((n_tx, n_rx, 1))
 
 
 def test_assemble_h_flat_channel():
     cfg = PropagationConfig(dims=(2, 3, 30))
-    h = assemble_h_matrix(_flat_grid(cfg), cfg)
+    h = assemble_h_matrix(*_flat_rays(cfg), cfg)
     assert h.shape == (2, 3, 30)
     assert np.allclose(h, 1.0 + 0.0j, rtol=0, atol=0)
 
 
 def test_assemble_h_zeroed_link():
     cfg = PropagationConfig(dims=(2, 2, 5))
-    grid = _flat_grid(cfg)
-    grid[1][0] = MultipathSet(paths=())
-    h = assemble_h_matrix(grid, cfg)
+    amps, delays = _flat_rays(cfg)
+    amps[1, 0] = 0.0
+    h = assemble_h_matrix(amps, delays, cfg)
     assert np.all(h[1, 0] == 0.0)
     assert np.all(h[0, :, :] == 1.0)
     assert np.all(h[1, 1] == 1.0)
@@ -211,7 +207,34 @@ def test_assemble_h_zeroed_link():
 def test_assemble_h_grid_validation():
     cfg = PropagationConfig(dims=(2, 3, 5))
     with pytest.raises(DomainError):
-        assemble_h_matrix(_flat_grid(PropagationConfig(dims=(2, 2, 5))), cfg)
+        assemble_h_matrix(*_flat_rays(PropagationConfig(dims=(2, 2, 5))), cfg)
+    amps, delays = _flat_rays(cfg)
+    with pytest.raises(DomainError):
+        assemble_h_matrix(amps, delays[..., :0], cfg)  # ray counts disagree
+    with pytest.raises(DomainError, match="path amplitude"):
+        assemble_h_matrix(-amps, delays, cfg)
+    with pytest.raises(DomainError, match="path delay"):
+        assemble_h_matrix(amps, delays - 1e-9, cfg)
+
+
+def test_assemble_h_batched_matches_per_packet_and_taps():
+    cfg = PropagationConfig(dims=(2, 3, 7))
+    rng = np.random.default_rng(5)
+    amps = rng.uniform(0.0, 2.0, (4, 2, 3, 5))
+    delays = rng.uniform(0.0, 3e-8, (4, 2, 3, 5))
+    h = assemble_h_matrix(amps, delays, cfg)
+    assert h.shape == (4, 2, 3, 7)
+    freqs = subcarrier_frequencies(cfg)
+    bins = np.linspace(0.0, 3e-8, 7)
+    for i in range(4):
+        single = assemble_h_matrix(amps[i], delays[i], cfg)
+        assert np.abs(h[i] - single).max() <= 1e-9 * np.abs(single).max()
+        for t in range(2):
+            for r in range(3):
+                mp = MultipathSet(paths=tuple((a, 0.0, d) for a, d in zip(amps[i, t, r], delays[i, t, r])))
+                for s, f in enumerate(freqs):
+                    taps = channel_impulse_element(mp, f, bins).sum()
+                    assert abs(h[i, t, r, s] - taps) <= 1e-9 * abs(taps)
 
 
 def test_apply_channel_identity():

@@ -77,6 +77,20 @@ def test_complex_normal_components():
     assert abs(float(np.std(big.imag)) - 1.0) < 0.03
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 30), (1, 3, 5)], ids=["even", "odd"])
+def test_complex_normal_rows_equal_sequential_draws(shape):
+    # an odd tx*rx*sc drops one Box-Muller value per part of every row
+    batched = CounterRng(8, "csi").complex_normal_rows(6, shape)
+    rng = CounterRng(8, "csi")
+    sequential = np.stack([rng.complex_normal(shape) for _ in range(6)])
+    assert batched.shape == (6, *shape)
+    assert batched.tobytes() == sequential.tobytes()
+    # and the stream continues where the sequential calls leave it
+    after = CounterRng(8, "csi")
+    after.complex_normal_rows(6, shape)
+    assert np.array_equal(after.u64(4), rng.u64(4))
+
+
 def test_shuffle_is_a_permutation_and_pure():
     items = list(range(30))
     out = CounterRng(4).shuffle(items)

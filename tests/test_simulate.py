@@ -1,5 +1,7 @@
 """Profile parsing, envelope shapes, and the trial generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from csisense.simulate import (
     build_geometry,
     dataset_trials,
     pair_envelope_scale,
-    synth_dataset,
     synth_trial,
     trial_seed,
 )
@@ -47,6 +48,44 @@ APPROACHING = SyntheticClassProfile(
     depth_los=0.9,
     depth_scatter=0.35,
     phase_drift=-28.0,
+)
+
+PUNCHING = SyntheticClassProfile(
+    label=label_to_index("punching-left"),
+    duration=3.0,
+    steady_position="begin",
+    steady_duration=2.0,
+    shape="double_bump",
+    depth_los=0.4,
+    depth_scatter=0.65,
+    phase_drift=6.0,
+    width=0.2,
+    asymmetry=-0.6,
+)
+
+HANDSHAKING = SyntheticClassProfile(
+    label=label_to_index("handshaking"),
+    duration=4.0,
+    steady_position="begin",
+    steady_duration=2.0,
+    shape="oscillation",
+    depth_los=0.35,
+    depth_scatter=0.45,
+    phase_drift=4.0,
+    cycles=7.0,
+    asymmetry=0.4,
+)
+
+HUGGING = SyntheticClassProfile(
+    label=label_to_index("hugging"),
+    duration=3.0,
+    steady_position="begin",
+    steady_duration=2.0,
+    shape="bump",
+    depth_los=-0.75,
+    depth_scatter=0.6,
+    phase_drift=7.0,
+    width=0.28,
 )
 
 
@@ -256,6 +295,66 @@ def test_synth_trial_is_byte_deterministic(tmp_path):
     assert pa.read_bytes() != pb.read_bytes()
 
 
+# SHA-256 of write_trial(synth_trial(...)) for one trial per envelope shape
+# and steady position, a scaled envelope with a shared geometry, an envelope
+# deep enough to clamp the line-of-sight gain to zero, a noise-free trial
+# and an odd tx*rx*sc; a change to the trial bytes must be deliberate
+FROZEN_TRIALS = {
+    "bump-steady-first": (
+        dict(profile=PUSHING, seed=11),
+        "e7c608b3bb2ae828199f036f75bf242a9fbaa6d919b5e34c0ca37d87d9acce3e",
+    ),
+    "ramp-steady-end": (
+        dict(profile=APPROACHING, seed=12),
+        "96bc13bbb8f069c22a0e6faf6be66e8bfb83f9ba40578d6329e88bc96a73d2f3",
+    ),
+    "double-bump": (
+        dict(profile=PUNCHING, seed=13),
+        "ebae46b05f02650f27b8e56f398920b1cec9ff5ee9eb1e3e8e7dc5e186037618",
+    ),
+    "oscillation": (
+        dict(profile=HANDSHAKING, seed=14),
+        "7414ca098c8329e185cc0bed234ea4975b2ff5a2805149b9ab9ab3c10ff34649",
+    ),
+    "envelope-scale": (
+        dict(
+            profile=PUSHING,
+            seed=15,
+            envelope_scale=EnvelopeScale(depth=1.3, drift=0.7, width=1.2, center_shift=0.05),
+            geometry_seed=99,
+            pair_id="pair04",
+        ),
+        "30c0e9650c39f7414a2ad5963eec1bb794c412f44a406c6e67df10f34da67baa",
+    ),
+    "clamped-gain": (
+        dict(profile=HUGGING, seed=16, envelope_scale=EnvelopeScale(depth=2.0)),
+        "660598dc570cf7ae50b783acd79339fe0ab23adeeb72a718802f3e3aa41f1ad2",
+    ),
+    "no-noise": (
+        dict(profile=APPROACHING, seed=17, csi_noise=0.0),
+        "990866a21d40bb47ea4225ce52b67c3007fc985b1ff55411cd0f2a78b84394ae",
+    ),
+    "odd-dims": (
+        dict(profile=HANDSHAKING, seed=18, dims=(1, 3, 5)),
+        "a7f51d0ecd37eb80fdce00a9aec07c454ae7490a87d31af09c77abbcb47a5e71",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_TRIALS))
+def test_synth_trial_bytes_are_frozen(case, tmp_path):
+    kwargs, digest = FROZEN_TRIALS[case]
+    kwargs = dict(kwargs)
+    config = PropagationConfig(dims=kwargs.pop("dims", (2, 3, 30)))
+    geometry_seed = kwargs.pop("geometry_seed", None)
+    if geometry_seed is not None:
+        kwargs["geometry"] = build_geometry(config, CounterRng(geometry_seed, "geometry"))
+    trial = synth_trial(config=config, packet_rate=20.0, **kwargs)
+    path = tmp_path / "t.trial"
+    write_trial(trial, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_synth_trial_timestamp_jitter_bounds():
     trial = synth_trial(PUSHING, packet_rate=10.0, jitter=0.25, seed=7)
     t = trial.timestamps
@@ -296,12 +395,50 @@ def test_synth_trial_validation():
         synth_trial(PUSHING, PropagationConfig(), geometry=geo)
 
 
+def test_synth_trial_rejects_a_drift_that_makes_a_delay_negative():
+    # the line-of-sight delay is ~14 ns; a drift of -1e4 carrier radians
+    # pulls it ~660 ns earlier at the envelope peak
+    extreme = SyntheticClassProfile(
+        label=PUSHING.label,
+        duration=PUSHING.duration,
+        steady_position=PUSHING.steady_position,
+        steady_duration=PUSHING.steady_duration,
+        shape=PUSHING.shape,
+        phase_drift=-1e4,
+    )
+    with pytest.raises(DomainError, match="path delay .* must be non-negative"):
+        synth_trial(extreme, packet_rate=5.0, seed=1)
+    synth_trial(PUSHING, packet_rate=5.0, seed=1)
+
+
 # ----------------------------------------------------------------- dataset
+
+def _synth_dataset(profiles, pairs, trials_per_class, pair_variation=0.0, seed=0, meta=SimMeta()):
+    # the dataset loop of cmd_simulate: one shared geometry, one trial per plan row
+    plan = dataset_trials(profiles, pairs, trials_per_class, pair_variation, seed)
+    config = PropagationConfig()
+    geometry = build_geometry(config, CounterRng(seed, "geometry"))
+    return [
+        synth_trial(
+            profile,
+            config,
+            meta.packet_rate,
+            meta.jitter,
+            seed_value,
+            csi_noise=meta.csi_noise,
+            pair_id=pair_id,
+            trial_id=trial_id,
+            geometry=geometry,
+            envelope_scale=scale,
+        )
+        for pair_id, scale, profile, _, trial_id, seed_value in plan
+    ]
+
 
 def test_synth_dataset_counts_and_ordering():
     profiles = [APPROACHING, PUSHING]
     meta = SimMeta(packet_rate=5.0, jitter=0.0, csi_noise=0.0)
-    trials = synth_dataset(profiles, pairs=2, trials_per_class=2, seed=1, meta=meta)
+    trials = _synth_dataset(profiles, pairs=2, trials_per_class=2, seed=1, meta=meta)
     assert len(trials) == 2 * 2 * 2
     ids = [t.trial_id for t in trials]
     assert ids == [
@@ -326,7 +463,7 @@ def test_synth_dataset_shares_geometry_across_pairs():
     # with no pair variation, no jitter, and no noise the channel response is
     # a pure function of the shared geometry, so pairs produce identical CSI
     meta = SimMeta(packet_rate=5.0, jitter=0.0, csi_noise=0.0)
-    trials = synth_dataset([PUSHING], pairs=2, trials_per_class=1, seed=4, meta=meta)
+    trials = _synth_dataset([PUSHING], pairs=2, trials_per_class=1, seed=4, meta=meta)
     a, b = trials
     assert np.array_equal(a.csi, b.csi)
     assert np.array_equal(a.rssi, b.rssi)
@@ -345,6 +482,6 @@ def test_synth_dataset_trial_seeds_are_distinct():
 
 def test_synth_dataset_validation():
     with pytest.raises(DomainError):
-        synth_dataset([PUSHING], pairs=0, trials_per_class=1)
+        dataset_trials([PUSHING], pairs=0, trials_per_class=1)
     with pytest.raises(DomainError):
-        synth_dataset([PUSHING], pairs=1, trials_per_class=1, pair_variation=-1.0)
+        dataset_trials([PUSHING], pairs=1, trials_per_class=1, pair_variation=-1.0)
