@@ -51,7 +51,7 @@ from .profiles import load_profiles
 from .render import render_label_plot
 from .rng import CounterRng
 from .simulate import build_geometry, dataset_trials, synth_trial
-from .weights import load_weights, model_from_weights, save_weights, weights_from_model
+from .weights import ModelWeights, load_weights, model_from_weights, save_weights, weights_from_model
 
 
 class CliError(Exception):
@@ -275,11 +275,16 @@ def cmd_train(args) -> int:
 _CLASSIFY_STATE: dict = {}
 
 
-def _classify_init(weight_paths: list[str]) -> None:
-    bundles = [load_weights(p) for p in weight_paths]
-    _CLASSIFY_STATE["models"] = [model_from_weights(b) for b in bundles]
+def _classify_init(bundles: list[ModelWeights]) -> None:
+    """Build the fold models, emptying ``bundles`` as it goes: each model
+    holds float64 copies of its parameters, and the float32 bundles would
+    otherwise stay live through every predict."""
     _CLASSIFY_STATE["scaler"] = bundles[0].scaler
     _CLASSIFY_STATE["seq_len"] = bundles[0].arch.seq_len
+    models = []
+    while bundles:
+        models.append(model_from_weights(bundles.pop(0)))
+    _CLASSIFY_STATE["models"] = models
 
 
 def _classify_job(job) -> str:
@@ -305,11 +310,8 @@ def _classify_job(job) -> str:
     return trace.trial_id
 
 
-def cmd_classify(args) -> int:
-    wdir = Path(args.weights)
-    weight_paths = sorted(wdir.glob("*.weights"))
-    if not weight_paths:
-        raise CliError("no trained models found")
+def _load_bundles(weight_paths: list[Path]) -> list[ModelWeights]:
+    """Load every bundle once and check that they agree and carry a scaler."""
     bundles = [load_weights(p) for p in weight_paths]
     arch0 = bundles[0].arch.to_dict()
     for path, bundle in zip(weight_paths, bundles):
@@ -317,6 +319,15 @@ def cmd_classify(args) -> int:
             raise CliError(f"{path}: weight bundles disagree on architecture")
         if bundle.scaler is None:
             raise CliError(f"{path}: bundle carries no scaler; cannot featurize raw trials")
+    return bundles
+
+
+def cmd_classify(args) -> int:
+    wdir = Path(args.weights)
+    weight_paths = sorted(wdir.glob("*.weights"))
+    if not weight_paths:
+        raise CliError("no trained models found")
+    bundles = _load_bundles(weight_paths)
 
     inp = Path(args.input)
     if inp.is_dir():
@@ -331,10 +342,9 @@ def cmd_classify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jobs_list = [(str(p), str(out / f"{p.stem}.csv")) for p in trial_paths]
-    paths_arg = [str(p) for p in weight_paths]
     done = _run_jobs(
         _classify_job, jobs_list, _resolve_jobs(args),
-        initializer=_classify_init, initargs=(paths_arg,),
+        initializer=_classify_init, initargs=(bundles,),
     )
     _say(f"wrote {len(done)} prediction files under {out} using {len(weight_paths)} models")
     return 0

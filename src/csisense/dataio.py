@@ -28,10 +28,19 @@ _FLAG_LABELED = 0x01
 
 
 def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write through a temp file named for this process in the target's
+    directory, synced to disk before the rename and removed on any failure."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write_text(path: str | Path, text: str) -> None:

@@ -7,13 +7,13 @@ Each packet becomes one row of F = 6 + 2 * n_tx * n_rx * n_sc features:
      principal-value phases in (-pi, pi], same order]
 
 so the default (2, 3, 30) dims give 366 columns.  Trials are first padded or
-clipped to a common length at their steady-state end, then scaled column-wise
-by a robust (median / interquartile-range) scaler fitted on training rows only.
+clipped to a common length at their front, by a rule that reads no labels,
+then scaled column-wise by a robust (median / interquartile-range) scaler
+fitted on training rows only.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,23 +90,15 @@ class SplitSpec:
         )
 
 
-def _steady_run(labels: np.ndarray) -> int:
-    """Length of the steady-state run that ``labels`` starts with."""
-    moving = np.flatnonzero(labels != STEADY_STATE)
-    return int(moving[0]) if moving.size else len(labels)
-
-
 def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
-    """Pad or clip a trial to ``target_len`` packets at its steady-state end.
+    """Pad or clip a trial to ``target_len`` packets at its front.
 
-    The steady end is the one whose edge packet carries the steady-state
-    label (trials with the dwell at the tail, e.g. approaching, pad/clip at
-    the tail).  Padding replicates the steady-edge packet with timestamps
-    extrapolated at the trial's median inter-arrival and the steady-state
-    label; clipping removes packets from the outermost steady edge first and
-    only touches non-steady packets once no edge steady run remains (with a
-    warning).  Timestamps are re-based to start at 0 whenever the packet list
-    changes; a trial already at the target length is returned unchanged.
+    The rule reads no labels, so a labeled and an unlabeled copy of a trial
+    normalize identically.  Padding replicates the first packet, with
+    timestamps extrapolated backwards at the trial's median inter-arrival and
+    the steady-state label; clipping drops the leading packets.  Timestamps
+    are re-based to start at 0 whenever the packet list changes; a trial
+    already at the target length is returned unchanged.
     """
     if target_len < 1:
         raise DomainError(f"target_len must be at least 1, got {target_len}")
@@ -116,58 +108,14 @@ def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
     if n == target_len:
         return trial
 
-    labels = trial.labels
-    if labels[0] == STEADY_STATE:
-        steady_end = "begin"
-    elif labels[-1] == STEADY_STATE:
-        steady_end = "end"
-    else:
-        steady_end = "begin"
-        warnings.warn(
-            f"trial {trial.trial_id}: no steady-state packets at either end; "
-            "padding/clipping at the leading run"
-        )
-
-    times = trial.timestamps
-    if n < target_len:
-        pad = target_len - n
-        dt = float(np.median(np.diff(times))) if n > 1 else 0.0
-        steps = np.arange(pad)
-        if steady_end == "begin":
-            index = np.maximum(np.arange(target_len) - pad, 0)
-            times = np.concatenate([times[0] - dt * (pad - steps), times])
-            padded = slice(0, pad)
-        else:
-            index = np.minimum(np.arange(target_len), n - 1)
-            times = np.concatenate([times, times[-1] + dt * (steps + 1)])
-            padded = slice(n, target_len)
-    else:
-        drop = n - target_len
-        front_run = _steady_run(labels)
-        back_run = _steady_run(labels[::-1])
-        if front_run == n:  # all-steady trial: treat the declared end as the only run
-            front_run, back_run = (n, 0) if steady_end == "begin" else (0, n)
-        primary, secondary = (front_run, back_run) if steady_end == "begin" else (back_run, front_run)
-        take_primary = min(drop, primary)
-        take_secondary = min(drop - take_primary, secondary)
-        remainder = drop - take_primary - take_secondary
-        if remainder > 0:
-            warnings.warn(
-                f"trial {trial.trial_id}: clipping {remainder} non-steady packets; "
-                "steady runs were shorter than the excess length"
-            )
-        # any unavoidable non-steady removal happens at the steady end
-        if steady_end == "begin":
-            front, back = take_primary + remainder, take_secondary
-        else:
-            front, back = take_secondary, take_primary + remainder
-        index = np.arange(front, n - back)
-        times = times[index]
-        padded = slice(0)
-
-    # replicas clone the steady-edge packet but carry the steady-state label
-    out_labels = labels[index]
-    out_labels[padded] = STEADY_STATE
+    index = np.maximum(np.arange(n - target_len, n), 0)
+    pad = max(target_len - n, 0)
+    times = trial.timestamps[index]
+    labels = trial.labels[index]
+    if pad:
+        dt = float(np.median(np.diff(trial.timestamps))) if n > 1 else 0.0
+        times[:pad] = trial.timestamps[0] - dt * np.arange(pad, 0, -1)
+        labels[:pad] = STEADY_STATE
     if times[0] != 0.0:
         times = times - times[0]
     return Trial(
@@ -176,7 +124,7 @@ def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
         agc=trial.agc[index],
         rssi=trial.rssi[index],
         csi=trial.csi[index],
-        labels=out_labels,
+        labels=labels,
         pair_id=trial.pair_id,
         trial_id=trial.trial_id,
     )

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import _atomic_write_text
 from .domain import LABELS, label_to_index
 from .errors import DomainError
 
@@ -223,4 +224,4 @@ def save_profiles(profiles: list[SyntheticClassProfile], meta: SimMeta, path: st
         }
     buf = io.StringIO()
     parser.write(buf)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    _atomic_write_text(path, buf.getvalue())

@@ -26,6 +26,7 @@ from csisense.dataio import (
     read_trial,
     write_trial,
 )
+from csisense.weights import load_weights
 
 MICRO_PROFILES = """\
 [meta]
@@ -347,19 +348,36 @@ def test_classify_missing_input(pipeline, tmp_path, capsys):
 
 
 def test_classify_unlabeled_trial(pipeline, tmp_path):
-    tid = pipeline["split"].test[0]
-    trial = read_trial(pipeline["test_dir"] / f"{tid}.trial")
+    # an unlabeled copy of every test trial must get the labeled copy's
+    # predictions; approaching, whose dwell is at the tail, is among them
+    tids = pipeline["split"].test
+    assert "approaching" in {_class_of(tid) for tid in tids}
     blind_dir = tmp_path / "blind"
     blind_dir.mkdir()
-    write_trial(trial, blind_dir / "anon.trial", labeled=False)
+    for tid in tids:
+        trial = read_trial(pipeline["test_dir"] / f"{tid}.trial")
+        write_trial(trial, blind_dir / f"{tid}.trial", labeled=False)
     out = tmp_path / "p"
     assert cli.main([
         "classify", "--weights", str(pipeline["models"]),
         "--input", str(blind_dir), "--out", str(out),
     ]) == 0
-    trace = read_predictions(out / "anon.csv")
-    assert trace.true_labels is None
-    assert trace.smoothed.shape == (40,)
+    for tid in tids:
+        blind = read_predictions(out / f"{tid}.csv")
+        labeled = read_predictions(pipeline["predictions"] / f"{tid}.csv")
+        assert blind.true_labels is None
+        assert blind.smoothed.shape == (40,)
+        assert np.array_equal(blind.per_fold, labeled.per_fold), tid
+        assert np.array_equal(blind.ensembled, labeled.ensembled), tid
+        assert np.array_equal(blind.smoothed, labeled.smoothed), tid
+
+
+def test_classify_init_releases_the_bundles(pipeline):
+    bundles = [load_weights(p) for p in sorted(pipeline["models"].glob("*.weights"))]
+    cli._classify_init(bundles)
+    assert bundles == []  # the float32 arrays are not kept alive next to the models
+    assert len(cli._CLASSIFY_STATE["models"]) == 2
+    assert cli._CLASSIFY_STATE["seq_len"] == 40
 
 
 def test_classify_parallel_matches_serial(pipeline, tmp_path):

@@ -1,6 +1,7 @@
 """Binary trial files, CSV formats, manifests, and JSON sidecars."""
 
 import json
+import os
 import struct
 import zlib
 
@@ -377,3 +378,25 @@ def test_no_tmp_files_survive_writes(tmp_path):
     )
     save_split(SplitSpec(train=[], val=[], test=[]), tmp_path / "sp.json")
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "t.trial"
+    write_trial(_trial(seed=1), target)
+    old = target.read_bytes()
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"x")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_trial(_trial(seed=2), target)
+    assert target.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "t.trial"]
+    monkeypatch.undo()
+
+    # a successful write keeps the mode an ordinary file write gives
+    write_trial(_trial(seed=2), target)
+    assert target.stat().st_mode == plain.stat().st_mode

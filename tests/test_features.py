@@ -1,5 +1,8 @@
 """Length normalization, feature extraction, robust scaling, splits."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,18 +75,20 @@ def test_normalize_clip_front_steady():
     assert out.timestamps[0] == 0.0
 
 
-def test_normalize_clip_reaches_into_back_steady():
+def test_normalize_clip_keeps_back_steady():
     trial = _trial([0] * 300 + [5] * 1500 + [0] * 200)
     out = normalize_length(trial, 1560)
     labs = _labels(out)
-    # all 300 leading steady packets go first, then 140 from the back run
-    assert labs[:1500] == [5] * 1500
-    assert labs[1500:] == [0] * 60
+    # 440 leading packets go: the 300 steady ones, then 140 active ones
+    assert labs[:1360] == [5] * 1360
+    assert labs[1360:] == [0] * 200
+    assert out.csi[0].flat[0] == 441
 
 
-def test_normalize_clip_overruns_into_active_with_warning():
+def test_normalize_clip_overruns_into_active_silently():
     trial = _trial([0] * 100 + [7] * 1900)
-    with pytest.warns(UserWarning, match="non-steady"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = normalize_length(trial, 1560)
     labs = _labels(out)
     assert labs == [7] * 1560
@@ -95,29 +100,51 @@ def test_normalize_pad_front():
     out = normalize_length(trial, 1560)
     labs = _labels(out)
     assert labs[:720] == [0] * 720 and labs[720:] == [4] * 840
-    # replicas clone the steady-edge packet and keep the cadence
+    # replicas clone the first packet and keep the cadence
     assert out.csi[0].flat[0] == 1
     diffs = packet_time_diffs(out)
     assert out.timestamps[0] == 0.0
     assert np.allclose(diffs[1:], 0.02)
 
 
-def test_normalize_tail_steady_trial_pads_at_tail():
-    # approaching-style recording: the dwell sits at the end
-    trial = _trial([1] * 900 + [0] * 140)
-    out = normalize_length(trial, 1560)
-    labs = _labels(out)
-    assert len(labs) == 1560
-    assert labs[:900] == [1] * 900 and labs[900:] == [0] * 660
-    assert out.csi[-1].flat[0] == 1040  # replicated edge packet
+def _tail_dwell_trial(n_active, n_steady):
+    """An approaching-style recording, the dwell at the end, with every
+    packet field distinct so any shift of the packet window shows."""
+    n = n_active + n_steady
+    rng = np.random.default_rng(7)
+    return Trial(
+        timestamps=np.cumsum(rng.uniform(0.005, 0.015, n)),
+        noise=rng.normal(-92.0, 1.0, n),
+        agc=rng.uniform(20.0, 40.0, n),
+        rssi=rng.uniform(25.0, 45.0, (n, 3)),
+        csi=rng.normal(size=(n, 2, 3, 4)) + 1j * rng.normal(size=(n, 2, 3, 4)),
+        labels=np.array([1] * n_active + [0] * n_steady, dtype=np.int64),
+        pair_id="p",
+        trial_id="t",
+    )
 
 
-def test_normalize_tail_steady_trial_clips_at_tail():
-    trial = _trial([1] * 1500 + [0] * 500)
-    out = normalize_length(trial, 1560)
-    labs = _labels(out)
-    assert labs[:1500] == [1] * 1500 and labs[1500:] == [0] * 60
-    assert out.csi[0].flat[0] == 1  # front untouched
+@pytest.mark.parametrize(
+    "n_active, n_steady, expected",
+    [
+        (900, 140, [0] * 520 + [1] * 900 + [0] * 140),  # pad: replicas lead
+        (1500, 500, [1] * 1060 + [0] * 500),  # clip: leading packets go
+    ],
+    ids=["pad", "clip"],
+)
+def test_normalize_is_label_free(n_active, n_steady, expected):
+    labeled = _tail_dwell_trial(n_active, n_steady)
+    unlabeled = replace(labeled, labels=np.zeros_like(labeled.labels))
+    out = normalize_length(labeled, 1560)
+    blind = normalize_length(unlabeled, 1560)
+    assert _labels(out) == expected
+    assert _labels(blind) == [0] * 1560
+    for name in ("timestamps", "noise", "agc", "rssi", "csi"):
+        assert np.array_equal(getattr(out, name), getattr(blind, name)), name
+    # the window is the trial's last packets, after any replicas of its first
+    pad = max(1560 - len(labeled.labels), 0)
+    assert np.array_equal(out.csi[pad:], labeled.csi[-(1560 - pad):])
+    assert np.all(out.csi[:pad] == labeled.csi[0])
 
 
 def test_normalize_all_steady():
@@ -126,11 +153,13 @@ def test_normalize_all_steady():
     assert _labels(out) == [0] * 1560
 
 
-def test_normalize_no_steady_edge_warns():
+def test_normalize_no_steady_edge_pads_at_front():
     trial = _trial([7] * 30)
-    with pytest.warns(UserWarning, match="either end"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = normalize_length(trial, 40)
-    assert _labels(out)[:10] == [0] * 10
+    assert _labels(out) == [0] * 10 + [7] * 30
+    assert out.csi[0].flat[0] == 1 and out.csi[10].flat[0] == 1
 
 
 def test_normalize_errors():

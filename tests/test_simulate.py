@@ -1,6 +1,7 @@
 """Profile parsing, envelope shapes, and the trial generator."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -145,6 +146,21 @@ def test_profiles_round_trip(tmp_path):
     back, back_meta = load_profiles(path)
     assert back == profiles
     assert back_meta == meta
+
+
+def test_save_profiles_is_atomic(tmp_path, monkeypatch):
+    profiles, meta = load_profiles("configs/profiles.ini")
+    path = tmp_path / "copy.ini"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_profiles(profiles, meta, path)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["copy.ini"]
 
 
 def test_profile_timing_table_is_enforced():
@@ -409,6 +425,28 @@ def test_synth_trial_rejects_a_drift_that_makes_a_delay_negative():
     with pytest.raises(DomainError, match="path delay .* must be non-negative"):
         synth_trial(extreme, packet_rate=5.0, seed=1)
     synth_trial(PUSHING, packet_rate=5.0, seed=1)
+
+
+STEADY = SyntheticClassProfile(
+    label=STEADY_STATE,
+    duration=3.0,
+    steady_position="begin",
+    steady_duration=2.0,
+    shape="flat",
+)
+
+
+@pytest.mark.parametrize(
+    "profile, distance, rssi, agc",
+    [(PUSHING, 1e4, 0.0, 60.0), (STEADY, 1e-3, 99.0, 0.0)],
+    ids=["far-floor", "near-ceiling"],
+)
+def test_synth_trial_clamps_rssi_and_agc(profile, distance, rssi, agc):
+    # 10 km away the received power is far below the RSSI floor; 1 mm away
+    # it is far above the RSSI ceiling, and the AGC clamps the other way
+    trial = synth_trial(profile, PropagationConfig(tx_rx_distance=distance), packet_rate=8.0, seed=0)
+    assert np.all(trial.rssi == rssi)
+    assert np.all(trial.agc == agc)
 
 
 # ----------------------------------------------------------------- dataset
