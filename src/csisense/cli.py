@@ -313,9 +313,8 @@ def _classify_job(job) -> str:
 def _load_bundles(weight_paths: list[Path]) -> list[ModelWeights]:
     """Load every bundle once and check that they agree and carry a scaler."""
     bundles = [load_weights(p) for p in weight_paths]
-    arch0 = bundles[0].arch.to_dict()
     for path, bundle in zip(weight_paths, bundles):
-        if bundle.arch.to_dict() != arch0:
+        if bundle.arch != bundles[0].arch:
             raise CliError(f"{path}: weight bundles disagree on architecture")
         if bundle.scaler is None:
             raise CliError(f"{path}: bundle carries no scaler; cannot featurize raw trials")

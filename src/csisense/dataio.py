@@ -192,12 +192,12 @@ def export_feature_csv(frame: FeatureFrame, path: str | Path, dims: tuple[int, i
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def import_feature_csv(path: str | Path, scaler_applied: bool = True) -> FeatureFrame:
+def import_feature_csv(path: str | Path) -> FeatureFrame:
     """Parse a feature CSV back into a frame.
 
     The file does not record whether the scaler ran; pipeline CSVs are always
-    scaled, so that is the default.  Zero data rows or a row whose column
-    count disagrees with the header is a format error.
+    scaled, so the frame comes back marked as scaled.  Zero data rows or a
+    row whose column count disagrees with the header is a format error.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln]
@@ -218,7 +218,7 @@ def import_feature_csv(path: str | Path, scaler_applied: bool = True) -> Feature
     return FeatureFrame(
         matrix=np.asarray(rows, dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64),
-        scaler_applied=scaler_applied,
+        scaler_applied=True,
     )
 
 

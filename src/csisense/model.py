@@ -20,12 +20,12 @@ restoring the best epoch's weights.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import read_ini, section_to
 from .errors import DomainError, TrainingDiverged
 from .features import FeatureFrame, one_hot
 from .nn import (
@@ -107,29 +107,6 @@ class ArchConfig:
             "attention_concat": eff.heads * eff.key_dim,
             "concat": eff.dense_units + 2 * eff.bigru2_units,
         }
-
-    def to_dict(self) -> dict:
-        return {
-            "seq_len": self.seq_len,
-            "feature_dim": self.feature_dim,
-            "bigru1_units": self.bigru1_units,
-            "bigru2_units": self.bigru2_units,
-            "heads": self.heads,
-            "key_dim": self.key_dim,
-            "dense_units": self.dense_units,
-            "classes": self.classes,
-            "dropout1": self.dropout1,
-            "dropout2": self.dropout2,
-            "dropout3": self.dropout3,
-            "skip_pre": self.skip_pre,
-            "skip_att": self.skip_att,
-            "dense_activation": self.dense_activation,
-            "scale_factor": self.scale_factor,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -402,66 +379,11 @@ def train_kfold(
     return results
 
 
-def _parse_section(path: str, section: str) -> configparser.SectionProxy:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise DomainError(f"config file not found: {path}")
-    if section not in parser:
-        raise DomainError(f"config file {path} has no [{section}] section")
-    return parser[section]
-
-
-_ARCH_INT_KEYS = (
-    "seq_len", "feature_dim", "bigru1_units", "bigru2_units",
-    "heads", "key_dim", "dense_units", "classes", "scale_factor",
-)
-_ARCH_FLOAT_KEYS = ("dropout1", "dropout2", "dropout3", "skip_pre", "skip_att")
-
-
 def load_arch_config(path: str) -> ArchConfig:
-    """Read an [arch] ini file; unknown keys are schema errors."""
-    section = _parse_section(path, "arch")
-    try:
-        if int(section.get("version", "1")) != 1:
-            raise DomainError(f"unsupported arch config version in {path}")
-        kwargs: dict = {}
-        for key in section:
-            if key == "version":
-                continue
-            if key in _ARCH_INT_KEYS:
-                kwargs[key] = int(section[key])
-            elif key in _ARCH_FLOAT_KEYS:
-                kwargs[key] = float(section[key])
-            elif key == "dense_activation":
-                kwargs[key] = section[key]
-            else:
-                raise DomainError(f"unknown arch config key {key!r} in {path}")
-        return ArchConfig(**kwargs)
-    except ValueError as exc:
-        raise DomainError(f"bad arch config value in {path}: {exc}") from exc
-
-
-_TRAIN_INT_KEYS = ("epochs", "batch", "folds", "seed", "lr_patience", "early_stop_patience")
-_TRAIN_FLOAT_KEYS = ("lr", "lr_factor", "min_lr")
+    """Read the [arch] section of an ini file (see FORMATS.md)."""
+    return section_to(ArchConfig, read_ini(path), "arch", path)
 
 
 def load_train_config(path: str) -> TrainConfig:
-    """Read a [train] ini file; unknown keys are schema errors."""
-    section = _parse_section(path, "train")
-    try:
-        if int(section.get("version", "1")) != 1:
-            raise DomainError(f"unsupported train config version in {path}")
-        kwargs: dict = {}
-        for key in section:
-            if key == "version":
-                continue
-            if key in _TRAIN_INT_KEYS:
-                kwargs[key] = int(section[key])
-            elif key in _TRAIN_FLOAT_KEYS:
-                kwargs[key] = float(section[key])
-            else:
-                raise DomainError(f"unknown train config key {key!r} in {path}")
-        return TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise DomainError(f"bad train config value in {path}: {exc}") from exc
+    """Read the [train] section of an ini file (see FORMATS.md)."""
+    return section_to(TrainConfig, read_ini(path), "train", path)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_ini, section_to
 from .dataio import _atomic_write_text
 from .domain import LABELS, label_to_index
 from .errors import DomainError
@@ -125,7 +126,6 @@ class SimMeta:
     packet_rate: float = 260.0
     jitter: float = 0.08
     csi_noise: float = 0.01
-    version: int = 1
 
     def __post_init__(self):
         if self.packet_rate <= 0:
@@ -136,63 +136,19 @@ class SimMeta:
             raise DomainError("csi_noise must be non-negative")
 
 
-_PROFILE_FLOAT_KEYS = (
-    "duration", "steady_duration", "depth_los", "depth_scatter",
-    "phase_drift", "center", "width", "cycles", "asymmetry",
-)
-
-
 def load_profiles(path: str | Path) -> tuple[list[SyntheticClassProfile], SimMeta]:
     """Parse a profile ini file: a [meta] section plus one section per class.
 
     Unknown sections, unknown keys, or a missing required key are schema
     errors; profiles come back in class-code order.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DomainError(f"profile file not found: {path}")
-    parser = configparser.ConfigParser()
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise DomainError(f"{path}: cannot parse profile file: {exc}") from exc
-    if "meta" not in parser:
-        raise DomainError(f"{path}: profile file has no [meta] section")
-    meta_sec = parser["meta"]
-    try:
-        if int(meta_sec.get("version", "1")) != 1:
-            raise DomainError(f"{path}: unsupported profile file version")
-        meta = SimMeta(
-            packet_rate=float(meta_sec.get("packet_rate", "260.0")),
-            jitter=float(meta_sec.get("jitter", "0.08")),
-            csi_noise=float(meta_sec.get("csi_noise", "0.01")),
-        )
-    except ValueError as exc:
-        raise DomainError(f"{path}: bad [meta] value: {exc}") from exc
-
-    profiles = []
-    for section in parser.sections():
-        if section == "meta":
-            continue
-        label = label_to_index(section)  # unknown class names raise here
-        sec = parser[section]
-        kwargs: dict = {"label": label}
-        for key in sec:
-            if key == "steady_position":
-                kwargs[key] = sec[key]
-            elif key in _PROFILE_FLOAT_KEYS:
-                try:
-                    kwargs[key] = float(sec[key])
-                except ValueError as exc:
-                    raise DomainError(f"{path}: [{section}] {key} is not a number") from exc
-            elif key == "shape":
-                kwargs[key] = sec[key]
-            else:
-                raise DomainError(f"{path}: [{section}] has unknown key {key!r}")
-        for required in ("duration", "steady_duration", "steady_position", "shape"):
-            if required not in kwargs:
-                raise DomainError(f"{path}: [{section}] is missing required key {required!r}")
-        profiles.append(SyntheticClassProfile(**kwargs))
+    parser = read_ini(path)
+    meta = section_to(SimMeta, parser, "meta", path)
+    profiles = [
+        section_to(SyntheticClassProfile, parser, name, path, label=label_to_index(name))
+        for name in parser.sections()
+        if name != "meta"
+    ]
     if not profiles:
         raise DomainError(f"{path}: profile file defines no classes")
     profiles.sort(key=lambda p: p.label)
@@ -202,26 +158,9 @@ def load_profiles(path: str | Path) -> tuple[list[SyntheticClassProfile], SimMet
 def save_profiles(profiles: list[SyntheticClassProfile], meta: SimMeta, path: str | Path) -> None:
     """Write profiles back out in the ini schema (used to derive subsets)."""
     parser = configparser.ConfigParser()
-    parser["meta"] = {
-        "version": str(meta.version),
-        "packet_rate": repr(meta.packet_rate),
-        "jitter": repr(meta.jitter),
-        "csi_noise": repr(meta.csi_noise),
-    }
+    parser["meta"] = {"version": 1, **asdict(meta)}
     for p in sorted(profiles, key=lambda p: p.label):
-        parser[LABELS[p.label]] = {
-            "duration": repr(p.duration),
-            "steady_position": p.steady_position,
-            "steady_duration": repr(p.steady_duration),
-            "shape": p.shape,
-            "depth_los": repr(p.depth_los),
-            "depth_scatter": repr(p.depth_scatter),
-            "phase_drift": repr(p.phase_drift),
-            "center": repr(p.center),
-            "width": repr(p.width),
-            "cycles": repr(p.cycles),
-            "asymmetry": repr(p.asymmetry),
-        }
+        parser[LABELS[p.label]] = {k: v for k, v in asdict(p).items() if k != "label"}
     buf = io.StringIO()
     parser.write(buf)
     _atomic_write_text(path, buf.getvalue())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ def save_weights(w: ModelWeights, path: str | Path) -> None:
             raise DomainError(f"array name {key} is reserved for the embedded scaler")
     meta = {
         "format_version": WEIGHTS_VERSION,
-        "arch": w.arch.to_dict(),
+        "arch": asdict(w.arch),
         "fold_id": w.fold_id,
         "seed": w.seed,
         "has_scaler": w.scaler is not None,
@@ -134,10 +134,9 @@ def load_weights(path: str | Path) -> ModelWeights:
         except KeyError as exc:
             raise FormatError(f"{path}: metadata promises a scaler but arrays are missing") from exc
     try:
-        arch = ArchConfig.from_dict(meta["arch"])
         return ModelWeights(
             arrays=arrays,
-            arch=arch,
+            arch=ArchConfig(**meta["arch"]),
             fold_id=int(meta["fold_id"]),
             seed=int(meta["seed"]),
             scaler=scaler,

@@ -188,7 +188,7 @@ def test_simulate_missing_profile_file(tmp_path, capsys):
         "simulate", "--profiles", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "d"),
     ])
     assert rc == 2
-    assert "profile file not found" in capsys.readouterr().err
+    assert f"config file not found: {tmp_path / 'nope.ini'}" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_counts(pipeline, tmp_path, capsys):
@@ -279,6 +279,23 @@ def test_train_missing_arch_file(pipeline, tmp_path, capsys):
     ])
     assert rc == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--arch", b"seq_len = 40\n"),
+    ("--train-cfg", b"[train]\nepochs = 2\nepochs = 3\n"),
+    ("--arch", b"[arch]\nseq_len = \xff\n"),
+], ids=["arch-no-section-header", "train-duplicate-key", "arch-not-utf8"])
+def test_train_malformed_config_exits_2(pipeline, tmp_path, capsys, flag, content):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(content)
+    configs = {"--arch": str(pipeline["arch"]), "--train-cfg": str(pipeline["traincfg"]), flag: str(bad)}
+    rc = cli.main([
+        "train", "--features", str(pipeline["features"]), *(x for kv in configs.items() for x in kv),
+        "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 2
+    assert f"error: {bad}: malformed config file" in capsys.readouterr().err
 
 
 def test_train_missing_features(pipeline, tmp_path, capsys):

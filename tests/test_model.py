@@ -1,5 +1,8 @@
 """Network assembly, width regressions, training mechanics, weight bundles."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -392,27 +395,78 @@ def test_shipped_train_configs():
 
 
 def test_config_loader_errors(tmp_path):
-    with pytest.raises(DomainError, match="not found"):
+    with pytest.raises(DomainError, match="config file not found: .*missing\\.ini"):
         load_arch_config(str(tmp_path / "missing.ini"))
 
     p = tmp_path / "a.ini"
     p.write_text("[other]\nx = 1\n")
-    with pytest.raises(DomainError, match="no \\[arch\\] section"):
+    with pytest.raises(DomainError, match="a\\.ini: no \\[arch\\] section"):
         load_arch_config(str(p))
 
     p.write_text("[arch]\nbogus_key = 3\n")
-    with pytest.raises(DomainError, match="unknown arch config key"):
+    with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] has unknown key 'bogus_key'"):
         load_arch_config(str(p))
 
     p.write_text("[arch]\nseq_len = twelve\n")
-    with pytest.raises(DomainError, match="bad arch config value"):
+    with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] seq_len = 'twelve' is not a valid int"):
         load_arch_config(str(p))
 
     p.write_text("[arch]\nversion = 2\n")
-    with pytest.raises(DomainError, match="version"):
+    with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] version 2 is not supported"):
         load_arch_config(str(p))
 
     t = tmp_path / "t.ini"
     t.write_text("[train]\nlearning = fast\n")
-    with pytest.raises(DomainError, match="unknown train config key"):
+    with pytest.raises(DomainError, match="t\\.ini: \\[train\\] has unknown key 'learning'"):
         load_train_config(str(t))
+
+    t.write_text("[train]\nversion = 2\n")
+    with pytest.raises(DomainError, match="t\\.ini: \\[train\\] version 2 is not supported"):
+        load_train_config(str(t))
+
+
+def _assert_loads_every_field(tmp_path, loader, cls, section, values):
+    defaults = cls()
+    assert sorted(values) == sorted(f.name for f in dataclasses.fields(cls))
+    for name, value in values.items():
+        assert value != getattr(defaults, name), name
+    path = tmp_path / f"{section}.ini"
+    path.write_text(f"[{section}]\nversion = 1\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    loaded = loader(str(path))
+    assert loaded == cls(**values)
+    for name, value in values.items():
+        assert type(getattr(loaded, name)) is type(value), name
+
+
+def test_arch_config_loads_every_field(tmp_path):
+    _assert_loads_every_field(tmp_path, load_arch_config, ArchConfig, "arch", {
+        "seq_len": 7, "feature_dim": 11, "bigru1_units": 40, "bigru2_units": 24, "heads": 3,
+        "key_dim": 12, "dense_units": 20, "classes": 5, "dropout1": 0.1, "dropout2": 0.15,
+        "dropout3": 0.25, "skip_pre": 0.6, "skip_att": 0.4, "dense_activation": "none",
+        "scale_factor": 2,
+    })
+
+
+def test_train_config_loads_every_field(tmp_path):
+    _assert_loads_every_field(tmp_path, load_train_config, TrainConfig, "train", {
+        "epochs": 7, "batch": 3, "lr": 0.002, "folds": 5, "seed": 11, "lr_factor": 0.25,
+        "lr_patience": 4, "min_lr": 1e-5, "early_stop_patience": 9,
+    })
+
+
+# SHA-256 of the desk bundle below; the bytes pin the metadata block (the
+# architecture's keys and values), the array layout and the embedded scaler.
+DESK_BUNDLE_SHA256 = "d23a236d692360bd1cd5af1874aeff68f2f1028ee7d6c12039ab571fa4a7a19f"
+
+
+def test_desk_bundle_bytes_are_frozen(tmp_path):
+    arch = load_arch_config("configs/arch-desk.ini")
+    n = arch.feature_dim
+    scaler = RobustScalerParams(
+        median=np.linspace(-1.0, 1.0, n),
+        iqr=np.linspace(0.5, 2.0, n),
+        degenerate=np.arange(n) % 7 == 0,
+    )
+    path = tmp_path / "desk.weights"
+    save_weights(weights_from_model(build(arch, seed=3), fold_id=1, seed=3, scaler=scaler), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_BUNDLE_SHA256

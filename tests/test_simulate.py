@@ -109,14 +109,23 @@ def test_shipped_three_class_file():
 
 
 def test_load_profiles_missing_file(tmp_path):
-    with pytest.raises(DomainError, match="profile file not found"):
+    with pytest.raises(DomainError, match="config file not found: .*nope\\.ini"):
         load_profiles(tmp_path / "nope.ini")
 
 
 def test_load_profiles_schema_errors(tmp_path):
     path = tmp_path / "p.ini"
     path.write_text("[pushing]\nduration = 4.0\n")
-    with pytest.raises(DomainError, match="no \\[meta\\] section"):
+    with pytest.raises(DomainError, match="p\\.ini: no \\[meta\\] section"):
+        load_profiles(path)
+
+    pushing = "[pushing]\nduration = 4.0\nsteady_duration = 2.0\nsteady_position = begin\nshape = bump\n"
+    path.write_text("[meta]\npacket_rte = 100\n" + pushing)
+    with pytest.raises(DomainError, match="p\\.ini: \\[meta\\] has unknown key 'packet_rte'"):
+        load_profiles(path)
+
+    path.write_text("[meta]\nversion = 2\n" + pushing)
+    with pytest.raises(DomainError, match="p\\.ini: \\[meta\\] version 2 is not supported"):
         load_profiles(path)
 
     path.write_text("[meta]\n[moonwalking]\nduration = 4.0\n")
@@ -127,16 +136,35 @@ def test_load_profiles_schema_errors(tmp_path):
         "[meta]\n[pushing]\nduration = 4.0\nsteady_duration = 2.0\n"
         "steady_position = begin\nshape = bump\nglow = 3\n"
     )
-    with pytest.raises(DomainError, match="unknown key"):
+    with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] has unknown key 'glow'"):
+        load_profiles(path)
+
+    path.write_text(
+        "[meta]\n[pushing]\nlabel = 3\nduration = 4.0\nsteady_duration = 2.0\n"
+        "steady_position = begin\nshape = bump\n"
+    )
+    with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] has unknown key 'label'"):
+        load_profiles(path)
+
+    path.write_text(
+        "[meta]\n[pushing]\nduration = long\nsteady_duration = 2.0\n"
+        "steady_position = begin\nshape = bump\n"
+    )
+    with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] duration = 'long' is not a valid float"):
         load_profiles(path)
 
     path.write_text("[meta]\n[pushing]\nduration = 4.0\nsteady_duration = 2.0\n")
-    with pytest.raises(DomainError, match="missing required key"):
+    with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] is missing required key 'steady_position'"):
         load_profiles(path)
 
     path.write_text("[meta]\n")
     with pytest.raises(DomainError, match="defines no classes"):
         load_profiles(path)
+
+    # every section, class sections included, may state version 1
+    path.write_text("[meta]\nversion = 1\n" + pushing + "version = 1\n")
+    profiles, _ = load_profiles(path)
+    assert [LABELS[p.label] for p in profiles] == ["pushing"]
 
 
 def test_profiles_round_trip(tmp_path):
