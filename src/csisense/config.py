@@ -2,8 +2,9 @@
 
 Each section maps onto one dataclass: its keys are the field names, each value
 is converted by the field's declared type (int, float or str), and an optional
-``version`` key must be 1.  Unknown keys, unparsable values and missing
-required fields are DomainErrors naming the file, the section and the key.
+``version`` key must be 1.  Unknown keys, unparsable values, missing
+required fields and values the dataclass rejects are DomainErrors naming the
+file and the section.
 See FORMATS.md.
 """
 
@@ -53,4 +54,7 @@ def section_to(cls, parser: configparser.ConfigParser, section: str, path: str |
     for f in dataclasses.fields(cls):
         if f.name not in kwargs and f.default is dataclasses.MISSING:
             raise DomainError(f"{path}: [{section}] is missing required key {f.name!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except DomainError as exc:
+        raise DomainError(f"{path}: [{section}] {exc}") from None

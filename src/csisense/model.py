@@ -78,6 +78,8 @@ class ArchConfig:
             raise DomainError("scaled widths must stay at least 4")
         if scaled.heads < 1:
             raise DomainError("scaled head count must stay at least 1")
+        if self.dense_activation not in ("none", "relu"):
+            raise DomainError(f"dense_activation {self.dense_activation!r} must be 'none' or 'relu'")
         for ratio in (self.dropout1, self.dropout2, self.dropout3):
             if not 0.0 <= ratio < 1.0:
                 raise DomainError(f"dropout ratio {ratio} must be in [0, 1)")
@@ -147,23 +149,26 @@ def param_count(arch: ArchConfig) -> int:
 class SequenceClassifier:
     """The assembled network.  Accepts (T, F) or batched (B, T, F) input."""
 
-    def __init__(self, arch: ArchConfig, seed: int = 0):
+    def __init__(self, arch: ArchConfig, seed: int = 0, init_weights: bool = True):
+        """``init_weights=False`` leaves every weight at zero and draws
+        nothing, for a model whose parameters are all loaded next."""
         self.arch = arch
         eff = arch.scaled()
         self.eff = eff
         rng = np.random.default_rng(seed)
+        init = rng if init_weights else None
         att_width = 2 * eff.bigru2_units
         self.posenc = AddPositional(eff.seq_len, eff.feature_dim)
-        self.bigru1 = BiGru(eff.feature_dim, eff.bigru1_units, rng)
+        self.bigru1 = BiGru(eff.feature_dim, eff.bigru1_units, init)
         self.drop1 = Dropout(eff.dropout1, rng)
-        self.bigru2 = BiGru(2 * eff.bigru1_units, eff.bigru2_units, rng)
+        self.bigru2 = BiGru(2 * eff.bigru1_units, eff.bigru2_units, init)
         self.drop2 = Dropout(eff.dropout2, rng)
-        self.attention = MultiHeadSelfAttention(att_width, eff.heads, eff.key_dim, rng)
+        self.attention = MultiHeadSelfAttention(att_width, eff.heads, eff.key_dim, init)
         self.skip = WeightedSkipAdd(eff.skip_pre, eff.skip_att)
-        self.dense1 = Dense(att_width, eff.dense_units, eff.dense_activation, rng)
+        self.dense1 = Dense(att_width, eff.dense_units, eff.dense_activation, init)
         self.drop3 = Dropout(eff.dropout3, rng)
         self.concat = Concat()
-        self.out = Dense(eff.dense_units + att_width, eff.classes, "none", rng)
+        self.out = Dense(eff.dense_units + att_width, eff.classes, "none", init)
         self._named = {
             "bigru1": self.bigru1,
             "bigru2": self.bigru2,
@@ -244,8 +249,12 @@ class SequenceClassifier:
         return self.posenc.backward(dh)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Per-timestep argmax labels at inference."""
-        return np.argmax(self.forward(x, training=False), axis=-1)
+        """Per-timestep argmax labels at inference.  No backward follows, so
+        every layer's forward cache is dropped before returning."""
+        labels = np.argmax(self.forward(x, training=False), axis=-1)
+        for layer in self._named.values():
+            layer._cache = None
+        return labels
 
 
 def build(arch: ArchConfig, seed: int = 0) -> SequenceClassifier:

@@ -3,7 +3,9 @@
 Everything operates on float64 arrays shaped (T, features) or batched
 (B, T, features); no autodiff framework is involved.  Each layer owns its
 parameters and gradient buffers; ``backward`` consumes the upstream gradient,
-accumulates parameter gradients, and returns the input gradient.
+accumulates parameter gradients, and returns the input gradient.  Layers
+with weights draw them from their ``rng`` argument; without one the weights
+start at zero and nothing is drawn, for parameters that are loaded next.
 """
 
 from .gradcheck import grad_check

@@ -18,14 +18,20 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    """Scaled-uniform init: U(-limit, limit) with limit = sqrt(6/(fan_in+fan_out))."""
+def glorot_uniform(rng: np.random.Generator | None, fan_in: int, fan_out: int, shape) -> np.ndarray:
+    """Scaled-uniform init: U(-limit, limit) with limit = sqrt(6/(fan_in+fan_out)).
+    With no ``rng`` the array is zero and nothing is drawn."""
+    if rng is None:
+        return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-uniform orthogonal n x n matrix via QR with sign correction."""
+def orthogonal(rng: np.random.Generator | None, n: int) -> np.ndarray:
+    """Haar-uniform orthogonal n x n matrix via QR with sign correction.
+    With no ``rng`` the matrix is zero and nothing is drawn."""
+    if rng is None:
+        return np.zeros((n, n))
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
 
@@ -53,7 +59,6 @@ class Dense:
     def __init__(self, in_dim: int, out_dim: int, activation: str = "none", rng: np.random.Generator | None = None):
         if activation not in ("none", "relu"):
             raise DomainError(f"unknown activation {activation!r}")
-        rng = rng or np.random.default_rng(0)
         self.activation = activation
         self.params = {
             "W": glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)),
@@ -189,7 +194,6 @@ class MultiHeadSelfAttention:
     def __init__(self, model_dim: int, heads: int, key_dim: int, rng: np.random.Generator | None = None):
         if heads < 1 or key_dim < 1:
             raise DomainError("heads and key_dim must be positive")
-        rng = rng or np.random.default_rng(0)
         self.model_dim = model_dim
         self.heads = heads
         self.key_dim = key_dim
@@ -230,7 +234,7 @@ class MultiHeadSelfAttention:
     def attention_weights(self) -> list[np.ndarray]:
         """Row-stochastic attention matrices from the last forward, one per head."""
         if self._cache is None:
-            raise DomainError("no forward pass has run")
+            raise DomainError("no forward pass cache (none has run, or predict dropped it)")
         return [a.copy() for a in self._cache[4]]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

@@ -144,11 +144,13 @@ def load_profiles(path: str | Path) -> tuple[list[SyntheticClassProfile], SimMet
     """
     parser = read_ini(path)
     meta = section_to(SimMeta, parser, "meta", path)
-    profiles = [
-        section_to(SyntheticClassProfile, parser, name, path, label=label_to_index(name))
-        for name in parser.sections()
-        if name != "meta"
-    ]
+    profiles = []
+    for name in parser.sections():
+        if name == "meta":
+            continue
+        if name not in LABELS:
+            raise DomainError(f"{path}: [{name}] is not a known interaction label")
+        profiles.append(section_to(SyntheticClassProfile, parser, name, path, label=label_to_index(name)))
     if not profiles:
         raise DomainError(f"{path}: profile file defines no classes")
     profiles.sort(key=lambda p: p.label)

@@ -19,7 +19,7 @@ import numpy as np
 from .dataio import _atomic_write_bytes, _check_and_strip_crc
 from .errors import DomainError, FormatError, VersionError
 from .features import RobustScalerParams
-from .model import ArchConfig, SequenceClassifier, build
+from .model import ArchConfig, SequenceClassifier
 
 WEIGHTS_MAGIC = b"CSWB"
 WEIGHTS_VERSION = 1
@@ -47,9 +47,10 @@ def weights_from_model(
 
 
 def model_from_weights(w: ModelWeights) -> SequenceClassifier:
-    """Rebuild the network and load the stored parameters (cast to float64)."""
-    model = build(w.arch, seed=w.seed)
-    model.set_params({k: v.astype(np.float64) for k, v in w.arrays.items()})
+    """Rebuild the network and load the stored parameters (cast to float64);
+    no initial weights are drawn, since every one is overwritten."""
+    model = SequenceClassifier(w.arch, seed=w.seed, init_weights=False)
+    model.set_params(w.arrays)
     return model
 
 

@@ -298,6 +298,19 @@ def test_train_malformed_config_exits_2(pipeline, tmp_path, capsys, flag, conten
     assert f"error: {bad}: malformed config file" in capsys.readouterr().err
 
 
+def test_train_rejects_unknown_dense_activation_before_reading_features(pipeline, tmp_path, capsys):
+    arch = tmp_path / "arch.ini"
+    arch.write_text(MICRO_ARCH + "dense_activation = tanh\n")
+    rc = cli.main([
+        "train", "--features", str(tmp_path / "empty"), "--arch", str(arch),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {arch}: [arch] dense_activation 'tanh' must be 'none' or 'relu'" in err
+    assert "no preprocessed features" not in err
+
+
 def test_train_missing_features(pipeline, tmp_path, capsys):
     rc = cli.main([
         "train", "--features", str(tmp_path / "empty"), "--arch", str(pipeline["arch"]),

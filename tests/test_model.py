@@ -97,6 +97,8 @@ def test_arch_validation():
         ArchConfig(bigru1_units=16, scale_factor=16)  # scales down to 1
     with pytest.raises(DomainError):
         ArchConfig(dropout1=1.0)
+    with pytest.raises(DomainError, match="dense_activation 'tanh'"):
+        ArchConfig(dense_activation="tanh")
 
 
 def test_train_config_validation():
@@ -141,6 +143,30 @@ def test_build_determinism():
         assert np.array_equal(a[k], b[k])
     c = build(MICRO, seed=8).params
     assert any(not np.array_equal(a[k], c[k]) for k in a)
+
+
+# SHA-256 over the sorted parameter names and their float64 bytes of
+# build(arch-desk, seed=3): the initial weights build draws, bit for bit.
+DESK_BUILD_SHA256 = "ce512709a02d65893ee9e0946993e23fe5cbd00bfe43f6eb61a15741985a06f7"
+
+
+def test_desk_build_draws_frozen_bytes():
+    params = build(load_arch_config("configs/arch-desk.ini"), seed=3).params
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+    assert h.hexdigest() == DESK_BUILD_SHA256
+
+
+def test_predict_drops_every_layer_cache():
+    model = build(MICRO, seed=0)
+    x = np.random.default_rng(1).standard_normal((6, 4))
+    model.forward(x, training=False)  # an inference forward keeps caches for a backward
+    layers = [model.bigru1, model.bigru2, model.attention, model.dense1, model.out]
+    assert all(layer._cache is not None for layer in layers)
+    model.predict(x)
+    assert all(layer._cache is None for layer in layers)
 
 
 class _LogitView:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csisense.errors import DomainError
+from csisense.model import ArchConfig, SequenceClassifier, build
 from csisense.nn import (
     AddPositional,
     Adam,
@@ -26,8 +27,11 @@ from csisense.nn import (
     relu,
     softmax,
 )
+from csisense.weights import load_weights, model_from_weights, save_weights, weights_from_model
 
 TOL = 1e-6  # max relative error accepted from the finite-difference checks
+MICRO_ARCH = ArchConfig(seq_len=6, feature_dim=4, bigru1_units=4, bigru2_units=4, heads=1,
+                        key_dim=4, dense_units=4, classes=3)
 
 
 def _ok(report: dict) -> float:
@@ -282,6 +286,129 @@ def test_gru_param_names_are_prefixed():
     names = set(bi.params)
     assert {"fwd/W_in_z", "bwd/W_rec_c", "fwd/b_r"} <= names
     assert len(names) == 18  # 3 gates x (input, recurrent, bias) per direction
+
+
+def _ref_sigmoid(a):
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_gru(p, x, dy):
+    """One direction, one gate at a time: the scan the packed layout replaced.
+    Returns the states, the input gradient and the parameter gradients."""
+    b, t, _ = x.shape
+    pre = {g: x @ p[f"W_in_{g}"] + p[f"b_{g}"] for g in "zrc"}
+    h, steps = np.zeros((b, p["b_z"].size)), []
+    for i in range(t):
+        z = _ref_sigmoid(pre["z"][:, i] + h @ p["W_rec_z"])
+        r = _ref_sigmoid(pre["r"][:, i] + h @ p["W_rec_r"])
+        c = np.tanh(pre["c"][:, i] + (h * r) @ p["W_rec_c"])
+        steps.append((h, z, r, c))
+        h = (1.0 - z) * h + z * c
+    hs = np.stack([s[0] for s in steps[1:]] + [h], axis=1)
+    g = {k: np.zeros_like(v) for k, v in p.items()}
+    da = {k: np.empty_like(hs) for k in "zrc"}
+    dh_next = np.zeros_like(h)
+    for i in range(t - 1, -1, -1):
+        h_prev, z, r, c = steps[i]
+        dh = dy[:, i] + dh_next
+        da["c"][:, i] = dh * z * (1.0 - c * c)
+        da["z"][:, i] = dh * (c - h_prev) * z * (1.0 - z)
+        dhr = da["c"][:, i] @ p["W_rec_c"].T
+        da["r"][:, i] = dhr * h_prev * r * (1.0 - r)
+        dh_next = dh * (1.0 - z) + dhr * r
+        dh_next += da["z"][:, i] @ p["W_rec_z"].T + da["r"][:, i] @ p["W_rec_r"].T
+        g["W_rec_z"] += h_prev.T @ da["z"][:, i]
+        g["W_rec_r"] += h_prev.T @ da["r"][:, i]
+        g["W_rec_c"] += (h_prev * r).T @ da["c"][:, i]
+    for k in "zrc":
+        g[f"W_in_{k}"] += x.reshape(-1, x.shape[-1]).T @ da[k].reshape(-1, hs.shape[-1])
+        g[f"b_{k}"] += da[k].sum(axis=(0, 1))
+    dx = da["z"] @ p["W_in_z"].T + da["r"] @ p["W_in_r"].T + da["c"] @ p["W_in_c"].T
+    return hs, dx, g
+
+
+@pytest.mark.parametrize("in_dim, units", [(366, 64), (128, 32)], ids=["desk-bigru1", "desk-bigru2"])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_bigru_is_bit_identical_to_per_direction_scans(in_dim, units, batch):
+    rng = np.random.default_rng(59)
+    bi = BiGru(in_dim, units, rng)
+    x = rng.standard_normal((batch, 156, in_dim))
+    dy = rng.standard_normal((batch, 156, 2 * units))
+    part = lambda prefix: {k[len(prefix):]: v for k, v in bi.params.items() if k.startswith(prefix)}
+    flip = lambda a: np.ascontiguousarray(a[:, ::-1])
+    hf, dxf, gf = _ref_gru(part("fwd/"), x, dy[..., :units])
+    hb, dxb, gb = _ref_gru(part("bwd/"), flip(x), flip(dy[..., units:]))
+    # batch 1 runs squeezed, as predict and the gradient checks do
+    squeeze = (lambda a: a[0]) if batch == 1 else (lambda a: a)
+    y = bi.forward(squeeze(x))
+    bi.zero_grads()
+    dx = bi.backward(squeeze(dy))
+    assert np.array_equal(y, squeeze(np.concatenate([hf, hb[:, ::-1]], axis=-1)))
+    assert np.array_equal(dx, squeeze(dxf + dxb[:, ::-1]))
+    want = {**{f"fwd/{k}": v for k, v in gf.items()}, **{f"bwd/{k}": v for k, v in gb.items()}}
+    assert set(bi.grads) == set(want)
+    for name, grad in bi.grads.items():
+        assert np.array_equal(grad, want[name]), name
+
+
+def _packed_slot(layer, name):
+    """The packed-array entry that the per-gate name ``fwd/W_in_z`` etc. views."""
+    direction, _, tail = name.rpartition("/")
+    kind, gate = tail.rsplit("_", 1)
+    packed = {"W_in": layer.W_in, "W_rec": layer.W_rec, "b": layer.b}[kind]
+    return packed[("fwd", "bwd").index(direction), "zrc".index(gate)]
+
+
+def test_gate_views_write_through_to_packed_arrays():
+    rng = np.random.default_rng(61)
+    bi = BiGru(3, 2, rng)
+    for name, view in bi.params.items():
+        view[...] = rng.standard_normal(view.shape)
+        assert np.array_equal(_packed_slot(bi, name), view)
+    # the one-direction Gru views share the same memory
+    assert np.shares_memory(bi.fwd.params["W_rec_c"], bi.W_rec[0, 2])
+    assert np.shares_memory(bi.bwd.grads["b_z"], bi.grads["bwd/b_z"])
+    assert np.array_equal(bi.bwd.params["W_in_r"], bi.W_in[1, 1])
+
+    # an Adam step updates the packed arrays exactly as it updates plain copies
+    for g in bi.grads.values():
+        g[...] = rng.standard_normal(g.shape)
+    plain = {k: v.copy() for k, v in bi.params.items()}
+    adam_step(plain, {k: v.copy() for k, v in bi.grads.items()}, {}, t=1, lr=0.01)
+    Adam(lr=0.01).step(bi.params, bi.grads)
+    for name in plain:
+        assert np.array_equal(_packed_slot(bi, name), plain[name]), name
+    bi.zero_grads()
+    assert not any(g.any() for g in bi.grads.values())
+
+
+def test_model_params_and_bundles_write_through_to_packed_arrays(tmp_path):
+    model = build(MICRO_ARCH, seed=5)
+    values = {k: np.random.default_rng(6).standard_normal(v.shape) for k, v in model.params.items()}
+    model.set_params(values)
+    for layer in ("bigru1", "bigru2"):
+        bi = getattr(model, layer)
+        for name in bi.params:
+            assert np.array_equal(_packed_slot(bi, name), values[f"{layer}/{name}"])
+
+    path = tmp_path / "m.weights"
+    save_weights(weights_from_model(model, fold_id=0, seed=5), path)
+    stored = load_weights(path).arrays
+    assert set(stored) == set(model.params)
+    assert {"bigru1/fwd/W_in_z", "bigru2/bwd/W_rec_c", "bigru2/bwd/b_r"} <= set(stored)
+    # loading draws no initial weights: a model built without them is all zero
+    blank = SequenceClassifier(MICRO_ARCH, seed=5, init_weights=False)
+    assert not any(v.any() for v in blank.params.values())
+    rebuilt = model_from_weights(load_weights(path))
+    for layer in ("bigru1", "bigru2"):
+        bi = getattr(rebuilt, layer)
+        for name in bi.params:
+            assert np.array_equal(_packed_slot(bi, name), stored[f"{layer}/{name}"].astype(np.float64))
 
 
 # -------------------------------------------------------------- optimizer

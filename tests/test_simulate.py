@@ -129,8 +129,8 @@ def test_load_profiles_schema_errors(tmp_path):
         load_profiles(path)
 
     path.write_text("[meta]\n[moonwalking]\nduration = 4.0\n")
-    with pytest.raises(DomainError):
-        load_profiles(path)  # unknown class name
+    with pytest.raises(DomainError, match="p\\.ini: \\[moonwalking\\] is not a known interaction label"):
+        load_profiles(path)
 
     path.write_text(
         "[meta]\n[pushing]\nduration = 4.0\nsteady_duration = 2.0\n"
