@@ -5,9 +5,8 @@ inputs and seeds; reruns produce byte-identical artifacts.  Exit status 0
 means every requested artifact was written, 2 flags a configuration or input
 problem, 1 an aborted run (for example training divergence).
 
-Parallel commands take --jobs; the CSISENSE_JOBS environment variable supplies
-a default when the flag is absent, and CSISENSE_VERBOSE=0 silences progress
-chatter on standard error.
+Parallel commands take --jobs (default 1), and CSISENSE_VERBOSE=0 silences
+progress chatter on standard error.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import dataio
 from .channel import PropagationConfig
-from .dataio import Manifest, ManifestEntry, _atomic_write_text
+from .dataio import Manifest, ManifestEntry, _atomic_write_text, write_csv
 from .domain import LABELS
 from .errors import CsiSenseError, TrainingDiverged
 from .features import (
@@ -73,27 +72,11 @@ def _say(message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _resolve_jobs(args) -> int:
-    explicit = getattr(args, "jobs", None)
-    if explicit is not None:
-        if explicit < 1:
-            raise CliError("--jobs must be at least 1")
-        return explicit
-    raw = os.environ.get("CSISENSE_JOBS")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise CliError(f"CSISENSE_JOBS must be an integer, got {raw!r}") from None
-        if value < 1:
-            raise CliError("CSISENSE_JOBS must be at least 1")
-        return value
-    return 1
-
-
 def _run_jobs(fn, jobs_list, jobs: int, initializer=None, initargs=()):
     """Map fn over jobs_list, optionally across processes.  Results keep the
     input order, so the worker count never changes any output."""
+    if jobs < 1:
+        raise CliError("--jobs must be at least 1")
     if jobs <= 1 or len(jobs_list) <= 1:
         if initializer is not None:
             initializer(*initargs)
@@ -146,7 +129,7 @@ def cmd_simulate(args) -> int:
          seed_value, pair_id, trial_id, str(trials_dir / f"{trial_id}.trial"))
         for pair_id, scale, profile, _, trial_id, seed_value in plan
     ]
-    rows = _run_jobs(_simulate_job, jobs_list, _resolve_jobs(args))
+    rows = _run_jobs(_simulate_job, jobs_list, args.jobs)
 
     manifest = Manifest(
         dims=config.dims,
@@ -197,7 +180,7 @@ def cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     jobs_list = [(str(base / e.path), args.target_len) for e in manifest.entries]
-    results = _run_jobs(_preprocess_job, jobs_list, _resolve_jobs(args))
+    results = _run_jobs(_preprocess_job, jobs_list, args.jobs)
     failures = [r for r in results if r[0] == "error"]
     if failures:
         detail = "\n".join(f"  {path}: {msg}" for _, path, msg in failures)
@@ -257,13 +240,11 @@ def cmd_train(args) -> int:
     for fold_id, (model, history) in enumerate(results):
         bundle = weights_from_model(model, fold_id, cfg.seed * 10007 + fold_id, scaler=scaler)
         save_weights(bundle, out / f"fold{fold_id}.weights")
-        lines = ["epoch,loss,acc,precision,recall,lr"]
-        for row in history:
-            lines.append(
-                f"{row['epoch']},{row['loss']:.9g},{row['acc']:.9g},"
-                f"{row['precision']:.9g},{row['recall']:.9g},{row['lr']:.9g}"
-            )
-        _atomic_write_text(out / f"fold{fold_id}_history.csv", "\n".join(lines) + "\n")
+        columns = ["epoch", "loss", "acc", "precision", "recall", "lr"]
+        write_csv(
+            out / f"fold{fold_id}_history.csv", columns, "%d" + ",%.9g" * 5,
+            ([row[c] for c in columns] for row in history),
+        )
     split.folds = folds
     dataio.save_split(split, out / "folds.json")
     _say(f"wrote {len(results)} weight bundles under {out}")
@@ -342,7 +323,7 @@ def cmd_classify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     jobs_list = [(str(p), str(out / f"{p.stem}.csv")) for p in trial_paths]
     done = _run_jobs(
-        _classify_job, jobs_list, _resolve_jobs(args),
+        _classify_job, jobs_list, args.jobs,
         initializer=_classify_init, initargs=(bundles,),
     )
     _say(f"wrote {len(done)} prediction files under {out} using {len(weight_paths)} models")
@@ -413,11 +394,12 @@ def cmd_report(args) -> int:
         series.append(("ensembled", trace.ensembled))
         series.append(("smoothed", trace.smoothed))
         _atomic_write_text(out / f"{trace.trial_id}.svg", render_label_plot(series, trace.trial_id))
-        lines = ["packet_index,true,ensembled,smoothed"]
-        for i in range(trace.ensembled.size):
-            true_cell = "" if trace.true_labels is None else str(int(trace.true_labels[i]))
-            lines.append(f"{i},{true_cell},{int(trace.ensembled[i])},{int(trace.smoothed[i])}")
-        _atomic_write_text(out / f"{trace.trial_id}.csv", "\n".join(lines) + "\n")
+        columns = [np.arange(trace.ensembled.size)] + [values for _, values in series]
+        write_csv(
+            out / f"{trace.trial_id}.csv", ["packet_index", "true", "ensembled", "smoothed"],
+            "%d,%d,%d,%d" if trace.true_labels is not None else "%d,,%d,%d",
+            np.column_stack(columns).tolist(),
+        )
     _say(f"wrote {len(traces)} timeline plots under {out}")
     return 0
 
@@ -439,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pair-variation", type=float, default=0.0,
                    help="per-pair envelope perturbation fraction")
     s.add_argument("--out", required=True, help="output dataset directory")
-    s.add_argument("--jobs", type=int, default=None, help="parallel workers (or CSISENSE_JOBS)")
+    s.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     s.set_defaults(func=cmd_simulate)
 
     s = sub.add_parser("preprocess", help="trials to scaled feature CSVs, scaler and splits")
@@ -447,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--target-len", type=int, default=1560,
                    help="normalize every trial to this many packets")
     s.add_argument("--out", required=True, help="output feature directory")
-    s.add_argument("--jobs", type=int, default=None, help="parallel workers (or CSISENSE_JOBS)")
+    s.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     s.set_defaults(func=cmd_preprocess)
 
     s = sub.add_parser("train", help="k-fold training from preprocessed features")
@@ -461,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--weights", required=True, help="directory holding *.weights bundles")
     s.add_argument("--input", required=True, help="one .trial file or a directory of them")
     s.add_argument("--out", required=True, help="output prediction directory")
-    s.add_argument("--jobs", type=int, default=None, help="parallel workers (or CSISENSE_JOBS)")
+    s.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     s.set_defaults(func=cmd_classify)
 
     s = sub.add_parser("evaluate", help="score predictions that carry true labels")

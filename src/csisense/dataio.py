@@ -27,14 +27,15 @@ TRIAL_VERSION = 1
 _FLAG_LABELED = 0x01
 
 
-def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
+def _atomic_write_bytes(path: str | Path, *chunks: bytes) -> None:
     """Write through a temp file named for this process in the target's
     directory, synced to disk before the rename and removed on any failure."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -45,6 +46,47 @@ def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def _atomic_write_text(path: str | Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_checked(path: str | Path, *chunks: bytes) -> None:
+    """Write the chunks and then the little-endian CRC32 of all of them;
+    :func:`_check_and_strip_crc` is the matching reader."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    _atomic_write_bytes(path, *chunks, struct.pack("<I", crc))
+
+
+def write_csv(path: str | Path, header: list[str], row_format: str, rows) -> None:
+    """Write the header line, then one ``row_format % tuple(row)`` line per
+    row, through the atomic write."""
+    lines = [",".join(header)]
+    lines += [row_format % tuple(row) for row in rows]
+    _atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _read_csv(path: str | Path, what: str, parse_row, header_ok=lambda header: True):
+    """Header and ``parse_row(cells)`` of every data row, blank lines skipped.
+
+    Zero data rows, a header ``header_ok`` rejects, a row whose width differs
+    from the header's, or a ``ValueError`` from ``parse_row`` is a format error.
+    """
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+    if len(lines) < 2:
+        raise FormatError(f"{path}: {what} has zero data rows")
+    header = lines[0].split(",")
+    if not header_ok(header):
+        raise FormatError(f"{path}: unexpected {what} header")
+    rows = []
+    for ln_no, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise FormatError(f"{path}: line {ln_no} has {len(cells)} columns, header has {len(header)}")
+        try:
+            rows.append(parse_row(cells))
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {ln_no} is not numeric: {exc}") from exc
+    return header, rows
 
 
 def _record_dtype(dims: tuple[int, int, int]) -> np.dtype:
@@ -92,8 +134,7 @@ def write_trial(trial: Trial, path: str | Path, labeled: bool = True) -> None:
     if labeled and not np.array_equal(records["label"], trial.labels):
         raise DomainError(f"trial {trial.trial_id}: labels must lie in 0..255 to fit the record")
 
-    body = bytes(head) + records.tobytes()
-    _atomic_write_bytes(path, body + struct.pack("<I", zlib.crc32(body)))
+    write_checked(path, head, records.tobytes())
 
 
 def _check_and_strip_crc(raw: bytes, path: str | Path) -> bytes:
@@ -186,38 +227,24 @@ def export_feature_csv(frame: FeatureFrame, path: str | Path, dims: tuple[int, i
     names = feature_column_names(dims)
     if len(names) != f:
         names = [f"f{i:03d}" for i in range(f)]  # dims do not describe this width
-    lines = [",".join(names + ["label"])]
-    for row, label in zip(frame.matrix, frame.labels):
-        lines.append(",".join(f"{v:.9g}" for v in row) + f",{int(label)}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (row + [label] for row, label in zip(frame.matrix.tolist(), frame.labels.tolist()))
+    write_csv(path, names + ["label"], ",".join(["%.9g"] * f + ["%d"]), rows)
+
+
+def _parse_feature_row(cells: list[str]) -> tuple[list[float], int]:
+    return [float(v) for v in cells[:-1]], int(cells[-1])
 
 
 def import_feature_csv(path: str | Path) -> FeatureFrame:
     """Parse a feature CSV back into a frame.
 
     The file does not record whether the scaler ran; pipeline CSVs are always
-    scaled, so the frame comes back marked as scaled.  Zero data rows or a
-    row whose column count disagrees with the header is a format error.
+    scaled, so the frame comes back marked as scaled.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if len(lines) < 2:
-        raise FormatError(f"{path}: feature CSV has zero data rows")
-    n_cols = len(lines[0].split(","))
-    rows = []
-    labels = []
-    for ln_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise FormatError(f"{path}: line {ln_no} has {len(parts)} columns, header has {n_cols}")
-        try:
-            rows.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {ln_no} is not numeric: {exc}") from exc
+    _, rows = _read_csv(path, "feature CSV", _parse_feature_row)
     return FeatureFrame(
-        matrix=np.asarray(rows, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
+        matrix=np.asarray([values for values, _ in rows], dtype=np.float64),
+        labels=np.asarray([label for _, label in rows], dtype=np.int64),
         scaler_applied=True,
     )
 
@@ -231,54 +258,39 @@ def write_predictions(trace: PredictionTrace, path: str | Path) -> None:
         + [f"fold_{k}" for k in range(folds)]
         + ["ensembled", "smoothed", "true"]
     )
-    lines = [",".join(header)]
-    for i in range(t):
-        true_cell = "" if trace.true_labels is None else str(int(trace.true_labels[i]))
-        cells = (
-            [str(i)]
-            + [str(int(trace.per_fold[k, i])) for k in range(folds)]
-            + [str(int(trace.ensembled[i])), str(int(trace.smoothed[i])), true_cell]
-        )
-        lines.append(",".join(cells))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [np.arange(t), *trace.per_fold, trace.ensembled, trace.smoothed]
+    if trace.true_labels is not None:
+        columns.append(trace.true_labels)
+    row_format = ",".join(["%d"] * len(columns)) + ("," if trace.true_labels is None else "")
+    write_csv(path, header, row_format, np.column_stack(columns).tolist())
+
+
+def _prediction_header_ok(header: list[str]) -> bool:
+    fold_cols = [h for h in header if h.startswith("fold_")]
+    return bool(fold_cols) and header == ["packet_index"] + fold_cols + ["ensembled", "smoothed", "true"]
+
+
+def _parse_prediction_row(cells: list[str]) -> list[int | None]:
+    return [int(c) for c in cells[:-1]] + [int(cells[-1]) if cells[-1] else None]
 
 
 def read_predictions(path: str | Path) -> PredictionTrace:
     """Inverse of :func:`write_predictions`; trial id comes from the filename."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-    if len(lines) < 2:
-        raise FormatError(f"{path}: prediction CSV has zero data rows")
-    header = lines[0].split(",")
-    fold_cols = [h for h in header if h.startswith("fold_")]
-    expected = ["packet_index"] + fold_cols + ["ensembled", "smoothed", "true"]
-    if header != expected or not fold_cols:
-        raise FormatError(f"{path}: unexpected prediction CSV header")
-    folds = len(fold_cols)
-    t = len(lines) - 1
-    per_fold = np.zeros((folds, t), dtype=np.int64)
-    ensembled = np.zeros(t, dtype=np.int64)
-    smoothed = np.zeros(t, dtype=np.int64)
-    true_cells: list[str] = []
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise FormatError(f"{path}: line {i + 2} has {len(parts)} columns, header has {len(header)}")
-        for k in range(folds):
-            per_fold[k, i] = int(parts[1 + k])
-        ensembled[i] = int(parts[1 + folds])
-        smoothed[i] = int(parts[2 + folds])
-        true_cells.append(parts[3 + folds])
-    if all(c == "" for c in true_cells):
+    header, rows = _read_csv(path, "prediction CSV", _parse_prediction_row, _prediction_header_ok)
+    folds = len(header) - 4
+    true_cells = [row.pop() for row in rows]
+    if all(c is None for c in true_cells):
         true_labels = None
-    elif any(c == "" for c in true_cells):
+    elif any(c is None for c in true_cells):
         raise FormatError(f"{path}: true column is only partially filled")
     else:
-        true_labels = np.asarray([int(c) for c in true_cells], dtype=np.int64)
+        true_labels = np.asarray(true_cells, dtype=np.int64)
+    columns = np.ascontiguousarray(np.asarray(rows, dtype=np.int64).T)
     return PredictionTrace(
         trial_id=Path(path).stem,
-        per_fold=per_fold,
-        ensembled=ensembled,
-        smoothed=smoothed,
+        per_fold=columns[1 : 1 + folds],
+        ensembled=columns[1 + folds],
+        smoothed=columns[2 + folds],
         true_labels=true_labels,
     )
 
@@ -334,28 +346,30 @@ def load_manifest(path: str | Path) -> Manifest:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if d.get("version") != 1:
         raise VersionError(f"{path}: unsupported manifest version {d.get('version')!r}")
-    entries = [
-        ManifestEntry(
-            path=e["path"],
-            pair_id=e["pair_id"],
-            trial_id=e["trial_id"],
-            class_name=e["class_name"],
-            length=int(e["length"]),
+    try:
+        manifest = Manifest(
+            dims=tuple(int(v) for v in d["dims"]),  # type: ignore[arg-type]
+            seed=int(d["seed"]),
+            profiles_sha256=str(d["profiles_sha256"]),
+            entries=[
+                ManifestEntry(
+                    path=e["path"],
+                    pair_id=e["pair_id"],
+                    trial_id=e["trial_id"],
+                    class_name=e["class_name"],
+                    length=int(e["length"]),
+                )
+                for e in d.get("trials", [])
+            ],
         )
-        for e in d.get("trials", [])
-    ]
-    for e in entries:
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad manifest file: {exc!r}") from exc
+    for e in manifest.entries:
         if not (path.parent / e.path).exists():
             raise FormatError(f"{path}: referenced trial file missing: {e.path}")
-    dims = tuple(int(v) for v in d["dims"])
-    if len(dims) != 3:
+    if len(manifest.dims) != 3:
         raise FormatError(f"{path}: dims must have three entries")
-    return Manifest(
-        dims=dims,  # type: ignore[arg-type]
-        seed=int(d["seed"]),
-        profiles_sha256=str(d["profiles_sha256"]),
-        entries=entries,
-    )
+    return manifest
 
 
 def save_scaler(params: RobustScalerParams, path: str | Path) -> None:

@@ -248,12 +248,15 @@ class SequenceClassifier:
         dh = self.bigru1.backward(self.drop1.backward(dh))
         return self.posenc.backward(dh)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Per-timestep argmax labels at inference.  No backward follows, so
-        every layer's forward cache is dropped before returning."""
-        labels = np.argmax(self.forward(x, training=False), axis=-1)
+    def drop_caches(self) -> None:
+        """Forget every layer's forward cache, for when no backward follows."""
         for layer in self._named.values():
             layer._cache = None
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Per-timestep argmax labels at inference, with the caches dropped."""
+        labels = np.argmax(self.forward(x, training=False), axis=-1)
+        self.drop_caches()
         return labels
 
 
@@ -304,7 +307,7 @@ def train_fold(
     on_epoch=None,
 ) -> list[dict]:
     """Train one fold; returns the per-epoch history and leaves the model at
-    the best-validation-accuracy epoch's weights.
+    the best-validation-accuracy epoch's weights, holding no forward caches.
 
     History rows carry validation-set values (epoch, loss, acc, precision,
     recall, lr): the schedules key on validation accuracy, so that is the
@@ -352,6 +355,7 @@ def train_fold(
             break
 
     model.set_params(best_params)
+    model.drop_caches()
     return history
 
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import _atomic_write_bytes, _check_and_strip_crc
+from .dataio import _check_and_strip_crc, write_checked
 from .errors import DomainError, FormatError, VersionError
 from .features import RobustScalerParams
 from .model import ArchConfig, SequenceClassifier
@@ -86,8 +85,7 @@ def save_weights(w: ModelWeights, path: str | Path) -> None:
         for dim in arr.shape:
             out += struct.pack("<I", dim)
         out += arr.tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    _atomic_write_bytes(path, bytes(out))
+    write_checked(path, out)
 
 
 def load_weights(path: str | Path) -> ModelWeights:

@@ -175,7 +175,6 @@ def test_c05_wavelength_and_path_loss_spot_values():
 
 def test_c06_desk_scale_pipeline_accuracy_and_smoothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CSISENSE_VERBOSE", "0")
-    monkeypatch.delenv("CSISENSE_JOBS", raising=False)
 
     dataset = tmp_path / "dataset"
     features = tmp_path / "features"

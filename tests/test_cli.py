@@ -6,6 +6,7 @@ preprocesses them to 40-packet feature files, trains a 2-fold stack of
 Individual tests assert on the artifacts each stage leaves behind.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -24,8 +25,11 @@ from csisense.dataio import (
     load_split,
     read_predictions,
     read_trial,
+    write_predictions,
     write_trial,
 )
+from csisense.model import build
+from csisense.postprocess import PredictionTrace
 from csisense.weights import load_weights
 
 MICRO_PROFILES = """\
@@ -232,6 +236,21 @@ def test_preprocess_missing_manifest(tmp_path, capsys):
     assert "manifest not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["no-dims", "entry-without-length"])
+def test_preprocess_bad_manifest_exits_2(pipeline, tmp_path, capsys, damage):
+    manifest = json.loads((pipeline["dataset"] / "manifest.json").read_text())
+    if damage == "no-dims":
+        del manifest["dims"]
+    else:
+        del manifest["trials"][0]["length"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    (tmp_path / "trials").symlink_to(pipeline["dataset"] / "trials")
+    rc = cli.main(["preprocess", "--manifest", str(path), "--target-len", "40", "--out", str(tmp_path / "f")])
+    assert rc == 2
+    assert f"{path}: bad manifest file" in capsys.readouterr().err
+
+
 def test_preprocess_reports_unreadable_trials(pipeline, tmp_path, capsys):
     clone = tmp_path / "dataset"
     (clone / "trials").mkdir(parents=True)
@@ -330,6 +349,31 @@ def test_train_divergence_exits_1(pipeline, tmp_path, capsys):
         ])
     assert rc == 1
     assert "fold 0" in capsys.readouterr().err
+
+
+FROZEN_HISTORY = [
+    {"epoch": 1, "loss": 2.5649493574615367, "acc": 0.1, "precision": 1.0 / 3.0,
+     "recall": 0.0, "lr": 0.003},
+    {"epoch": 2, "loss": np.float64(1e-7), "acc": np.float64(2.0 / 3.0), "precision": 5e-324,
+     "recall": 1.0, "lr": 0.003 * 0.5},
+    {"epoch": 10, "loss": 123456789.0, "acc": -0.0, "precision": 0.95,
+     "recall": np.float64(0.123456789123), "lr": 1e-06},
+]
+
+
+def test_train_history_bytes_are_frozen(pipeline, tmp_path, monkeypatch):
+    def fixed_kfold(frames, folds, arch, cfg, on_epoch=None):
+        return [(build(arch, seed=k), FROZEN_HISTORY) for k in range(len(folds))]
+
+    monkeypatch.setattr(cli, "train_kfold", fixed_kfold)
+    out = tmp_path / "m"
+    assert cli.main([
+        "train", "--features", str(pipeline["features"]), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(out),
+    ]) == 0
+    for fold_id in range(2):
+        digest = hashlib.sha256((out / f"fold{fold_id}_history.csv").read_bytes()).hexdigest()
+        assert digest == "9d7a15f6425c56dfc82b14b4a54a85d5c9cf88c40b2976a50b5833af6c9e8872"
 
 
 # ---------------------------------------------------------------- classify
@@ -469,6 +513,21 @@ def test_evaluate_empty_dir(tmp_path, capsys):
     assert "no prediction files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_non_numeric_prediction_csv_exits_2(pipeline, tmp_path, capsys, command):
+    preds = tmp_path / "preds"
+    shutil.copytree(pipeline["predictions"], preds)
+    victim = sorted(preds.glob("*.csv"))[0]
+    lines = victim.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = "x"  # the first fold column
+    lines[1] = ",".join(cells)
+    victim.write_text("\n".join(lines) + "\n")
+    rc = cli.main([command, "--predictions", str(preds), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{victim}: line 2 is not numeric" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ report
 
 def test_report_outputs(pipeline, tmp_path):
@@ -484,27 +543,27 @@ def test_report_outputs(pipeline, tmp_path):
         assert len(lines) == 41
 
 
+@pytest.mark.parametrize(
+    "with_true, digest",
+    [(True, "1ebc18b905db32e284ff76dfbf09808fcd3da1d1b4d22782054607474e06647b"), (False, "65b0c9ff6d5d274572b71b0fbd6972551b156a22a62dce3374176701a572ade9")],
+    ids=["labeled", "unlabeled"],
+)
+def test_report_timeline_bytes_are_frozen(tmp_path, with_true, digest):
+    rng = np.random.default_rng(5)
+    trace = PredictionTrace(
+        trial_id="t0",
+        per_fold=rng.integers(0, 13, (2, 30)),
+        ensembled=rng.integers(0, 13, 30),
+        smoothed=rng.integers(0, 13, 30),
+        true_labels=rng.integers(0, 13, 30) if with_true else None,
+    )
+    (tmp_path / "preds").mkdir()
+    write_predictions(trace, tmp_path / "preds" / "t0.csv")
+    assert cli.main(["report", "--predictions", str(tmp_path / "preds"), "--out", str(tmp_path / "plots")]) == 0
+    assert hashlib.sha256((tmp_path / "plots" / "t0.csv").read_bytes()).hexdigest() == digest
+
+
 # ------------------------------------------------------------- environment
-
-def test_jobs_env_variable(pipeline, tmp_path, monkeypatch):
-    monkeypatch.setenv("CSISENSE_JOBS", "2")
-    env_dir = tmp_path / "envjobs"
-    assert cli.main([
-        "simulate", "--profiles", str(pipeline["profiles"]), "--pairs", "1",
-        "--trials-per-class", "5", "--seed", "3", "--out", str(env_dir),
-    ]) == 0
-    first = pipeline["dataset"]
-    assert (env_dir / "manifest.json").read_bytes() == (first / "manifest.json").read_bytes()
-
-
-def test_jobs_env_rejects_garbage(pipeline, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CSISENSE_JOBS", "many")
-    rc = cli.main([
-        "simulate", "--profiles", str(pipeline["profiles"]), "--out", str(tmp_path / "d"),
-    ])
-    assert rc == 2
-    assert "CSISENSE_JOBS" in capsys.readouterr().err
-
 
 def test_jobs_flag_rejects_zero(pipeline, tmp_path, capsys):
     rc = cli.main([

@@ -1,5 +1,6 @@
 """Binary trial files, CSV formats, manifests, and JSON sidecars."""
 
+import hashlib
 import json
 import os
 import struct
@@ -215,6 +216,32 @@ def test_feature_csv_import_errors(tmp_path):
         import_feature_csv(path)
 
 
+def _pinned_feature_frame(width):
+    """Edge values (signed zeros, the smallest subnormal, the largest decades,
+    non-finite values, a non-terminating binary fraction, integral values)
+    followed by seeded values across 16 decades."""
+    rng = np.random.default_rng(21)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
+            float("inf"), float("-inf"), float("nan"), 3.0, -7.0, 123456789.0, 1e16, 2.0**53]
+    matrix = rng.standard_normal((5, width)) * 10.0 ** rng.integers(-8, 9, (5, width))
+    matrix[0, : min(width, len(edge))] = edge[:width]
+    return FeatureFrame(matrix, np.array([0, 12, 255, 3, 7]), True)
+
+
+@pytest.mark.parametrize(
+    "width, digest",
+    [
+        (366, "d853013d3b0f86e484970bcfd2042c2926ada0668ed53c1e3ebf5f9c4e5ab001"),
+        (20, "ab42b4770c0a7023261fc092db3e5b35d964c17bee3ea3b2763e9e2df80b5d31"),
+    ],
+    ids=["named-columns", "fallback-names"],
+)
+def test_feature_csv_bytes_are_frozen(tmp_path, width, digest):
+    path = tmp_path / "f.csv"
+    export_feature_csv(_pinned_feature_frame(width), path, dims=(2, 3, 30))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------- prediction CSV
 
 def _trace(t=30, folds=4, with_true=True, tid="t0"):
@@ -273,6 +300,17 @@ def test_predictions_header_and_row_validation(tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(FormatError, match="columns"):
         read_predictions(path)
+
+
+@pytest.mark.parametrize(
+    "with_true, digest",
+    [(True, "51494c00681cc2d62a5995c5027534756320f3d86ddbb5b05cd5854529a04fe6"), (False, "257a7939fe823e62a8b982e15fa033927b58c73793d8029e691ab4da7bb0e4ab")],
+    ids=["labeled", "unlabeled"],
+)
+def test_prediction_csv_bytes_are_frozen(tmp_path, with_true, digest):
+    path = tmp_path / "p.csv"
+    write_predictions(_trace(t=25, folds=3, with_true=with_true), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # --------------------------------------------------------------- manifests

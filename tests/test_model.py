@@ -295,6 +295,14 @@ def test_train_kfold_mechanics():
         train_kfold(by_id, [ids[:4], ids[4:7] + ["ghost"]], MICRO, cfg)
 
 
+def test_train_kfold_models_hold_no_caches():
+    frames = _frames(4, MICRO, seed=37)
+    ids = [f"t{i}" for i in range(4)]
+    cfg = TrainConfig(epochs=1, batch=2, folds=2, seed=3)
+    for model, _ in train_kfold(dict(zip(ids, frames)), [ids[:2], ids[2:]], MICRO, cfg):
+        assert all(getattr(layer, "_cache", None) is None for layer in vars(model).values())
+
+
 def test_train_kfold_epoch_callback():
     frames = _frames(4, MICRO, seed=31)
     ids = [f"t{i}" for i in range(4)]
