@@ -270,8 +270,15 @@ def _prediction_header_ok(header: list[str]) -> bool:
     return bool(fold_cols) and header == ["packet_index"] + fold_cols + ["ensembled", "smoothed", "true"]
 
 
+def _int64(cell: str) -> int:
+    value = int(cell)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{cell} is outside the int64 range")
+    return value
+
+
 def _parse_prediction_row(cells: list[str]) -> list[int | None]:
-    return [int(c) for c in cells[:-1]] + [int(cells[-1]) if cells[-1] else None]
+    return [_int64(c) for c in cells[:-1]] + [_int64(cells[-1]) if cells[-1] else None]
 
 
 def read_predictions(path: str | Path) -> PredictionTrace:

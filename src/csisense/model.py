@@ -12,10 +12,15 @@ Data path per trial (T timesteps, F features):
       -> concat with the pre-attention tensor
       -> dense(classes) -> softmax  => per-timestep class distribution
 
+Every named parameter (``bigru1/fwd/W_in_z``, ``out/W``, ...) is a view into
+one flat float64 ``store.values`` of ``param_count(arch)`` elements, and its
+gradient the view at the same offset into ``store.grads``.
+
 Training minimizes per-timestep categorical cross-entropy with Adam, reduces
 the learning rate on validation-accuracy plateaus, and stops early once the
 validation accuracy has not improved for a configured number of epochs,
-restoring the best epoch's weights.
+restoring the best epoch's weights.  The Adam step, the gradient reset and
+the best-weights copy each act on the whole flat store at once.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .nn import (
     Dense,
     Dropout,
     MultiHeadSelfAttention,
+    ParamStore,
     WeightedSkipAdd,
     cross_entropy,
     cross_entropy_logit_grad,
@@ -158,17 +164,18 @@ class SequenceClassifier:
         rng = np.random.default_rng(seed)
         init = rng if init_weights else None
         att_width = 2 * eff.bigru2_units
+        self.store = store = ParamStore(param_count(arch))
         self.posenc = AddPositional(eff.seq_len, eff.feature_dim)
-        self.bigru1 = BiGru(eff.feature_dim, eff.bigru1_units, init)
+        self.bigru1 = BiGru(eff.feature_dim, eff.bigru1_units, init, store)
         self.drop1 = Dropout(eff.dropout1, rng)
-        self.bigru2 = BiGru(2 * eff.bigru1_units, eff.bigru2_units, init)
+        self.bigru2 = BiGru(2 * eff.bigru1_units, eff.bigru2_units, init, store)
         self.drop2 = Dropout(eff.dropout2, rng)
-        self.attention = MultiHeadSelfAttention(att_width, eff.heads, eff.key_dim, init)
+        self.attention = MultiHeadSelfAttention(att_width, eff.heads, eff.key_dim, init, store)
         self.skip = WeightedSkipAdd(eff.skip_pre, eff.skip_att)
-        self.dense1 = Dense(att_width, eff.dense_units, eff.dense_activation, init)
+        self.dense1 = Dense(att_width, eff.dense_units, eff.dense_activation, init, store)
         self.drop3 = Dropout(eff.dropout3, rng)
         self.concat = Concat()
-        self.out = Dense(eff.dense_units + att_width, eff.classes, "none", init)
+        self.out = Dense(eff.dense_units + att_width, eff.classes, "none", init, store)
         self._named = {
             "bigru1": self.bigru1,
             "bigru2": self.bigru2,
@@ -176,43 +183,22 @@ class SequenceClassifier:
             "dense1": self.dense1,
             "out": self.out,
         }
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        flat: dict[str, np.ndarray] = {}
-        for prefix, layer in self._named.items():
-            for k, v in layer.params.items():
-                flat[f"{prefix}/{k}"] = v
-        return flat
-
-    @property
-    def grads(self) -> dict[str, np.ndarray]:
-        flat: dict[str, np.ndarray] = {}
-        for prefix, layer in self._named.items():
-            for k, v in layer.grads.items():
-                flat[f"{prefix}/{k}"] = v
-        return flat
-
-    def zero_grads(self):
-        for layer in self._named.values():
-            layer.zero_grads()
+        self.params = {f"{p}/{k}": v for p, layer in self._named.items() for k, v in layer.params.items()}
+        self.grads = {f"{p}/{k}": g for p, layer in self._named.items() for k, g in layer.grads.items()}
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
-        current = self.params
-        missing = sorted(set(current) - set(values))
-        extra = sorted(set(values) - set(current))
+        """Copy named arrays of any float dtype into the store; names and shapes must match."""
+        missing = sorted(set(self.params) - set(values))
+        extra = sorted(set(values) - set(self.params))
         if missing or extra:
             raise DomainError(f"parameter names do not match: missing {missing}, extra {extra}")
         for name, arr in values.items():
-            target = current[name]
+            target = self.params[name]
             if tuple(arr.shape) != tuple(target.shape):
                 raise DomainError(
                     f"parameter {name} has shape {tuple(arr.shape)}, expected {tuple(target.shape)}"
                 )
-            target[...] = np.asarray(arr, dtype=np.float64)
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
+            target[...] = arr
 
     def forward_logits(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Pre-softmax scores; backward() is this pass's exact adjoint."""
@@ -322,7 +308,7 @@ def train_fold(
     optimizer = Adam(cfg.lr)
     history: list[dict] = []
     acc_series: list[float] = []
-    best_params = model.snapshot()
+    best_values = model.store.values.copy()
     best_acc = -np.inf
 
     for epoch in range(1, cfg.epochs + 1):
@@ -338,23 +324,23 @@ def train_fold(
             loss = cross_entropy(probs, y)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became non-finite in fold {fold_id}, epoch {epoch}")
-            model.zero_grads()
+            model.store.grads.fill(0.0)
             model.backward(cross_entropy_logit_grad(probs, y))
-            optimizer.step(model.params, model.grads)
+            optimizer.step(model.store.values, model.store.grads)
         row = _evaluate(model, val_frames, eff.classes)
         row.update(epoch=epoch, lr=lr)
         history.append(row)
         acc_series.append(row["acc"])
         if row["acc"] > best_acc:
             best_acc = row["acc"]
-            best_params = model.snapshot()
+            best_values[...] = model.store.values
         if on_epoch is not None:
             on_epoch(fold_id, row)
         stop, _best = early_stopping(acc_series, cfg.early_stop_patience)
         if stop:
             break
 
-    model.set_params(best_params)
+    model.store.values[...] = best_values
     model.drop_caches()
     return history
 

@@ -1,11 +1,12 @@
 """Hand-written sequence-labeling layers with explicit backward passes.
 
 Everything operates on float64 arrays shaped (T, features) or batched
-(B, T, features); no autodiff framework is involved.  Each layer owns its
-parameters and gradient buffers; ``backward`` consumes the upstream gradient,
+(B, T, features); no autodiff framework is involved.  A layer with weights
+keeps its ``params`` and ``grads`` as named views into a :class:`ParamStore`,
+its model's or its own; ``backward`` consumes the upstream gradient,
 accumulates parameter gradients, and returns the input gradient.  Layers
 with weights draw them from their ``rng`` argument; without one the weights
-start at zero and nothing is drawn, for parameters that are loaded next.
+stay at zero and nothing is drawn, for parameters that are loaded next.
 """
 
 from .gradcheck import grad_check
@@ -16,6 +17,7 @@ from .layers import (
     Dense,
     Dropout,
     MultiHeadSelfAttention,
+    ParamStore,
     WeightedSkipAdd,
     glorot_uniform,
     orthogonal,
@@ -35,6 +37,7 @@ __all__ = [
     "Dropout",
     "Gru",
     "MultiHeadSelfAttention",
+    "ParamStore",
     "WeightedSkipAdd",
     "adam_step",
     "cross_entropy",

@@ -24,20 +24,23 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def grad_check(module, inputs, seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
     """Max relative error per parameter array and per input, as a dict.
 
-    ``module`` needs forward(*inputs) -> array, backward(grad) -> input
-    grad(s), and ``params`` / ``grads`` dicts.  Inputs are float64 arrays and
-    are perturbed too, so the returned dict has one entry per parameter name
-    plus ``input:i`` entries.
+    ``module`` needs forward(*inputs) -> array and backward(grad) -> input
+    grad(s); a module with parameters also has ``params`` / ``grads`` dicts,
+    and the gradients are zeroed before the one backward.  Inputs are float64
+    arrays and are perturbed too, so the returned dict has one entry per
+    parameter name plus ``input:i`` entries.
     """
     inputs = [np.ascontiguousarray(x, dtype=np.float64) for x in inputs]
+    params, grads = getattr(module, "params", {}), getattr(module, "grads", {})
     y = module.forward(*inputs)
     rng = np.random.default_rng(seed)
     proj = rng.standard_normal(y.shape) / np.sqrt(y.size)
 
-    module.zero_grads()
+    for g in grads.values():
+        g[...] = 0.0
     dx = module.backward(proj)
     input_grads = list(dx) if isinstance(dx, tuple) else [dx]
-    param_grads = {k: v.copy() for k, v in module.grads.items()}
+    param_grads = {k: v.copy() for k, v in grads.items()}
 
     def objective() -> float:
         return float(np.sum(module.forward(*inputs) * proj))
@@ -57,7 +60,7 @@ def grad_check(module, inputs, seed: int = 0, eps: float = 1e-5) -> dict[str, fl
         return grad
 
     report: dict[str, float] = {}
-    for name, p in module.params.items():
+    for name, p in params.items():
         report[name] = _rel_err(param_grads[name], numeric_grad(p))
     for i, x in enumerate(inputs):
         report[f"input:{i}"] = _rel_err(input_grads[i], numeric_grad(x))

@@ -20,7 +20,8 @@ then reversed) keeps its parameters in three contiguous arrays indexed
     W_rec (D, 3, units, units)
     b     (D, 3, units)
 
-Gradients use the same layout.  The per-gate names in ``params`` and
+Gradients use the same layout.  Both are views into a :class:`ParamStore`,
+the model's or the layer's own.  The per-gate names in ``params`` and
 ``grads`` (``W_in_z``, or ``fwd/W_rec_c`` in a BiGru) are contiguous views
 into these arrays, so writing a named array writes the packed one.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from .layers import glorot_uniform, orthogonal
+from .layers import ParamStore, glorot_uniform, orthogonal
 
 # time order of each direction's scan: forward, then reversed
 _SCAN = (slice(None), slice(None, None, -1))
@@ -128,21 +129,22 @@ class _PackedGru:
 
     _prefixes: tuple[str, ...]  # parameter-name prefix of each direction
 
-    def __init__(self, in_dim: int, units: int, rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, units: int, rng: np.random.Generator | None = None,
+                 store: ParamStore | None = None):
         """``rng`` draws the initial weights; None leaves them at zero."""
         if in_dim < 1 or units < 1:
             raise DomainError("in_dim and units must be positive")
         n_dir = len(self._prefixes)
-        packed = (
-            np.zeros((n_dir, 3, in_dim, units)),
-            np.zeros((n_dir, 3, units, units)),
-            np.zeros((n_dir, 3, units)),
-        )
-        for d in range(n_dir):  # the draw order of one layer per direction
-            for k in range(3):
-                packed[0][d, k] = glorot_uniform(rng, in_dim, units, (in_dim, units))
-                packed[1][d, k] = orthogonal(rng, units)
-        self._attach(packed, tuple(np.zeros_like(a) for a in packed))
+        shapes = {"W_in": (n_dir, 3, in_dim, units), "W_rec": (n_dir, 3, units, units),
+                  "b": (n_dir, 3, units)}
+        self.store = store or ParamStore.fitting(shapes)
+        values, grads = self.store.carve(shapes)
+        if rng is not None:
+            for d in range(n_dir):  # the draw order of one layer per direction
+                for k in range(3):
+                    values["W_in"][d, k] = glorot_uniform(rng, in_dim, units, (in_dim, units))
+                    values["W_rec"][d, k] = orthogonal(rng, units)
+        self._attach(tuple(values.values()), tuple(grads.values()))
 
     def _attach(self, packed, packed_grads):
         self.W_in, self.W_rec, self.b = packed
@@ -161,10 +163,6 @@ class _PackedGru:
                 out[f"{prefix}W_rec_{gate}"] = W_rec[d, k]
                 out[f"{prefix}b_{gate}"] = b[d, k]
         return out
-
-    def zero_grads(self):
-        for g in self._packed_grads:
-            g[...] = 0.0
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         squeezed = x.ndim == 2
@@ -205,8 +203,9 @@ class BiGru(_PackedGru):
 
     _prefixes = ("fwd/", "bwd/")
 
-    def __init__(self, in_dim: int, units: int, rng: np.random.Generator | None = None):
-        super().__init__(in_dim, units, rng)
+    def __init__(self, in_dim: int, units: int, rng: np.random.Generator | None = None,
+                 store: ParamStore | None = None):
+        super().__init__(in_dim, units, rng, store)
         self.fwd, self.bwd = (self._direction(d) for d in range(2))
 
     def _direction(self, d: int) -> Gru:

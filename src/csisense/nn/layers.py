@@ -1,6 +1,8 @@
-"""Dense, dropout, positional encoding, self-attention, and wiring layers."""
+"""Parameter store, dense, dropout, positional encoding, attention and wiring layers."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,20 +20,14 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def glorot_uniform(rng: np.random.Generator | None, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    """Scaled-uniform init: U(-limit, limit) with limit = sqrt(6/(fan_in+fan_out)).
-    With no ``rng`` the array is zero and nothing is drawn."""
-    if rng is None:
-        return np.zeros(shape)
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+    """Scaled-uniform init: U(-limit, limit) with limit = sqrt(6/(fan_in+fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def orthogonal(rng: np.random.Generator | None, n: int) -> np.ndarray:
-    """Haar-uniform orthogonal n x n matrix via QR with sign correction.
-    With no ``rng`` the matrix is zero and nothing is drawn."""
-    if rng is None:
-        return np.zeros((n, n))
+def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-uniform orthogonal n x n matrix via QR with sign correction."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
 
@@ -53,23 +49,52 @@ def positional_encoding(seq_len: int, dim: int) -> np.ndarray:
     return table
 
 
+class ParamStore:
+    """Flat float64 parameter values and gradients, carved into named views.
+
+    Each parameter is a view into ``values``, and its gradient is the view at
+    the same offset into ``grads``, so whole-model work (an Adam step, zeroing
+    the gradients, keeping the best weights) is one operation on a flat array.
+    Both arrays come from ``np.zeros``: pages that nothing writes, such as the
+    gradients of a model that only runs inference, are never touched.
+    """
+
+    def __init__(self, size: int):
+        self.values = np.zeros(size)
+        self.grads = np.zeros(size)
+        self._used = 0
+
+    @classmethod
+    def fitting(cls, shapes: dict[str, tuple[int, ...]]) -> "ParamStore":
+        """A store exactly the size of ``shapes``, for a layer built on its own."""
+        return cls(sum(math.prod(shape) for shape in shapes.values()))
+
+    def carve(self, shapes: dict[str, tuple[int, ...]]) -> tuple[dict, dict]:
+        """Value and gradient views for ``shapes``, in order, after the last carve."""
+        values, grads = {}, {}
+        for name, shape in shapes.items():
+            start, self._used = self._used, self._used + math.prod(shape)
+            if self._used > self.values.size:
+                raise DomainError(f"parameter store of {self.values.size} values is full")
+            values[name] = self.values[start : self._used].reshape(shape)
+            grads[name] = self.grads[start : self._used].reshape(shape)
+        return values, grads
+
+
 class Dense:
     """y = activation(x @ W + b) applied to the last axis."""
 
-    def __init__(self, in_dim: int, out_dim: int, activation: str = "none", rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, out_dim: int, activation: str = "none",
+                 rng: np.random.Generator | None = None, store: ParamStore | None = None):
         if activation not in ("none", "relu"):
             raise DomainError(f"unknown activation {activation!r}")
         self.activation = activation
-        self.params = {
-            "W": glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)),
-            "b": np.zeros(out_dim),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        shapes = {"W": (in_dim, out_dim), "b": (out_dim,)}
+        self.store = store or ParamStore.fitting(shapes)
+        self.params, self.grads = self.store.carve(shapes)
+        if rng is not None:
+            self.params["W"][...] = glorot_uniform(rng, in_dim, out_dim, shapes["W"])
         self._cache = None
-
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] != self.params["W"].shape[0]:
@@ -98,12 +123,7 @@ class Dropout:
             raise DomainError(f"dropout ratio must be in [0, 1), got {ratio}")
         self.ratio = ratio
         self.rng = rng or np.random.default_rng(0)
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self._mask = None
-
-    def zero_grads(self):
-        pass
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.ratio == 0.0:
@@ -123,11 +143,6 @@ class AddPositional:
 
     def __init__(self, seq_len: int, dim: int):
         self.table = positional_encoding(seq_len, dim)
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-
-    def zero_grads(self):
-        pass
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         t = x.shape[-2]
@@ -149,11 +164,6 @@ class WeightedSkipAdd:
     def __init__(self, w_pre: float = 0.7, w_skip: float = 0.3):
         self.w_pre = float(w_pre)
         self.w_skip = float(w_skip)
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-
-    def zero_grads(self):
-        pass
 
     def forward(self, pre: np.ndarray, skip: np.ndarray, training: bool = False) -> np.ndarray:
         if pre.shape != skip.shape:
@@ -168,12 +178,7 @@ class Concat:
     """Concatenate two inputs along the feature axis."""
 
     def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self._split = None
-
-    def zero_grads(self):
-        pass
 
     def forward(self, a: np.ndarray, b: np.ndarray, training: bool = False) -> np.ndarray:
         self._split = a.shape[-1]
@@ -191,24 +196,22 @@ class MultiHeadSelfAttention:
     back to the model width.
     """
 
-    def __init__(self, model_dim: int, heads: int, key_dim: int, rng: np.random.Generator | None = None):
+    def __init__(self, model_dim: int, heads: int, key_dim: int,
+                 rng: np.random.Generator | None = None, store: ParamStore | None = None):
         if heads < 1 or key_dim < 1:
             raise DomainError("heads and key_dim must be positive")
         self.model_dim = model_dim
         self.heads = heads
         self.key_dim = key_dim
-        self.params = {
-            "Wq": glorot_uniform(rng, model_dim, key_dim, (heads, model_dim, key_dim)),
-            "Wk": glorot_uniform(rng, model_dim, key_dim, (heads, model_dim, key_dim)),
-            "Wv": glorot_uniform(rng, model_dim, key_dim, (heads, model_dim, key_dim)),
-            "Wf": glorot_uniform(rng, heads * key_dim, model_dim, (heads * key_dim, model_dim)),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        proj = (heads, model_dim, key_dim)
+        shapes = {"Wq": proj, "Wk": proj, "Wv": proj, "Wf": (heads * key_dim, model_dim)}
+        self.store = store or ParamStore.fitting(shapes)
+        self.params, self.grads = self.store.carve(shapes)
+        if rng is not None:
+            for name in ("Wq", "Wk", "Wv"):
+                self.params[name][...] = glorot_uniform(rng, model_dim, key_dim, proj)
+            self.params["Wf"][...] = glorot_uniform(rng, heads * key_dim, model_dim, shapes["Wf"])
         self._cache = None
-
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] != self.model_dim:

@@ -12,30 +12,36 @@ from ..errors import DomainError
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: dict[str, dict[str, np.ndarray]],
+    values: np.ndarray,
+    grads: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
     t: int,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place.  ``t`` counts from 1."""
+    """One bias-corrected Adam update of ``values`` and the moments ``m`` and
+    ``v``, in place and elementwise.  ``t`` counts from 1."""
     if t < 1:
         raise DomainError("adam step count t must be at least 1")
-    for name, p in params.items():
-        g = grads[name]
-        s = state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
-        s["m"] = beta1 * s["m"] + (1.0 - beta1) * g
-        s["v"] = beta2 * s["v"] + (1.0 - beta2) * (g * g)
-        m_hat = s["m"] / (1.0 - beta1**t)
-        v_hat = s["v"] / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    # at most two parameter-sized temporaries live at once
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * (grads * grads)
+    denom = v / (1.0 - beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step = m / (1.0 - beta1**t)
+    step *= lr
+    step /= denom
+    values -= step
 
 
 class Adam:
-    """Stateful wrapper around :func:`adam_step` keyed by parameter name."""
+    """Stateful wrapper around :func:`adam_step` for one flat parameter array."""
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
@@ -45,11 +51,13 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.state: dict[str, dict[str, np.ndarray]] = {}
+        self.m = self.v = None  # moment estimates, allocated by the first step
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, values: np.ndarray, grads: np.ndarray) -> None:
+        if self.m is None:
+            self.m, self.v = np.zeros(values.shape), np.zeros(values.shape)
         self.t += 1
-        adam_step(params, grads, self.state, self.t, self.lr, self.beta1, self.beta2, self.eps)
+        adam_step(values, grads, self.m, self.v, self.t, self.lr, self.beta1, self.beta2, self.eps)
 
 
 def reduce_lr_on_plateau(

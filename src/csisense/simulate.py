@@ -21,7 +21,7 @@ including in parallel, without changing a byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,20 +120,7 @@ def _scaled_profile(profile: SyntheticClassProfile, scale: EnvelopeScale) -> Syn
     if scale == EnvelopeScale():
         return profile
     center = min(0.9, max(0.1, profile.center + scale.center_shift))
-    return SyntheticClassProfile(
-        label=profile.label,
-        duration=profile.duration,
-        steady_position=profile.steady_position,
-        steady_duration=profile.steady_duration,
-        shape=profile.shape,
-        depth_los=profile.depth_los,
-        depth_scatter=profile.depth_scatter,
-        phase_drift=profile.phase_drift,
-        center=center,
-        width=profile.width * scale.width,
-        cycles=profile.cycles,
-        asymmetry=profile.asymmetry,
-    )
+    return replace(profile, center=center, width=profile.width * scale.width)
 
 
 def pair_envelope_scale(pair_variation: float, rng: CounterRng) -> EnvelopeScale:

@@ -79,9 +79,6 @@ class _LogitView:
     def grads(self):
         return self._m.grads
 
-    def zero_grads(self):
-        self._m.zero_grads()
-
     def forward(self, x):
         return self._m.forward_logits(x)
 

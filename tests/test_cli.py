@@ -515,17 +515,19 @@ def test_evaluate_empty_dir(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["evaluate", "report"])
 def test_non_numeric_prediction_csv_exits_2(pipeline, tmp_path, capsys, command):
-    preds = tmp_path / "preds"
-    shutil.copytree(pipeline["predictions"], preds)
-    victim = sorted(preds.glob("*.csv"))[0]
-    lines = victim.read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[1] = "x"  # the first fold column
-    lines[1] = ",".join(cells)
-    victim.write_text("\n".join(lines) + "\n")
-    rc = cli.main([command, "--predictions", str(preds), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert f"{victim}: line 2 is not numeric" in capsys.readouterr().err
+    # a word, and an integer beyond int64, in the first fold column
+    for i, cell in enumerate(["x", "99999999999999999999"]):
+        preds = tmp_path / f"preds{i}"
+        shutil.copytree(pipeline["predictions"], preds)
+        victim = sorted(preds.glob("*.csv"))[0]
+        lines = victim.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[1] = cell
+        lines[1] = ",".join(cells)
+        victim.write_text("\n".join(lines) + "\n")
+        rc = cli.main([command, "--predictions", str(preds), "--out", str(tmp_path / f"out{i}")])
+        assert rc == 2
+        assert f"{victim}: line 2 is not numeric" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ report

@@ -88,6 +88,28 @@ def test_param_count_matches_built_model():
     assert sum(v.size for v in model.params.values()) == param_count(desk)
 
 
+def test_param_store_views_tile_the_store_at_desk_arch():
+    arch = load_arch_config("configs/arch-desk.ini")
+    model = build(arch, seed=0)
+    store = model.store
+    assert store.values.size == store.grads.size == param_count(arch)
+    assert set(model.grads) == set(model.params)
+    store.values[...] = 0.0
+    for name, view in model.params.items():
+        grad = model.grads[name]
+        assert np.shares_memory(view, store.values) and np.shares_memory(grad, store.grads)
+        assert grad.shape == view.shape
+        view += 1.0
+        grad += 1.0
+    # every element lies in exactly one named view: the views are disjoint and cover the store
+    assert (store.values == 1.0).all() and (store.grads == 1.0).all()
+    # each gradient sits at its parameter's offset
+    for i, (name, view) in enumerate(model.params.items()):
+        view[...] = i
+        model.grads[name][...] = i
+    assert np.array_equal(store.values, store.grads)
+
+
 def test_arch_validation():
     with pytest.raises(DomainError):
         ArchConfig(seq_len=0)
@@ -183,9 +205,6 @@ class _LogitView:
     def grads(self):
         return self._m.grads
 
-    def zero_grads(self):
-        self._m.zero_grads()
-
     def forward(self, x):
         return self._m.forward_logits(x)
 
@@ -202,7 +221,7 @@ def test_micro_model_grad_check():
 
 def test_set_params_rejects_mismatches():
     model = build(MICRO, seed=0)
-    good = model.snapshot()
+    good = {k: v.copy() for k, v in model.params.items()}
     incomplete = dict(good)
     incomplete.pop("out/b")
     with pytest.raises(DomainError):
@@ -246,10 +265,9 @@ def test_train_fold_is_deterministic():
     for _ in range(2):
         model = build(MICRO, seed=cfg.seed)
         history = train_fold(model, frames[:4], frames[4:], cfg, fold_id=1)
-        runs.append((history, model.snapshot()))
+        runs.append((history, model.store.values.copy()))
     assert runs[0][0] == runs[1][0]
-    for k in runs[0][1]:
-        assert np.array_equal(runs[0][1][k], runs[1][1][k])
+    assert np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_train_fold_rejects_bad_frames():
@@ -350,6 +368,13 @@ def test_weights_round_trip(tmp_path):
     rebuilt = model_from_weights(back)
     for k, v in rebuilt.params.items():
         assert np.array_equal(v, model.params[k].astype(np.float32).astype(np.float64))
+
+
+def test_loaded_model_predict_writes_no_gradient(tmp_path):
+    _, _, path = _bundle(tmp_path)
+    model = model_from_weights(load_weights(path))
+    model.predict(np.random.default_rng(8).standard_normal((6, 4)))
+    assert not model.store.grads.any()
 
 
 def test_weights_save_load_save_is_byte_identical(tmp_path):

@@ -346,7 +346,6 @@ def test_bigru_is_bit_identical_to_per_direction_scans(in_dim, units, batch):
     # batch 1 runs squeezed, as predict and the gradient checks do
     squeeze = (lambda a: a[0]) if batch == 1 else (lambda a: a)
     y = bi.forward(squeeze(x))
-    bi.zero_grads()
     dx = bi.backward(squeeze(dy))
     assert np.array_equal(y, squeeze(np.concatenate([hf, hb[:, ::-1]], axis=-1)))
     assert np.array_equal(dx, squeeze(dxf + dxb[:, ::-1]))
@@ -375,16 +374,34 @@ def test_gate_views_write_through_to_packed_arrays():
     assert np.shares_memory(bi.bwd.grads["b_z"], bi.grads["bwd/b_z"])
     assert np.array_equal(bi.bwd.params["W_in_r"], bi.W_in[1, 1])
 
-    # an Adam step updates the packed arrays exactly as it updates plain copies
-    for g in bi.grads.values():
-        g[...] = rng.standard_normal(g.shape)
+    # one Adam step over the flat store updates the packed arrays exactly as
+    # one step per plain copy of each named array
+    bi.store.grads[...] = rng.standard_normal(bi.store.grads.size)
     plain = {k: v.copy() for k, v in bi.params.items()}
-    adam_step(plain, {k: v.copy() for k, v in bi.grads.items()}, {}, t=1, lr=0.01)
-    Adam(lr=0.01).step(bi.params, bi.grads)
+    for name, p in plain.items():
+        adam_step(p, bi.grads[name].copy(), np.zeros_like(p), np.zeros_like(p), t=1, lr=0.01)
+    Adam(lr=0.01).step(bi.store.values, bi.store.grads)
     for name in plain:
         assert np.array_equal(_packed_slot(bi, name), plain[name]), name
-    bi.zero_grads()
-    assert not any(g.any() for g in bi.grads.values())
+
+
+def test_layers_built_alone_own_a_fitting_store():
+    rng = np.random.default_rng(67)
+    layers = {
+        "dense": (Dense(4, 3, "none", rng), 4 * 3 + 3),
+        "gru": (Gru(3, 2, rng), 3 * (3 * 2 + 2 * 2 + 2)),
+        "bigru": (BiGru(3, 2, rng), 2 * 3 * (3 * 2 + 2 * 2 + 2)),
+        "attention": (MultiHeadSelfAttention(6, 2, 3, rng), 4 * 2 * 6 * 3),
+    }
+    for name, (layer, size) in layers.items():
+        assert layer.store.values.size == layer.store.grads.size == size, name
+        for key, view in layer.params.items():
+            assert np.shares_memory(view, layer.store.values), (name, key)
+            assert np.shares_memory(layer.grads[key], layer.store.grads), (name, key)
+    for layer in (Dropout(0.5), AddPositional(4, 3), WeightedSkipAdd(), Concat()):
+        assert not hasattr(layer, "params")
+    with pytest.raises(DomainError, match="full"):
+        Dense(4, 3, store=Dense(2, 2).store)
 
 
 def test_model_params_and_bundles_write_through_to_packed_arrays(tmp_path):
@@ -414,23 +431,24 @@ def test_model_params_and_bundles_write_through_to_packed_arrays(tmp_path):
 # -------------------------------------------------------------- optimizer
 
 def test_adam_single_step_hand_value():
-    p = {"w": np.array([1.0])}
-    g = {"w": np.array([2.0])}
-    state = {}
-    adam_step(p, g, state, t=1, lr=0.1)
+    p = np.array([1.0])
+    g = np.array([2.0])
+    m, v = np.zeros(1), np.zeros(1)
+    adam_step(p, g, m, v, t=1, lr=0.1)
     # m_hat = 2, v_hat = 4: step = 0.1 * 2 / (2 + 1e-8)
     want = 1.0 - 0.1 * 2.0 / (2.0 + 1e-8)
-    assert abs(p["w"][0] - want) < 1e-15
+    assert abs(p[0] - want) < 1e-15
+    assert (m[0], v[0]) == pytest.approx((0.2, 0.004))  # the moments update in place
 
 
 def test_adam_two_steps_match_reference_formula():
     rng = np.random.default_rng(53)
-    p = {"w": rng.standard_normal((3, 2))}
-    p0 = p["w"].copy()
+    p = rng.standard_normal((3, 2))
+    p0 = p.copy()
     g1, g2 = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
     opt = Adam(lr=0.01)
-    opt.step(p, {"w": g1})
-    opt.step(p, {"w": g2})
+    opt.step(p, g1)
+    opt.step(p, g2)
 
     m = 0.1 * g1
     v = 0.001 * g1 * g1
@@ -438,7 +456,7 @@ def test_adam_two_steps_match_reference_formula():
     m = 0.9 * m + 0.1 * g2
     v = 0.999 * v + 0.001 * g2 * g2
     ref -= 0.01 * (m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8)
-    assert np.allclose(p["w"], ref, atol=1e-14)
+    assert np.allclose(p, ref, atol=1e-14)
     with pytest.raises(DomainError):
         Adam(lr=0.0)
 
