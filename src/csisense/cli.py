@@ -292,13 +292,15 @@ def _classify_job(job) -> str:
 
 
 def _load_bundles(weight_paths: list[Path]) -> list[ModelWeights]:
-    """Load every bundle once and check that they agree and carry a scaler."""
+    """Load every bundle once; all must carry the same scaler and architecture."""
     bundles = [load_weights(p) for p in weight_paths]
     for path, bundle in zip(weight_paths, bundles):
         if bundle.arch != bundles[0].arch:
             raise CliError(f"{path}: weight bundles disagree on architecture")
         if bundle.scaler is None:
             raise CliError(f"{path}: bundle carries no scaler; cannot featurize raw trials")
+        if bundle.scaler.to_dict() != bundles[0].scaler.to_dict():
+            raise CliError(f"{path}: weight bundles disagree on the feature scaler")
     return bundles
 
 

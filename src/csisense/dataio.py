@@ -50,7 +50,7 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
 
 def write_checked(path: str | Path, *chunks: bytes) -> None:
     """Write the chunks and then the little-endian CRC32 of all of them;
-    :func:`_check_and_strip_crc` is the matching reader."""
+    :func:`read_checked` is the matching reader."""
     crc = 0
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
@@ -137,47 +137,59 @@ def write_trial(trial: Trial, path: str | Path, labeled: bool = True) -> None:
     write_checked(path, head, records.tobytes())
 
 
-def _check_and_strip_crc(raw: bytes, path: str | Path) -> bytes:
+class _Cursor:
+    """Front-to-back reads over a checked file body.  A field that runs past
+    the end, or text that is not UTF-8, is a format error naming the file."""
+
+    def __init__(self, body: memoryview, path: str | Path, offset: int):
+        self.body, self.path, self.offset = body, path, offset
+
+    def take(self, n: int) -> memoryview:
+        start, self.offset = self.offset, self.offset + n
+        if self.offset > len(self.body):
+            raise FormatError(f"{self.path}: truncated: the field at byte {start} needs {n} bytes")
+        return self.body[start : self.offset]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, length_fmt: str) -> str:
+        """A UTF-8 string after its byte count, packed as ``length_fmt``."""
+        start = self.offset
+        raw = self.take(*self.unpack(length_fmt))
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: the text field at byte {start} is not UTF-8") from exc
+
+
+def read_checked(path: str | Path, magic: bytes, what: str) -> _Cursor:
+    """The CRC-verified body of a :func:`write_checked` file that starts with
+    ``magic``, as a cursor just past the magic."""
+    raw = memoryview(Path(path).read_bytes())
     if len(raw) < 4:
         raise FormatError(f"{path}: file too short to carry a checksum")
-    body, stored = raw[:-4], struct.unpack("<I", raw[-4:])[0]
+    body, (stored,) = raw[:-4], struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) != stored:
         raise ChecksumError(f"{path}: checksum mismatch; file is corrupted or truncated")
-    return body
-
-
-def _parse_trial_header(body: bytes, path: str | Path):
-    if body[:4] != TRIAL_MAGIC:
-        raise FormatError(f"{path}: not a trial file (bad magic)")
-    if len(body) < 10:
-        raise FormatError(f"{path}: truncated header")
-    version, flags, n_tx, n_rx, n_sc = struct.unpack_from("<BBBBH", body, 4)
-    if version != TRIAL_VERSION:
-        raise VersionError(f"{path}: trial format version {version} not supported")
-    offset = 10
-    (pair_len,) = struct.unpack_from("<H", body, offset)
-    offset += 2
-    pair_id = body[offset : offset + pair_len].decode("utf-8")
-    offset += pair_len
-    (trial_len,) = struct.unpack_from("<H", body, offset)
-    offset += 2
-    trial_id = body[offset : offset + trial_len].decode("utf-8")
-    offset += trial_len
-    (count,) = struct.unpack_from("<I", body, offset)
-    offset += 4
-    return flags, (n_tx, n_rx, n_sc), pair_id, trial_id, count, offset
+    if body[:4] != magic:
+        raise FormatError(f"{path}: not a {what} (bad magic)")
+    return _Cursor(body, path, len(magic))
 
 
 def read_trial(path: str | Path) -> Trial:
     """Parse and checksum-verify a trial file."""
-    raw = Path(path).read_bytes()
-    body = _check_and_strip_crc(raw, path)
-    flags, dims, pair_id, trial_id, count, offset = _parse_trial_header(body, path)
+    cur = read_checked(path, TRIAL_MAGIC, "trial file")
+    version, flags, *dims = cur.unpack("<BBBBH")
+    if version != TRIAL_VERSION:
+        raise VersionError(f"{path}: trial format version {version} not supported")
+    pair_id, trial_id = cur.text("<H"), cur.text("<H")
+    (count,) = cur.unpack("<I")
     dtype = _record_dtype(dims)
-    expected = offset + count * dtype.itemsize
-    if len(body) != expected:
-        raise FormatError(f"{path}: expected {expected} data bytes, found {len(body)}")
-    records = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+    expected = cur.offset + count * dtype.itemsize
+    if len(cur.body) != expected:
+        raise FormatError(f"{path}: expected {expected} data bytes, found {len(cur.body)}")
+    records = np.frombuffer(cur.take(count * dtype.itemsize), dtype=dtype)
     return Trial(
         timestamps=records["timestamp"].astype(np.float64),
         noise=records["noise"].astype(np.float64),

@@ -16,6 +16,10 @@ Every named parameter (``bigru1/fwd/W_in_z``, ``out/W``, ...) is a view into
 one flat float64 ``store.values`` of ``param_count(arch)`` elements, and its
 gradient the view at the same offset into ``store.grads``.
 
+Only a training forward keeps activations, each layer's cache for the
+backward that reads and clears it; an inference forward (``predict``,
+validation) keeps none, so an idle model holds no activations.
+
 Training minimizes per-timestep categorical cross-entropy with Adam, reduces
 the learning rate on validation-accuracy plateaus, and stops early once the
 validation accuracy has not improved for a configured number of epochs,
@@ -201,7 +205,7 @@ class SequenceClassifier:
             target[...] = arr
 
     def forward_logits(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Pre-softmax scores; backward() is this pass's exact adjoint."""
+        """Pre-softmax scores; backward() is the exact adjoint of a training pass."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.eff.feature_dim:
             raise DomainError(
@@ -234,16 +238,10 @@ class SequenceClassifier:
         dh = self.bigru1.backward(self.drop1.backward(dh))
         return self.posenc.backward(dh)
 
-    def drop_caches(self) -> None:
-        """Forget every layer's forward cache, for when no backward follows."""
-        for layer in self._named.values():
-            layer._cache = None
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Per-timestep argmax labels at inference, with the caches dropped."""
-        labels = np.argmax(self.forward(x, training=False), axis=-1)
-        self.drop_caches()
-        return labels
+        """Per-timestep argmax labels from an inference forward, which keeps
+        no layer's activations."""
+        return np.argmax(self.forward(x), axis=-1)
 
 
 def build(arch: ArchConfig, seed: int = 0) -> SequenceClassifier:
@@ -341,7 +339,6 @@ def train_fold(
             break
 
     model.store.values[...] = best_values
-    model.drop_caches()
     return history
 
 

@@ -4,7 +4,9 @@ Everything operates on float64 arrays shaped (T, features) or batched
 (B, T, features); no autodiff framework is involved.  A layer with weights
 keeps its ``params`` and ``grads`` as named views into a :class:`ParamStore`,
 its model's or its own; ``backward`` consumes the upstream gradient,
-accumulates parameter gradients, and returns the input gradient.  Layers
+accumulates parameter gradients, and returns the input gradient.  Only
+``forward(x, training=True)`` keeps activations: what its ``backward`` reads
+and then clears.  An inference forward keeps nothing past the call.  Layers
 with weights draw them from their ``rng`` argument; without one the weights
 stay at zero and nothing is drawn, for parameters that are loaded next.
 """

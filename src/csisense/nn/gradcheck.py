@@ -24,15 +24,17 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def grad_check(module, inputs, seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
     """Max relative error per parameter array and per input, as a dict.
 
-    ``module`` needs forward(*inputs) -> array and backward(grad) -> input
-    grad(s); a module with parameters also has ``params`` / ``grads`` dicts,
-    and the gradients are zeroed before the one backward.  Inputs are float64
-    arrays and are perturbed too, so the returned dict has one entry per
-    parameter name plus ``input:i`` entries.
+    ``module`` needs forward(*inputs, training=...) -> array and
+    backward(grad) -> input grad(s); a module with parameters also has
+    ``params`` / ``grads`` dicts, zeroed before the one backward, which
+    follows the one ``training=True`` forward.  The finite differences run
+    inference forwards, so the module must be deterministic in training mode
+    (every dropout ratio 0).  Inputs are float64 arrays and are perturbed too,
+    so the returned dict has one entry per parameter name plus ``input:i``.
     """
     inputs = [np.ascontiguousarray(x, dtype=np.float64) for x in inputs]
     params, grads = getattr(module, "params", {}), getattr(module, "grads", {})
-    y = module.forward(*inputs)
+    y = module.forward(*inputs, training=True)
     rng = np.random.default_rng(seed)
     proj = rng.standard_normal(y.shape) / np.sqrt(y.size)
 

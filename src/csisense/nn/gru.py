@@ -171,11 +171,11 @@ class _PackedGru:
         if x.shape[-1] != self.in_dim:
             raise DomainError(f"gru expects {self.in_dim} input features, got {x.shape[-1]}")
         y, cache = _scan_forward(x, self.W_in, self.W_rec, self.b)
-        self._cache = (cache, squeezed)
+        self._cache = (cache, squeezed) if training else None
         return y[0] if squeezed else y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        cache, squeezed = self._cache
+        (cache, squeezed), self._cache = self._cache, None
         if squeezed:
             dy = dy[None]
         dx = _scan_backward(dy, cache, self.W_in, self.W_rec, *self._packed_grads)

@@ -102,11 +102,11 @@ class Dense:
                 f"dense expects {self.params['W'].shape[0]} input features, got {x.shape[-1]}"
             )
         z = x @ self.params["W"] + self.params["b"]
-        self._cache = (x, z)
+        self._cache = (x, z) if training else None
         return relu(z) if self.activation == "relu" else z
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, z = self._cache
+        (x, z), self._cache = self._cache, None
         dz = dy * (z > 0.0) if self.activation == "relu" else dy
         flat_x = x.reshape(-1, x.shape[-1])
         flat_dz = dz.reshape(-1, dz.shape[-1])
@@ -133,9 +133,8 @@ class Dropout:
         return x * self._mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dy
-        return dy * self._mask
+        mask, self._mask = self._mask, None
+        return dy if mask is None else dy * mask
 
 
 class AddPositional:
@@ -193,7 +192,9 @@ class MultiHeadSelfAttention:
 
     Per head: A = softmax((X Wq)(X Wk)^T / sqrt(key_dim)) row-wise, head
     output A (X Wv); the concatenated heads pass through a final projection
-    back to the model width.
+    back to the model width.  A training forward keeps each head's
+    (q, k, v, A) for the backward, which clears them; an inference forward
+    keeps none of them.
     """
 
     def __init__(self, model_dim: int, heads: int, key_dim: int,
@@ -220,28 +221,22 @@ class MultiHeadSelfAttention:
         if squeezed:
             x = x[None]
         scale = 1.0 / np.sqrt(self.key_dim)
-        qs, ks, vs, attn, heads_out = [], [], [], [], []
+        kept, heads_out = [], []
         for h in range(self.heads):
             q = x @ self.params["Wq"][h]
             k = x @ self.params["Wk"][h]
             v = x @ self.params["Wv"][h]
-            scores = (q @ k.swapaxes(-1, -2)) * scale
-            a = softmax(scores)
+            a = softmax((q @ k.swapaxes(-1, -2)) * scale)
             heads_out.append(a @ v)
-            qs.append(q), ks.append(k), vs.append(v), attn.append(a)
+            if training:
+                kept.append((q, k, v, a))
         concat = np.concatenate(heads_out, axis=-1)
         y = concat @ self.params["Wf"]
-        self._cache = (x, qs, ks, vs, attn, concat, squeezed)
+        self._cache = (x, kept, concat, squeezed) if training else None
         return y[0] if squeezed else y
 
-    def attention_weights(self) -> list[np.ndarray]:
-        """Row-stochastic attention matrices from the last forward, one per head."""
-        if self._cache is None:
-            raise DomainError("no forward pass cache (none has run, or predict dropped it)")
-        return [a.copy() for a in self._cache[4]]
-
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, qs, ks, vs, attn, concat, squeezed = self._cache
+        (x, kept, concat, squeezed), self._cache = self._cache, None
         if squeezed:
             dy = dy[None]
         scale = 1.0 / np.sqrt(self.key_dim)
@@ -249,9 +244,8 @@ class MultiHeadSelfAttention:
         self.grads["Wf"] += flat(concat).T @ flat(dy)
         dconcat = dy @ self.params["Wf"].T
         dx = np.zeros_like(x)
-        for h in range(self.heads):
+        for h, (q, k, v, a) in enumerate(kept):
             dout = dconcat[..., h * self.key_dim : (h + 1) * self.key_dim]
-            a, q, k, v = attn[h], qs[h], ks[h], vs[h]
             da = dout @ v.swapaxes(-1, -2)
             dv = a.swapaxes(-1, -2) @ dout
             dscores = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale

@@ -9,13 +9,14 @@ is sufficient to classify raw trials on its own.  See FORMATS.md.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import _check_and_strip_crc, write_checked
+from .dataio import read_checked, write_checked
 from .errors import DomainError, FormatError, VersionError
 from .features import RobustScalerParams
 from .model import ArchConfig, SequenceClassifier
@@ -89,38 +90,25 @@ def save_weights(w: ModelWeights, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> ModelWeights:
-    body = _check_and_strip_crc(Path(path).read_bytes(), path)
-    if body[:4] != WEIGHTS_MAGIC:
-        raise FormatError(f"{path}: not a weight bundle (bad magic)")
-    (version,) = struct.unpack_from("<B", body, 4)
+    cur = read_checked(path, WEIGHTS_MAGIC, "weight bundle")
+    (version,) = cur.unpack("<B")
     if version != WEIGHTS_VERSION:
         raise VersionError(f"{path}: weight bundle version {version} not supported")
-    offset = 5
-    (meta_len,) = struct.unpack_from("<I", body, offset)
-    offset += 4
     try:
-        meta = json.loads(body[offset : offset + meta_len].decode("utf-8"))
+        meta = json.loads(cur.text("<I"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: bad metadata block: {exc}") from exc
-    offset += meta_len
-    (n_arrays,) = struct.unpack_from("<I", body, offset)
-    offset += 4
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: bad metadata block: not a JSON object")
+    (n_arrays,) = cur.unpack("<I")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):
-        (name_len,) = struct.unpack_from("<H", body, offset)
-        offset += 2
-        name = body[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", body, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", body, offset) if ndim else ()
-        offset += 4 * ndim
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape)
-        offset += 4 * count
-        arrays[name] = arr
-    if offset != len(body):
-        raise FormatError(f"{path}: {len(body) - offset} unexpected trailing bytes")
+        name = cur.text("<H")
+        (ndim,) = cur.unpack("<B")
+        shape = cur.unpack(f"<{ndim}I")
+        arrays[name] = np.frombuffer(cur.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+    if cur.offset != len(cur.body):
+        raise FormatError(f"{path}: {len(cur.body) - cur.offset} unexpected trailing bytes")
 
     scaler = None
     if meta.get("has_scaler"):
@@ -141,5 +129,5 @@ def load_weights(path: str | Path) -> ModelWeights:
             scaler=scaler,
             version=version,
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: incomplete metadata block: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad metadata block: {exc}") from exc

@@ -79,8 +79,8 @@ class _LogitView:
     def grads(self):
         return self._m.grads
 
-    def forward(self, x):
-        return self._m.forward_logits(x)
+    def forward(self, x, training=False):
+        return self._m.forward_logits(x, training)
 
     def backward(self, proj):
         return self._m.backward(proj)

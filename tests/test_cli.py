@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from csisense.dataio import (
 )
 from csisense.model import build
 from csisense.postprocess import PredictionTrace
-from csisense.weights import load_weights
+from csisense.weights import load_weights, save_weights
 
 MICRO_PROFILES = """\
 [meta]
@@ -444,6 +445,33 @@ def test_classify_unlabeled_trial(pipeline, tmp_path):
         assert np.array_equal(blind.per_fold, labeled.per_fold), tid
         assert np.array_equal(blind.ensembled, labeled.ensembled), tid
         assert np.array_equal(blind.smoothed, labeled.smoothed), tid
+
+
+def test_classify_short_trial_exits_2(pipeline, tmp_path, capsys):
+    bad = tmp_path / "short.trial"
+    body = (pipeline["test_dir"] / f"{pipeline['split'].test[0]}.trial").read_bytes()[:10]
+    bad.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    rc = cli.main([
+        "classify", "--weights", str(pipeline["models"]),
+        "--input", str(bad), "--out", str(tmp_path / "p"),
+    ])
+    assert rc == 2
+    assert f"{bad}: truncated" in capsys.readouterr().err
+
+
+def test_classify_rejects_bundles_with_different_scalers(pipeline, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline["models"], models)
+    path = models / "fold1.weights"
+    bundle = load_weights(path)
+    bundle.scaler.median = bundle.scaler.median + 5.0
+    save_weights(bundle, path)
+    rc = cli.main([
+        "classify", "--weights", str(models),
+        "--input", str(pipeline["test_dir"]), "--out", str(tmp_path / "p"),
+    ])
+    assert rc == 2
+    assert f"{path}: weight bundles disagree on the feature scaler" in capsys.readouterr().err
 
 
 def test_classify_init_releases_the_bundles(pipeline):

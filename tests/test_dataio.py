@@ -166,6 +166,28 @@ def test_trial_length_field_must_match_payload(tmp_path):
         read_trial(path)
 
 
+def _rechecked(path, body):
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+
+
+def test_trial_short_header_is_a_format_error(tmp_path):
+    path = tmp_path / "a.trial"
+    write_trial(_trial(), path)
+    _rechecked(path, path.read_bytes()[:10])  # magic and fixed fields, no ids
+    with pytest.raises(FormatError, match="a.trial: truncated"):
+        read_trial(path)
+
+
+def test_trial_non_utf8_pair_id_is_a_format_error(tmp_path):
+    path = tmp_path / "a.trial"
+    write_trial(_trial(), path)
+    body = bytearray(path.read_bytes()[:-4])
+    body[12] = 0xFF  # first byte of the pair id, never valid UTF-8
+    _rechecked(path, body)
+    with pytest.raises(FormatError, match="a.trial: the text field at byte 10 is not UTF-8"):
+        read_trial(path)
+
+
 # ------------------------------------------------------------- feature CSV
 
 def test_feature_column_names_layout():

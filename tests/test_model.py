@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -181,14 +183,19 @@ def test_desk_build_draws_frozen_bytes():
     assert h.hexdigest() == DESK_BUILD_SHA256
 
 
-def test_predict_drops_every_layer_cache():
+def test_only_a_training_forward_keeps_caches_until_its_backward():
     model = build(MICRO, seed=0)
     x = np.random.default_rng(1).standard_normal((6, 4))
-    model.forward(x, training=False)  # an inference forward keeps caches for a backward
     layers = [model.bigru1, model.bigru2, model.attention, model.dense1, model.out]
+    probs = model.forward(x, training=True)
     assert all(layer._cache is not None for layer in layers)
-    model.predict(x)
+    model.backward(probs)
     assert all(layer._cache is None for layer in layers)
+    # an inference forward keeps nothing, and lets go of a cache no backward read
+    for infer in (model.predict, lambda x: model.forward(x, training=False)):
+        model.forward(x, training=True)
+        infer(x)
+        assert all(layer._cache is None for layer in layers)
 
 
 class _LogitView:
@@ -205,8 +212,8 @@ class _LogitView:
     def grads(self):
         return self._m.grads
 
-    def forward(self, x):
-        return self._m.forward_logits(x)
+    def forward(self, x, training=False):
+        return self._m.forward_logits(x, training)
 
     def backward(self, proj):
         return self._m.backward(proj)
@@ -423,6 +430,39 @@ def test_weights_truncation_and_magic(tmp_path):
     body[4] = 9
     path.write_bytes(bytes(body) + _z.crc32(bytes(body)).to_bytes(4, "little"))
     with pytest.raises(VersionError):
+        load_weights(path)
+
+
+def _rechecked(path, body):
+    path.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+
+
+def test_weights_short_header_is_a_format_error(tmp_path):
+    _, _, path = _bundle(tmp_path)
+    _rechecked(path, path.read_bytes()[:5])  # magic and version byte, valid CRC
+    with pytest.raises(FormatError, match="m.weights: truncated"):
+        load_weights(path)
+
+
+def test_weights_array_overrunning_the_file_is_a_format_error(tmp_path):
+    _, _, path = _bundle(tmp_path)
+    body = bytearray(path.read_bytes()[:-4])
+    (meta_len,) = struct.unpack_from("<I", body, 5)
+    offset = 9 + meta_len + 4  # the first array record
+    (name_len,) = struct.unpack_from("<H", body, offset)
+    offset += 2 + name_len + 1  # its first dim, after the name and ndim
+    struct.pack_into("<I", body, offset, 10**6)
+    _rechecked(path, body)
+    with pytest.raises(FormatError, match="m.weights: truncated"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("meta", ["[]", '{"arch": {}, "fold_id": "two", "seed": 0}'])
+def test_weights_bad_metadata_is_a_format_error(tmp_path, meta):
+    path = tmp_path / "m.weights"
+    raw = meta.encode()
+    _rechecked(path, b"CSWB\x01" + struct.pack("<I", len(raw)) + raw + struct.pack("<I", 0))
+    with pytest.raises(FormatError, match="m.weights: bad metadata block"):
         load_weights(path)
 
 

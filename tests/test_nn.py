@@ -194,11 +194,11 @@ def test_concat_round_trip():
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(11)
     layer = MultiHeadSelfAttention(6, 2, 3, rng)
-    y = layer.forward(rng.standard_normal((7, 6)))
+    y = layer.forward(rng.standard_normal((7, 6)), training=True)
     assert y.shape == (7, 6)
-    att = layer.attention_weights()
-    assert len(att) == 2  # one matrix per head
-    for a in att:
+    _, kept, _, _ = layer._cache
+    assert len(kept) == 2  # one (q, k, v, A) per head
+    for _, _, _, a in kept:
         assert a.shape[-2:] == (7, 7)
         assert np.allclose(a.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -345,7 +345,7 @@ def test_bigru_is_bit_identical_to_per_direction_scans(in_dim, units, batch):
     hb, dxb, gb = _ref_gru(part("bwd/"), flip(x), flip(dy[..., units:]))
     # batch 1 runs squeezed, as predict and the gradient checks do
     squeeze = (lambda a: a[0]) if batch == 1 else (lambda a: a)
-    y = bi.forward(squeeze(x))
+    y = bi.forward(squeeze(x), training=True)
     dx = bi.backward(squeeze(dy))
     assert np.array_equal(y, squeeze(np.concatenate([hf, hb[:, ::-1]], axis=-1)))
     assert np.array_equal(dx, squeeze(dxf + dxb[:, ::-1]))
