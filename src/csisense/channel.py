@@ -218,6 +218,10 @@ def channel_impulse_element(mp: MultipathSet, frequency: float, delay_bins: np.n
     return taps
 
 
+# packets per block of assemble_h_matrix's ray sum
+_PACKET_BLOCK = 256
+
+
 def assemble_h_matrix(amplitudes: np.ndarray, delays: np.ndarray, config: PropagationConfig) -> np.ndarray:
     """Channel matrices H from ray arrays of shape (..., n_tx, n_rx, rays).
 
@@ -239,11 +243,19 @@ def assemble_h_matrix(amplitudes: np.ndarray, delays: np.ndarray, config: Propag
     if (delays < 0).any():
         raise DomainError(f"path delay {delays.min()} must be non-negative")
     freqs = subcarrier_frequencies(config)
+    lead = amplitudes.shape[:-3]
+    amps = amplitudes.reshape(-1, n_tx, n_rx, amplitudes.shape[-1])
+    taus = delays.reshape(amps.shape)
+    out = np.empty((len(amps), n_tx, n_rx, len(freqs)), dtype=np.complex128)
+    # a fixed block of packets at a time bounds the (..., rays) intermediate;
     # rays stay the innermost axis, so every link sums them in one order
-    h = -2j * np.pi * (delays[..., None, :] * freqs[:, None])
-    np.exp(h, out=h)
-    h *= amplitudes[..., None, :]
-    return h.sum(axis=-1)
+    for start in range(0, len(amps), _PACKET_BLOCK):
+        block = slice(start, start + _PACKET_BLOCK)
+        h = -2j * np.pi * (taus[block, ..., None, :] * freqs[:, None])
+        np.exp(h, out=h)
+        h *= amps[block, ..., None, :]
+        h.sum(axis=-1, out=out[block])
+    return out.reshape(*lead, n_tx, n_rx, len(freqs))
 
 
 def apply_channel(h: np.ndarray, x: np.ndarray, awgn_sigma: float, seed: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 A batch pipeline over files on disk.  Every command is deterministic given its
 inputs and seeds; reruns produce byte-identical artifacts.  Exit status 0
 means every requested artifact was written, 2 flags a configuration or input
-problem, 1 an aborted run (for example training divergence).
+problem, 1 an aborted run (for example training divergence).  ``classify``,
+``evaluate`` and ``report`` name each input file they cannot use, still write
+the artifacts of every other, and exit 2.
 
 Parallel commands take --jobs (default 1), and CSISENSE_VERBOSE=0 silences
 progress chatter on standard error.
@@ -24,7 +26,7 @@ import numpy as np
 from . import dataio
 from .channel import PropagationConfig
 from .dataio import Manifest, ManifestEntry, _atomic_write_text, write_csv
-from .domain import LABELS
+from .domain import LABELS, validate_trial
 from .errors import CsiSenseError, TrainingDiverged
 from .features import (
     FeatureFrame,
@@ -35,7 +37,7 @@ from .features import (
     split_dataset,
     trial_features,
 )
-from .model import load_arch_config, load_train_config, train_kfold
+from .model import inference_rows, load_arch_config, load_train_config, train_kfold
 from .postprocess import (
     PredictionTrace,
     confusion,
@@ -70,6 +72,12 @@ def _verbosity() -> int:
 def _say(message: str) -> None:
     if _verbosity() >= 1:
         print(message, file=sys.stderr)
+
+
+def _failed(verb: str, noun: str, failures: list[tuple[str, str]]) -> CliError:
+    """One error that names every failing input file and why."""
+    lines = [msg if msg.startswith(path) else f"{path}: {msg}" for path, msg in failures]
+    return CliError(f"{verb} {len(failures)} {noun} file(s):\n" + "\n".join(f"  {line}" for line in lines))
 
 
 def _run_jobs(fn, jobs_list, jobs: int, initializer=None, initargs=()):
@@ -181,10 +189,9 @@ def cmd_preprocess(args) -> int:
 
     jobs_list = [(str(base / e.path), args.target_len) for e in manifest.entries]
     results = _run_jobs(_preprocess_job, jobs_list, args.jobs)
-    failures = [r for r in results if r[0] == "error"]
+    failures = [r[1:] for r in results if r[0] == "error"]
     if failures:
-        detail = "\n".join(f"  {path}: {msg}" for _, path, msg in failures)
-        raise CliError(f"could not read {len(failures)} trial file(s):\n{detail}")
+        raise _failed("could not read", "trial", failures)
 
     ids = [r[1] for r in results]
     matrices = {r[1]: r[2] for r in results}
@@ -268,27 +275,44 @@ def _classify_init(bundles: list[ModelWeights]) -> None:
     _CLASSIFY_STATE["models"] = models
 
 
-def _classify_job(job) -> str:
-    in_path, out_path = job
+def _classify_job(chunk) -> list[tuple[str, str]]:
+    """Classify a chunk of (trial path, output path) pairs with one batched
+    predict per fold.  A trial that cannot be read or fails validation is
+    left out and returned as (path, reason); every other gets its CSV."""
     models = _CLASSIFY_STATE["models"]
     scaler = _CLASSIFY_STATE["scaler"]
     seq_len = _CLASSIFY_STATE["seq_len"]
 
-    labeled = dataio.trial_is_labeled(in_path)
-    trial = dataio.read_trial(in_path)
-    trial = normalize_length(trial, seq_len)
-    frame = robust_transform(trial_features(trial), scaler)
-    per_fold = np.stack([m.predict(frame.matrix) for m in models])
-    ensembled = ensemble_mode(per_fold)
-    trace = PredictionTrace(
-        trial_id=Path(in_path).stem,
-        per_fold=per_fold,
-        ensembled=ensembled,
-        smoothed=smooth(ensembled),
-        true_labels=frame.labels if labeled else None,
-    )
-    dataio.write_predictions(trace, out_path)
-    return trace.trial_id
+    failures, ready = [], []
+    for in_path, out_path in chunk:
+        try:
+            labeled = dataio.trial_is_labeled(in_path)
+            trial = dataio.read_trial(in_path)
+            report = validate_trial(trial)
+            if not report.ok:
+                failures.append((in_path, f"invalid trial: {'; '.join(report.violations[:3])}"))
+                continue
+            trial = normalize_length(trial, seq_len)
+            frame = robust_transform(trial_features(trial), scaler)
+        except (CsiSenseError, OSError) as exc:
+            failures.append((in_path, str(exc)))
+            continue
+        ready.append((out_path, frame, labeled))
+    if not ready:
+        return failures
+    batch = np.stack([frame.matrix for _, frame, _ in ready])
+    per_trial = np.stack([m.predict(batch) for m in models], axis=1)  # (trials, folds, T)
+    for (out_path, frame, labeled), per_fold in zip(ready, per_trial):
+        ensembled = ensemble_mode(per_fold)
+        trace = PredictionTrace(
+            trial_id=Path(out_path).stem,
+            per_fold=per_fold,
+            ensembled=ensembled,
+            smoothed=smooth(ensembled),
+            true_labels=frame.labels if labeled else None,
+        )
+        dataio.write_predictions(trace, out_path)
+    return failures
 
 
 def _load_bundles(weight_paths: list[Path]) -> list[ModelWeights]:
@@ -323,27 +347,42 @@ def cmd_classify(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs_list = [(str(p), str(out / f"{p.stem}.csv")) for p in trial_paths]
-    done = _run_jobs(
-        _classify_job, jobs_list, args.jobs,
+    pairs = [(str(p), str(out / f"{p.stem}.csv")) for p in trial_paths]
+    rows = inference_rows(bundles[0].arch)
+    chunks = [pairs[i : i + rows] for i in range(0, len(pairs), rows)]
+    per_chunk = _run_jobs(
+        _classify_job, chunks, args.jobs,
         initializer=_classify_init, initargs=(bundles,),
     )
-    _say(f"wrote {len(done)} prediction files under {out} using {len(weight_paths)} models")
+    failures = [f for found in per_chunk for f in found]
+    _say(f"wrote {len(pairs) - len(failures)} prediction files under {out} using {len(weight_paths)} models")
+    if failures:
+        raise _failed("skipped", "trial", failures)
     return 0
 
 
 # ---------------------------------------------------------------- evaluate
 
-def _load_traces(predictions_dir: str) -> list[PredictionTrace]:
+def _load_traces(predictions_dir: str) -> tuple[list[PredictionTrace], list[tuple[str, str]]]:
+    """Every readable prediction CSV, and (path, reason) for each that is not;
+    raises if none is readable."""
     pdir = Path(predictions_dir)
     files = sorted(pdir.glob("*.csv"))
     if not files:
         raise CliError(f"no prediction files in {pdir}")
-    return [dataio.read_predictions(f) for f in files]
+    traces, failures = [], []
+    for f in files:
+        try:
+            traces.append(dataio.read_predictions(f))
+        except (CsiSenseError, OSError) as exc:
+            failures.append((str(f), str(exc)))
+    if not traces:
+        raise _failed("could not read", "prediction", failures)
+    return traces, failures
 
 
 def cmd_evaluate(args) -> int:
-    traces = _load_traces(args.predictions)
+    traces, failures = _load_traces(args.predictions)
     missing = [t.trial_id for t in traces if t.true_labels is None]
     if missing:
         raise CliError(
@@ -377,16 +416,20 @@ def cmd_evaluate(args) -> int:
             "confusion": report.confusion.tolist(),
             "trials": len(traces),
         }
+        if failures:
+            payload["skipped"] = [path for path, _ in failures]
         print(json.dumps(payload, sort_keys=True))
     else:
         print(metrics_text(report, LABELS), end="")
+    if failures:
+        raise _failed("skipped", "prediction", failures)
     return 0
 
 
 # ------------------------------------------------------------------ report
 
 def cmd_report(args) -> int:
-    traces = _load_traces(args.predictions)
+    traces, failures = _load_traces(args.predictions)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for trace in traces:
@@ -403,6 +446,8 @@ def cmd_report(args) -> int:
             np.column_stack(columns).tolist(),
         )
     _say(f"wrote {len(traces)} timeline plots under {out}")
+    if failures:
+        raise _failed("skipped", "prediction", failures)
     return 0
 
 

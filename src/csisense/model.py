@@ -18,7 +18,10 @@ gradient the view at the same offset into ``store.grads``.
 
 Only a training forward keeps activations, each layer's cache for the
 backward that reads and clears it; an inference forward (``predict``,
-validation) keeps none, so an idle model holds no activations.
+validation) keeps none, so an idle model holds no activations.  An inference
+forward is also batch-invariant: row i of a (B, T, F) forward equals the
+forward of that row alone bit for bit, so validation and ``classify`` run
+their sequences in chunks of :func:`inference_rows` without moving a bit.
 
 Training minimizes per-timestep categorical cross-entropy with Adam, reduces
 the learning rate on validation-accuracy plateaus, and stops early once the
@@ -142,6 +145,21 @@ class TrainConfig:
             raise DomainError("fold count must be at least 2")
         if self.lr <= 0:
             raise DomainError("learning rate must be positive")
+
+
+# float64 activation bytes an inference chunk may hold
+_INFERENCE_BYTES = 12 << 20
+
+
+def inference_rows(arch: ArchConfig) -> int:
+    """Sequences per inference forward: as many as fit ``_INFERENCE_BYTES``,
+    counting per row bigru1's scan buffers (14 state-sized arrays over both
+    directions) and one attention head's (T, T) scores and probabilities.
+    At least 1.  A row's bits do not depend on the count, so it bounds memory
+    and nothing else: 8 rows at desk scale, 1 at full width."""
+    eff = arch.scaled()
+    per_row = 8 * eff.seq_len * (14 * eff.bigru1_units + 2 * eff.seq_len)
+    return max(1, _INFERENCE_BYTES // per_row)
 
 
 def param_count(arch: ArchConfig) -> int:
@@ -269,10 +287,13 @@ def _validate_frames(frames: list[FeatureFrame], eff: ArchConfig, role: str) -> 
 def _evaluate(model: SequenceClassifier, frames: list[FeatureFrame], classes: int) -> dict:
     total_loss = 0.0
     conf = np.zeros((classes, classes), dtype=np.int64)
-    for f in frames:
-        probs = model.forward(f.matrix, training=False)
-        total_loss += cross_entropy(probs, one_hot(f.labels, classes))
-        conf += confusion(f.labels, np.argmax(probs, axis=-1), classes)
+    rows = inference_rows(model.eff)
+    for start in range(0, len(frames), rows):
+        chunk = frames[start : start + rows]
+        batch_probs = model.forward(np.stack([f.matrix for f in chunk]), training=False)
+        for f, probs in zip(chunk, batch_probs):
+            total_loss += cross_entropy(probs, one_hot(f.labels, classes))
+            conf += confusion(f.labels, np.argmax(probs, axis=-1), classes)
     report = metrics(conf)
     return {
         "loss": total_loss / len(frames),

@@ -31,6 +31,13 @@ loop, the reversed one reading time backwards, and each step makes one
 stacked matmul for z and r, one for c, one sigmoid and one tanh.  Each
 product keeps the operand shapes of a separate per-direction, per-gate scan,
 so the results are bit-for-bit those of separate scans.
+
+Inference rule.  A forward with no backward to follow (``training=False``)
+makes the two recurrent products one ``(1, units) @ (units, units)`` product
+per batch row, all rows in one NumPy call.  That is the product a single-row
+scan makes, so row i of a batched inference forward equals the forward of
+row i alone bit for bit, whatever B is.  A training forward keeps one
+``(B, units) @ (units, units)`` product per direction and gate.
 """
 
 from __future__ import annotations
@@ -51,9 +58,16 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def _scan_forward(x, W_in, W_rec, b):
+def _row_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a (..., B, u) @ w (..., u, n) as one (1, u) @ (u, n) product per row."""
+    return (a[..., None, :] @ w[..., None, :, :])[..., 0, :]
+
+
+def _scan_forward(x, W_in, W_rec, b, per_row):
     """Run every direction over x (B, T, in); returns the (B, T, D*units)
-    output and the cache the backward scan needs."""
+    output and the cache the backward scan needs.  ``per_row`` makes each
+    recurrent product row by row, so a row's bits do not depend on B."""
+    matmul = _row_matmul if per_row else np.matmul
     n_dir, _, _, units = W_in.shape
     bsz, t, _ = x.shape
     # input projections for the whole sequence, time-major in scan order
@@ -67,9 +81,9 @@ def _scan_forward(x, W_in, W_rec, b):
     cs = np.empty((t, n_dir, bsz, units))
     for i in range(t):
         h = hs[i]
-        _sigmoid(pre[i, :, :2] + h[:, None] @ w_zr, out=zr[i])
+        _sigmoid(pre[i, :, :2] + matmul(h[:, None], w_zr), out=zr[i])
         z, r = zr[i, :, 0], zr[i, :, 1]
-        np.tanh(pre[i, :, 2] + (h * r) @ w_c, out=cs[i])
+        np.tanh(pre[i, :, 2] + matmul(h * r, w_c), out=cs[i])
         np.multiply(1.0 - z, h, out=hs[i + 1])
         hs[i + 1] += z * cs[i]
     y = np.empty((bsz, t, n_dir * units))
@@ -170,7 +184,7 @@ class _PackedGru:
             x = x[None]
         if x.shape[-1] != self.in_dim:
             raise DomainError(f"gru expects {self.in_dim} input features, got {x.shape[-1]}")
-        y, cache = _scan_forward(x, self.W_in, self.W_rec, self.b)
+        y, cache = _scan_forward(x, self.W_in, self.W_rec, self.b, per_row=not training)
         self._cache = (cache, squeezed) if training else None
         return y[0] if squeezed else y
 

@@ -237,6 +237,20 @@ def test_assemble_h_batched_matches_per_packet_and_taps():
                     assert abs(h[i, t, r, s] - taps) <= 1e-9 * abs(taps)
 
 
+def test_assemble_h_blocks_sum_like_single_packets():
+    # a trial longer than one packet block sums each packet's rays exactly as
+    # a call on that packet alone, leading axes and all
+    cfg = PropagationConfig(dims=(2, 3, 30))
+    rng = np.random.default_rng(9)
+    amps = rng.uniform(0.0, 2.0, (2, 300, 2, 3, 5))
+    delays = rng.uniform(0.0, 3e-8, (2, 300, 2, 3, 5))
+    h = assemble_h_matrix(amps, delays, cfg)
+    assert h.shape == (2, 300, 2, 3, 30)
+    for j in range(2):
+        for i in (0, 255, 256, 299):
+            assert np.array_equal(h[j, i], assemble_h_matrix(amps[j, i], delays[j, i], cfg))
+
+
 def test_apply_channel_identity():
     h = np.ones((1, 1, 1), dtype=np.complex128)
     x = np.array([[3.0 + 4.0j]])

@@ -6,6 +6,7 @@ preprocesses them to 40-packet feature files, trains a 2-fold stack of
 Individual tests assert on the artifacts each stage leaves behind.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -482,7 +483,9 @@ def test_classify_init_releases_the_bundles(pipeline):
     assert cli._CLASSIFY_STATE["seq_len"] == 40
 
 
-def test_classify_parallel_matches_serial(pipeline, tmp_path):
+def test_classify_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
+    # chunks of two trials, so that both workers classify a chunk
+    monkeypatch.setattr(cli, "inference_rows", lambda arch: 2)
     par = tmp_path / "par"
     assert cli.main([
         "classify", "--weights", str(pipeline["models"]),
@@ -490,6 +493,43 @@ def test_classify_parallel_matches_serial(pipeline, tmp_path):
     ]) == 0
     for path in sorted(pipeline["predictions"].glob("*.csv")):
         assert (par / path.name).read_bytes() == path.read_bytes()
+
+
+def test_classify_split_input_matches_one_chunk(pipeline, tmp_path):
+    # the fixture classified its three test trials in one chunk; here one
+    # chunk holds a single trial and another the other two
+    want = {p.name: p.read_bytes() for p in pipeline["predictions"].glob("*.csv")}
+    tids = sorted(pipeline["split"].test)
+    alone, rest, split = tmp_path / "alone", tmp_path / "rest", tmp_path / "split"
+    for d, names in ((alone, tids[:1]), (rest, tids[1:])):
+        d.mkdir()
+        for tid in names:
+            shutil.copy(pipeline["test_dir"] / f"{tid}.trial", d)
+        assert cli.main([
+            "classify", "--weights", str(pipeline["models"]), "--input", str(d), "--out", str(split),
+        ]) == 0
+    assert {p.name: p.read_bytes() for p in split.glob("*.csv")} == want
+
+
+def test_classify_skips_bad_trials_and_writes_the_rest(pipeline, tmp_path, capsys):
+    trials = tmp_path / "trials"
+    shutil.copytree(pipeline["test_dir"], trials)
+    # sorted first: a truncated file, and one whose timestamps run backwards
+    short = trials / "aaa-short.trial"
+    body = (pipeline["test_dir"] / f"{pipeline['split'].test[0]}.trial").read_bytes()[:10]
+    short.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    trial = read_trial(pipeline["test_dir"] / f"{pipeline['split'].test[0]}.trial")
+    backwards = trials / "aab-backwards.trial"
+    write_trial(dataclasses.replace(trial, timestamps=trial.timestamps[::-1].copy()), backwards)
+    out = tmp_path / "p"
+    rc = cli.main(["classify", "--weights", str(pipeline["models"]), "--input", str(trials), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "skipped 2 trial file(s)" in err
+    assert f"{short}: truncated" in err
+    assert f"{backwards}: invalid trial: non-monotone timestamp" in err
+    want = {p.name: p.read_bytes() for p in pipeline["predictions"].glob("*.csv")}
+    assert {p.name: p.read_bytes() for p in out.glob("*.csv")} == want
 
 
 # ---------------------------------------------------------------- evaluate
@@ -556,6 +596,28 @@ def test_non_numeric_prediction_csv_exits_2(pipeline, tmp_path, capsys, command)
         rc = cli.main([command, "--predictions", str(preds), "--out", str(tmp_path / f"out{i}")])
         assert rc == 2
         assert f"{victim}: line 2 is not numeric" in capsys.readouterr().err
+
+
+def test_evaluate_and_report_skip_a_bad_prediction_csv(pipeline, tmp_path, capsys):
+    preds = tmp_path / "preds"
+    shutil.copytree(pipeline["predictions"], preds)
+    victim = sorted(preds.glob("*.csv"))[0]
+    victim.write_text("packet_index,fold_0\n")
+    good = [p.stem for p in sorted(preds.glob("*.csv"))[1:]]
+
+    rc = cli.main(["evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r"), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"skipped 1 prediction file(s):\n  {victim}: " in captured.err
+    payload = json.loads(captured.out)
+    assert payload["trials"] == len(good)
+    assert payload["skipped"] == [str(victim)]
+    assert (tmp_path / "r" / "metrics.csv").exists()
+
+    rc = cli.main(["report", "--predictions", str(preds), "--out", str(tmp_path / "plots")])
+    assert rc == 2
+    assert f"{victim}: " in capsys.readouterr().err
+    assert sorted(p.stem for p in (tmp_path / "plots").glob("*.svg")) == good
 
 
 # ------------------------------------------------------------------ report

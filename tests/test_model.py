@@ -9,18 +9,21 @@ import numpy as np
 import pytest
 
 from csisense.errors import ChecksumError, DomainError, FormatError, TrainingDiverged, VersionError
-from csisense.features import FeatureFrame, RobustScalerParams
+from csisense.features import FeatureFrame, RobustScalerParams, one_hot
 from csisense.model import (
     ArchConfig,
     TrainConfig,
+    _evaluate,
     build,
+    inference_rows,
     load_arch_config,
     load_train_config,
     param_count,
     train_fold,
     train_kfold,
 )
-from csisense.nn import grad_check
+from csisense.nn import cross_entropy, grad_check
+from csisense.postprocess import confusion, metrics
 from csisense.weights import (
     ModelWeights,
     load_weights,
@@ -151,6 +154,36 @@ def test_forward_shapes_and_prob_rows():
     labels = model.predict(x)
     assert labels.shape == (6,)
     assert np.array_equal(labels, np.argmax(p, axis=-1))
+
+
+def test_inference_rows_bound_the_chunk():
+    assert inference_rows(load_arch_config("configs/arch-desk.ini")) == 8
+    assert inference_rows(load_arch_config("configs/arch-full.ini")) == 1
+    assert inference_rows(MICRO) > 100
+
+
+@pytest.mark.parametrize("batch", [2, 3, 5])
+def test_desk_batched_predict_equals_per_trial_predicts(batch):
+    model = build(load_arch_config("configs/arch-desk.ini"), seed=3)
+    x = np.random.default_rng(batch).standard_normal((batch, 156, 366))
+    probs, labels = model.forward(x), model.predict(x)
+    for i in range(batch):
+        assert np.array_equal(probs[i], model.forward(x[i]))
+        assert np.array_equal(labels[i], model.predict(x[i]))
+
+
+def test_batched_evaluate_equals_a_per_frame_loop():
+    arch = load_arch_config("configs/arch-desk.ini")
+    model = build(arch, seed=3)
+    frames = _frames(11, arch, seed=4)  # chunks of 8 and 3
+    loss, conf = 0.0, np.zeros((13, 13), dtype=np.int64)
+    for f in frames:
+        probs = model.forward(f.matrix)
+        loss += cross_entropy(probs, one_hot(f.labels, 13))
+        conf += confusion(f.labels, np.argmax(probs, axis=-1), 13)
+    report = metrics(conf)
+    want = {"loss": loss / 11, "acc": report.accuracy, "precision": report.precision, "recall": report.recall}
+    assert _evaluate(model, frames, 13) == want
 
 
 def test_forward_rejects_wrong_width():

@@ -355,6 +355,23 @@ def test_bigru_is_bit_identical_to_per_direction_scans(in_dim, units, batch):
         assert np.array_equal(grad, want[name]), name
 
 
+@pytest.mark.parametrize("in_dim, units", [(366, 64), (128, 32)], ids=["desk-bigru1", "desk-bigru2"])
+def test_bigru_inference_rows_are_single_row_scans(in_dim, units):
+    # an inference forward makes each recurrent product row by row, so every
+    # row of a batch is, bit for bit, the one-row reference scan of that row
+    rng = np.random.default_rng(61)
+    bi = BiGru(in_dim, units, rng)
+    x = rng.standard_normal((3, 156, in_dim))
+    part = lambda prefix: {k[len(prefix):]: v for k, v in bi.params.items() if k.startswith(prefix)}
+    zeros = np.zeros((1, 156, units))
+    y = bi.forward(x)
+    for i in range(3):
+        row = x[i : i + 1]
+        hf = _ref_gru(part("fwd/"), row, zeros)[0]
+        hb = _ref_gru(part("bwd/"), np.ascontiguousarray(row[:, ::-1]), zeros)[0]
+        assert np.array_equal(y[i], np.concatenate([hf, hb[:, ::-1]], axis=-1)[0])
+
+
 def _packed_slot(layer, name):
     """The packed-array entry that the per-gate name ``fwd/W_in_z`` etc. views."""
     direction, _, tail = name.rpartition("/")
