@@ -189,8 +189,10 @@ def cmd_preprocess(args) -> int:
 
     jobs_list = [(str(base / e.path), args.target_len) for e in manifest.entries]
     results = _run_jobs(_preprocess_job, jobs_list, args.jobs)
+    # the scaler, the split and the outputs come from the trials that read
     failures = [r[1:] for r in results if r[0] == "error"]
-    if failures:
+    results = [r for r in results if r[0] == "ok"]
+    if not results:
         raise _failed("could not read", "trial", failures)
 
     ids = [r[1] for r in results]
@@ -209,6 +211,8 @@ def cmd_preprocess(args) -> int:
     dataio.save_scaler(scaler, out / "scaler.json")
     dataio.save_split(split, out / "splits.json")
     _say(f"wrote {len(ids)} feature files, scaler.json and splits.json under {out}")
+    if failures:
+        raise _failed("could not read", "trial", failures)
     return 0
 
 

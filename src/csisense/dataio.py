@@ -250,15 +250,33 @@ def _parse_feature_row(cells: list[str]) -> tuple[list[float], int]:
 def import_feature_csv(path: str | Path) -> FeatureFrame:
     """Parse a feature CSV back into a frame.
 
+    The body is parsed in bulk: ``np.loadtxt`` reads the feature cells, whose
+    C parser rounds each cell exactly as ``float()`` does, and ``int()`` reads
+    each label cell.  The bulk parse is kept only when it read one row of the
+    header's width per non-blank line; any other file goes through the
+    per-cell line parser, which raises the same format error as ever (zero
+    data rows, a row of the wrong width, a cell that is not a number, a label
+    that is not an integer).
+
     The file does not record whether the scaler ran; pipeline CSVs are always
     scaled, so the frame comes back marked as scaled.
     """
-    _, rows = _read_csv(path, "feature CSV", _parse_feature_row)
-    return FeatureFrame(
-        matrix=np.asarray([values for values, _ in rows], dtype=np.float64),
-        labels=np.asarray([label for _, label in rows], dtype=np.int64),
-        scaler_applied=True,
-    )
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+    width = lines[0].count(",") + 1 if lines else 0
+    cells = [ln.rpartition(",") for ln in lines[1:]]
+    try:
+        # an empty body makes loadtxt warn, not raise, so it never gets there
+        if width < 2 or not cells or any(ln.count(",") != width - 1 for ln in lines[1:]):
+            raise ValueError("not a well-formed feature body")
+        labels = np.asarray([int(label) for _, _, label in cells], dtype=np.int64)
+        matrix = np.loadtxt([row for row, _, _ in cells], delimiter=",", comments=None, ndmin=2)
+        if matrix.shape != (len(cells), width - 1):
+            raise ValueError("loadtxt skipped a line")
+    except ValueError:
+        _, rows = _read_csv(path, "feature CSV", _parse_feature_row)
+        matrix = np.asarray([values for values, _ in rows], dtype=np.float64)
+        labels = np.asarray([label for _, label in rows], dtype=np.int64)
+    return FeatureFrame(matrix=matrix, labels=labels, scaler_applied=True)
 
 
 def write_predictions(trace: PredictionTrace, path: str | Path) -> None:

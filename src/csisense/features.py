@@ -176,8 +176,7 @@ def robust_fit(matrix: np.ndarray) -> RobustScalerParams:
     if not np.all(np.isfinite(matrix)):
         raise DomainError("robust_fit input contains non-finite values")
     median = np.median(matrix, axis=0)
-    q1 = np.percentile(matrix, 25.0, axis=0)
-    q3 = np.percentile(matrix, 75.0, axis=0)
+    q1, q3 = np.percentile(matrix, [25.0, 75.0], axis=0)  # one partition pass for both
     iqr = q3 - q1
     degenerate = iqr == 0.0
     return RobustScalerParams(median=median, iqr=iqr, degenerate=degenerate)

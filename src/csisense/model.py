@@ -18,7 +18,10 @@ gradient the view at the same offset into ``store.grads``.
 
 Only a training forward keeps activations, each layer's cache for the
 backward that reads and clears it; an inference forward (``predict``,
-validation) keeps none, so an idle model holds no activations.  An inference
+validation) keeps none, so an idle model holds no activations.  Inside a
+layer, an inference forward holds only what its current step needs: each
+BiGRU the step it is on (beside the whole-sequence input projections and its
+output), the attention one head's (T, T) probabilities at a time.  An inference
 forward is also batch-invariant: row i of a (B, T, F) forward equals the
 forward of that row alone bit for bit, so validation and ``classify`` run
 their sequences in chunks of :func:`inference_rows` without moving a bit.
@@ -153,10 +156,12 @@ _INFERENCE_BYTES = 12 << 20
 
 def inference_rows(arch: ArchConfig) -> int:
     """Sequences per inference forward: as many as fit ``_INFERENCE_BYTES``,
-    counting per row bigru1's scan buffers (14 state-sized arrays over both
-    directions) and one attention head's (T, T) scores and probabilities.
-    At least 1.  A row's bits do not depend on the count, so it bounds memory
-    and nothing else: 8 rows at desk scale, 1 at full width."""
+    counting per row 14 state-sized arrays of bigru1 (over both directions)
+    and two (T, T) arrays.  That over-counts: an inference forward holds 8 of
+    those state-sized arrays (bigru1's input projections and output) and one
+    (T, T) array at a time.  At least 1.  A row's bits do not depend on the
+    count, so it bounds memory and nothing else: 8 rows at desk scale, 1 at
+    full width."""
     eff = arch.scaled()
     per_row = 8 * eff.seq_len * (14 * eff.bigru1_units + 2 * eff.seq_len)
     return max(1, _INFERENCE_BYTES // per_row)
@@ -244,8 +249,10 @@ class SequenceClassifier:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return softmax(self.forward_logits(x, training))
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
-        """Backpropagate from the pre-softmax logit gradient to the input."""
+    def backward(self, dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate from the pre-softmax logit gradient to the input.
+        ``input_grad=False`` stops at bigru1's parameters and returns None:
+        the same parameter gradients without bigru1's input products."""
         dcat = self.out.backward(dlogits)
         dd, dpre_cat = self.concat.backward(dcat)
         dmixed = self.dense1.backward(self.drop3.backward(dd))
@@ -253,8 +260,8 @@ class SequenceClassifier:
         dpre_att = self.attention.backward(datt)
         dpre = dpre_cat + dpre_skip + dpre_att
         dh = self.bigru2.backward(self.drop2.backward(dpre))
-        dh = self.bigru1.backward(self.drop1.backward(dh))
-        return self.posenc.backward(dh)
+        dh = self.bigru1.backward(self.drop1.backward(dh), input_grad)
+        return self.posenc.backward(dh)  # the identity, so None stays None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Per-timestep argmax labels from an inference forward, which keeps
@@ -344,7 +351,7 @@ def train_fold(
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became non-finite in fold {fold_id}, epoch {epoch}")
             model.store.grads.fill(0.0)
-            model.backward(cross_entropy_logit_grad(probs, y))
+            model.backward(cross_entropy_logit_grad(probs, y), input_grad=False)
             optimizer.step(model.store.values, model.store.grads)
         row = _evaluate(model, val_frames, eff.classes)
         row.update(epoch=epoch, lr=lr)

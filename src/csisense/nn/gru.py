@@ -36,8 +36,12 @@ Inference rule.  A forward with no backward to follow (``training=False``)
 makes the two recurrent products one ``(1, units) @ (units, units)`` product
 per batch row, all rows in one NumPy call.  That is the product a single-row
 scan makes, so row i of a batched inference forward equals the forward of
-row i alone bit for bit, whatever B is.  A training forward keeps one
-``(B, units) @ (units, units)`` product per direction and gate.
+row i alone bit for bit, whatever B is.  It keeps only the step it is on:
+that step's gates and two state slots, each new state written straight into
+the output, so beyond the whole-sequence input projections and the output it
+holds O(B * units), not O(B * T * units).  A training forward keeps one
+``(B, units) @ (units, units)`` product per direction and gate, and every
+step's gates and states for the backward.
 """
 
 from __future__ import annotations
@@ -63,11 +67,12 @@ def _row_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ w[..., None, :, :])[..., 0, :]
 
 
-def _scan_forward(x, W_in, W_rec, b, per_row):
+def _scan_forward(x, W_in, W_rec, b, training):
     """Run every direction over x (B, T, in); returns the (B, T, D*units)
-    output and the cache the backward scan needs.  ``per_row`` makes each
-    recurrent product row by row, so a row's bits do not depend on B."""
-    matmul = _row_matmul if per_row else np.matmul
+    output and the cache the backward scan needs, None unless ``training``.
+    An inference scan makes each recurrent product row by row, so a row's bits
+    do not depend on B, and keeps one step's gates and two state slots."""
+    matmul = np.matmul if training else _row_matmul
     n_dir, _, _, units = W_in.shape
     bsz, t, _ = x.shape
     # input projections for the whole sequence, time-major in scan order
@@ -76,25 +81,36 @@ def _scan_forward(x, W_in, W_rec, b, per_row):
         for k in range(3):
             pre[:, d, k] = np.moveaxis(x @ W_in[d, k] + b[d, k], 1, 0)[_SCAN[d]]
     w_zr, w_c = W_rec[:, :2], W_rec[:, 2]
-    hs = np.zeros((t + 1, n_dir, bsz, units))  # hs[i]: the state entering step i
-    zr = np.empty((t, n_dir, 2, bsz, units))
-    cs = np.empty((t, n_dir, bsz, units))
+    # training keeps every step's gates and hs[i], the state entering step i;
+    # inference keeps one step's gates and two state slots, writing y as it goes
+    kept = t if training else 1
+    hs = np.zeros((kept + 1, n_dir, bsz, units))
+    zr = np.empty((kept, n_dir, 2, bsz, units))
+    cs = np.empty((kept, n_dir, bsz, units))
+    y = None if training else np.empty((bsz, t, n_dir * units))
+    times = [range(t)[s] for s in _SCAN[:n_dir]]  # the time index of each step
     for i in range(t):
-        h = hs[i]
-        _sigmoid(pre[i, :, :2] + matmul(h[:, None], w_zr), out=zr[i])
-        z, r = zr[i, :, 0], zr[i, :, 1]
-        np.tanh(pre[i, :, 2] + matmul(h * r, w_c), out=cs[i])
-        np.multiply(1.0 - z, h, out=hs[i + 1])
-        hs[i + 1] += z * cs[i]
+        g, h, h_next = (i, hs[i], hs[i + 1]) if training else (0, hs[i % 2], hs[1 - i % 2])
+        _sigmoid(pre[i, :, :2] + matmul(h[:, None], w_zr), out=zr[g])
+        z, r = zr[g, :, 0], zr[g, :, 1]
+        np.tanh(pre[i, :, 2] + matmul(h * r, w_c), out=cs[g])
+        np.multiply(1.0 - z, h, out=h_next)
+        h_next += z * cs[g]
+        if not training:
+            for d in range(n_dir):
+                y[:, times[d][i], d * units : (d + 1) * units] = h_next[d]
+    if not training:
+        return y, None
     y = np.empty((bsz, t, n_dir * units))
     for d in range(n_dir):
         y[..., d * units : (d + 1) * units] = np.moveaxis(hs[1:, d][_SCAN[d]], 0, 1)
     return y, (x, hs, zr, cs)
 
 
-def _scan_backward(dy, cache, W_in, W_rec, g_in, g_rec, g_b):
+def _scan_backward(dy, cache, W_in, W_rec, g_in, g_rec, g_b, input_grad=True):
     """Adjoint of :func:`_scan_forward`: accumulates into the packed
-    gradients g_* and returns the input gradient (B, T, in)."""
+    gradients g_* and returns the input gradient (B, T, in), or None
+    without computing it when ``input_grad`` is false."""
     x, hs, zr, cs = cache
     n_dir, _, in_dim, units = W_in.shape
     bsz, t, _ = x.shape
@@ -133,6 +149,8 @@ def _scan_backward(dy, cache, W_in, W_rec, g_in, g_rec, g_b):
             flat = da_d[k].reshape(-1, units)
             g_in[d, k] += xf.T @ flat
             g_b[d, k] += da_d[k].sum(axis=(0, 1))
+        if not input_grad:
+            continue
         dx_d = da_d[0] @ W_in[d, 0].T + da_d[1] @ W_in[d, 1].T + da_d[2] @ W_in[d, 2].T
         dx = dx_d[:, _SCAN[d]] if dx is None else dx + dx_d[:, _SCAN[d]]
     return dx
@@ -184,16 +202,18 @@ class _PackedGru:
             x = x[None]
         if x.shape[-1] != self.in_dim:
             raise DomainError(f"gru expects {self.in_dim} input features, got {x.shape[-1]}")
-        y, cache = _scan_forward(x, self.W_in, self.W_rec, self.b, per_row=not training)
+        y, cache = _scan_forward(x, self.W_in, self.W_rec, self.b, training)
         self._cache = (cache, squeezed) if training else None
         return y[0] if squeezed else y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter gradients; returns the input gradient, or
+        None, computing no part of it, when ``input_grad`` is false."""
         (cache, squeezed), self._cache = self._cache, None
         if squeezed:
             dy = dy[None]
-        dx = _scan_backward(dy, cache, self.W_in, self.W_rec, *self._packed_grads)
-        return dx[0] if squeezed else dx
+        dx = _scan_backward(dy, cache, self.W_in, self.W_rec, *self._packed_grads, input_grad)
+        return dx[0] if squeezed and dx is not None else dx
 
 
 class Gru(_PackedGru):

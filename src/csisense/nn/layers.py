@@ -13,11 +13,13 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Row-wise softmax, max-shifted for stability."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, max-shifted for stability, in one buffer: ``out``,
+    which may be ``x`` itself, or a new array."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -192,9 +194,11 @@ class MultiHeadSelfAttention:
 
     Per head: A = softmax((X Wq)(X Wk)^T / sqrt(key_dim)) row-wise, head
     output A (X Wv); the concatenated heads pass through a final projection
-    back to the model width.  A training forward keeps each head's
-    (q, k, v, A) for the backward, which clears them; an inference forward
-    keeps none of them.
+    back to the model width.  Each head turns its scores into A in place in
+    one (T, T) buffer.  A training forward keeps each head's (q, k, v, A) for
+    the backward, which clears them; an inference forward keeps none of them
+    and frees each head's buffer before the next head allocates its own, so
+    it holds one (T, T) array at a time.
     """
 
     def __init__(self, model_dim: int, heads: int, key_dim: int,
@@ -226,10 +230,13 @@ class MultiHeadSelfAttention:
             q = x @ self.params["Wq"][h]
             k = x @ self.params["Wk"][h]
             v = x @ self.params["Wv"][h]
-            a = softmax((q @ k.swapaxes(-1, -2)) * scale)
+            a = q @ k.swapaxes(-1, -2)
+            a *= scale
+            softmax(a, out=a)
             heads_out.append(a @ v)
             if training:
                 kept.append((q, k, v, a))
+            del a  # unless kept, free this head's scores before the next head's
         concat = np.concatenate(heads_out, axis=-1)
         y = concat @ self.params["Wf"]
         self._cache = (x, kept, concat, squeezed) if training else None

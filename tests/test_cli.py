@@ -273,6 +273,12 @@ def test_preprocess_reports_unreadable_trials(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "could not read 1 trial file(s)" in err
     assert "pair00-pushing-02.trial" in err
+    # every other trial is written, and the split and scaler leave the bad one out
+    good = sorted(p.stem for p in (clone / "trials").glob("*.trial") if p != victim)
+    assert sorted(p.stem for p in (tmp_path / "f").glob("*.csv")) == good
+    split = load_split(tmp_path / "f" / "splits.json")
+    assert sorted(split.train + split.val + split.test) == good
+    assert (tmp_path / "f" / "scaler.json").exists()
 
 
 # ------------------------------------------------------------------- train

@@ -9,6 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
+from csisense import dataio
 from csisense.dataio import (
     Manifest,
     ManifestEntry,
@@ -236,6 +237,19 @@ def test_feature_csv_import_errors(tmp_path):
     path.write_text("a,b,label\n1.0,x,3\n")
     with pytest.raises(FormatError, match="not numeric"):
         import_feature_csv(path)
+    for label in ("3.0", "3.5"):  # a label must be an integer literal
+        path.write_text(f"a,b,label\n1.0,2.0,1\n1.0,2.0,{label}\n")
+        with pytest.raises(FormatError, match="line 3 is not numeric"):
+            import_feature_csv(path)
+    path.write_text("a,b,label\n1.0,2\n3.0,4\n")  # every row narrower than the header
+    with pytest.raises(FormatError, match="line 2 has 2 columns, header has 3"):
+        import_feature_csv(path)
+    path.write_text("a,b,label\n1.0,2.0,3,4\n")
+    with pytest.raises(FormatError, match="line 2 has 4 columns, header has 3"):
+        import_feature_csv(path)
+    path.write_text("a,b,label\n\n\n")
+    with pytest.raises(FormatError, match="zero data rows"):
+        import_feature_csv(path)
 
 
 def _pinned_feature_frame(width):
@@ -262,6 +276,21 @@ def test_feature_csv_bytes_are_frozen(tmp_path, width, digest):
     path = tmp_path / "f.csv"
     export_feature_csv(_pinned_feature_frame(width), path, dims=(2, 3, 30))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("width", [366, 20, 1])
+def test_feature_csv_bulk_parse_equals_per_cell_parse(tmp_path, monkeypatch, width):
+    # the bulk parse rounds every cell as float() does, signed zeros,
+    # subnormals and non-finite values included
+    path = tmp_path / "f.csv"
+    export_feature_csv(_pinned_feature_frame(width), path, dims=(2, 3, 30))
+    _, rows = dataio._read_csv(path, "feature CSV", dataio._parse_feature_row)
+    per_cell = np.asarray([values for values, _ in rows], dtype=np.float64)
+    monkeypatch.setattr(dataio, "_read_csv", None)  # a well-formed file never falls back
+    frame = import_feature_csv(path)
+    assert frame.matrix.shape == per_cell.shape == (5, width)
+    assert frame.matrix.tobytes() == per_cell.tobytes()
+    assert frame.labels.tolist() == [label for _, label in rows] == [0, 12, 255, 3, 7]
 
 
 # ---------------------------------------------------------- prediction CSV

@@ -22,7 +22,7 @@ from csisense.model import (
     train_fold,
     train_kfold,
 )
-from csisense.nn import cross_entropy, grad_check
+from csisense.nn import cross_entropy, cross_entropy_logit_grad, grad_check, softmax
 from csisense.postprocess import confusion, metrics
 from csisense.weights import (
     ModelWeights,
@@ -250,6 +250,23 @@ class _LogitView:
 
     def backward(self, proj):
         return self._m.backward(proj)
+
+
+def test_train_step_without_the_input_gradient_keeps_every_parameter_gradient():
+    # train_fold asks for no input gradient; the parameter gradients of the
+    # step must be those of a full backward, bit for bit
+    arch = load_arch_config("configs/arch-desk.ini")
+    frames = _frames(3, arch.scaled(), 5)
+    x = np.stack([f.matrix for f in frames])
+    y = np.stack([one_hot(f.labels, arch.classes) for f in frames])
+    grads = []
+    for input_grad in (True, False):
+        model = build(arch, seed=3)
+        logits = model.forward_logits(x, training=True)
+        dx = model.backward(cross_entropy_logit_grad(softmax(logits), y), input_grad=input_grad)
+        assert (dx is not None) == input_grad
+        grads.append(model.store.grads.tobytes())
+    assert grads[0] == grads[1]
 
 
 def test_micro_model_grad_check():
