@@ -269,8 +269,9 @@ _CLASSIFY_STATE: dict = {}
 
 def _classify_init(bundles: list[ModelWeights]) -> None:
     """Build the fold models, emptying ``bundles`` as it goes: each model
-    holds float64 copies of its parameters, and the float32 bundles would
-    otherwise stay live through every predict."""
+    holds its own float32 copy of its bundle's parameters (cast to float64
+    one layer at a time as it predicts), and the bundles would otherwise stay
+    live through every predict."""
     _CLASSIFY_STATE["scaler"] = bundles[0].scaler
     _CLASSIFY_STATE["seq_len"] = bundles[0].arch.seq_len
     models = []

@@ -13,14 +13,18 @@ Data path per trial (T timesteps, F features):
       -> dense(classes) -> softmax  => per-timestep class distribution
 
 Every named parameter (``bigru1/fwd/W_in_z``, ``out/W``, ...) is a view into
-one flat float64 ``store.values`` of ``param_count(arch)`` elements, and its
-gradient the view at the same offset into ``store.grads``.
+one flat ``store.values`` of ``param_count(arch)`` elements, and its gradient
+the view at the same offset into ``store.grads``.  The store is float64 for
+a model that trains and float32 for one that ``classify`` loads from a
+bundle.  Either way every layer computes in float64: a float32 store's layer
+casts its parameters once at the top of each forward, so it predicts the
+bits of a float64 store holding the same values.
 
 Only a training forward keeps activations, each layer's cache for the
 backward that reads and clears it; an inference forward (``predict``,
 validation) keeps none, so an idle model holds no activations.  Inside a
 layer, an inference forward holds only what its current step needs: each
-BiGRU the step it is on (beside the whole-sequence input projections and its
+BiGRU the step it is on (beside one block of input projections and its
 output), the attention one head's (T, T) probabilities at a time.  An inference
 forward is also batch-invariant: row i of a (B, T, F) forward equals the
 forward of that row alone bit for bit, so validation and ``classify`` run
@@ -156,12 +160,12 @@ _INFERENCE_BYTES = 12 << 20
 
 def inference_rows(arch: ArchConfig) -> int:
     """Sequences per inference forward: as many as fit ``_INFERENCE_BYTES``,
-    counting per row 14 state-sized arrays of bigru1 (over both directions)
-    and two (T, T) arrays.  That over-counts: an inference forward holds 8 of
-    those state-sized arrays (bigru1's input projections and output) and one
-    (T, T) array at a time.  At least 1.  A row's bits do not depend on the
-    count, so it bounds memory and nothing else: 8 rows at desk scale, 1 at
-    full width."""
+    counting per row 14 state-sized (T, bigru1_units) arrays and two (T, T)
+    arrays.  That over-counts: an inference forward holds two of those
+    state-sized arrays (bigru1's output, both directions) beside one block of
+    input projections, and one (T, T) array at a time.  At least 1.  A row's
+    bits do not depend on the count, so it bounds memory and nothing else:
+    8 rows at desk scale, 1 at full width."""
     eff = arch.scaled()
     per_row = 8 * eff.seq_len * (14 * eff.bigru1_units + 2 * eff.seq_len)
     return max(1, _INFERENCE_BYTES // per_row)
@@ -182,16 +186,19 @@ def param_count(arch: ArchConfig) -> int:
 class SequenceClassifier:
     """The assembled network.  Accepts (T, F) or batched (B, T, F) input."""
 
-    def __init__(self, arch: ArchConfig, seed: int = 0, init_weights: bool = True):
+    def __init__(self, arch: ArchConfig, seed: int = 0, init_weights: bool = True,
+                 dtype=np.float64):
         """``init_weights=False`` leaves every weight at zero and draws
-        nothing, for a model whose parameters are all loaded next."""
+        nothing, for a model whose parameters are all loaded next.  ``dtype``
+        is the store's: float64 to train, or float32 for a model that only
+        runs inference on the weights of a bundle."""
         self.arch = arch
         eff = arch.scaled()
         self.eff = eff
         rng = np.random.default_rng(seed)
         init = rng if init_weights else None
         att_width = 2 * eff.bigru2_units
-        self.store = store = ParamStore(param_count(arch))
+        self.store = store = ParamStore(param_count(arch), dtype)
         self.posenc = AddPositional(eff.seq_len, eff.feature_dim)
         self.bigru1 = BiGru(eff.feature_dim, eff.bigru1_units, init, store)
         self.drop1 = Dropout(eff.dropout1, rng)
@@ -214,7 +221,8 @@ class SequenceClassifier:
         self.grads = {f"{p}/{k}": g for p, layer in self._named.items() for k, g in layer.grads.items()}
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
-        """Copy named arrays of any float dtype into the store; names and shapes must match."""
+        """Copy named arrays into the store, at the store's dtype (exactly, for
+        float32 arrays in a float32 store); names and shapes must match."""
         missing = sorted(set(self.params) - set(values))
         extra = sorted(set(values) - set(self.params))
         if missing or extra:
@@ -238,6 +246,7 @@ class SequenceClassifier:
         h = self.bigru1.forward(h, training)
         h = self.drop1.forward(h, training)
         pre = self.bigru2.forward(h, training)
+        del h  # bigru1's output, which bigru2 has consumed
         pre = self.drop2.forward(pre, training)
         att = self.attention.forward(pre, training)
         mixed = self.skip.forward(pre, att, training)

@@ -32,16 +32,23 @@ stacked matmul for z and r, one for c, one sigmoid and one tanh.  Each
 product keeps the operand shapes of a separate per-direction, per-gate scan,
 so the results are bit-for-bit those of separate scans.
 
+Input blocks.  Every forward projects its input ``x @ W_in + b`` one block
+of scan steps at a time, inside the time loop, never for the whole sequence
+at once.  The block length comes from a fixed byte budget per batch row
+(``_BLOCK_BYTES``) and ``units`` alone, never from B, and a 1-step tail joins
+the block before it, so every block is a gemm of at least two rows and gives
+the bits of one whole-sequence projection.
+
 Inference rule.  A forward with no backward to follow (``training=False``)
 makes the two recurrent products one ``(1, units) @ (units, units)`` product
 per batch row, all rows in one NumPy call.  That is the product a single-row
 scan makes, so row i of a batched inference forward equals the forward of
 row i alone bit for bit, whatever B is.  It keeps only the step it is on:
 that step's gates and two state slots, each new state written straight into
-the output, so beyond the whole-sequence input projections and the output it
-holds O(B * units), not O(B * T * units).  A training forward keeps one
-``(B, units) @ (units, units)`` product per direction and gate, and every
-step's gates and states for the backward.
+the output, so beside one input block, the output and the float64 cast of a
+float32 store's weights it holds O(B * units), not O(B * T * units).  A
+training forward keeps one ``(B, units) @ (units, units)`` product per
+direction and gate, and every step's gates and states for the backward.
 """
 
 from __future__ import annotations
@@ -53,6 +60,10 @@ from .layers import ParamStore, glorot_uniform, orthogonal
 
 # time order of each direction's scan: forward, then reversed
 _SCAN = (slice(None), slice(None, None, -1))
+# float64 bytes per batch row of one block of input projections (both
+# directions, three gates): 85 steps at 1024 units, 1365 at 64.  Each block
+# reads all of W_in again, so a smaller budget trades time for little memory.
+_BLOCK_BYTES = 4 << 20
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -67,19 +78,42 @@ def _row_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ w[..., None, :, :])[..., 0, :]
 
 
+def _blocks(t: int, units: int) -> list[tuple[int, int]]:
+    """The (start, stop) scan steps of each input-projection block: as many
+    steps as fit ``_BLOCK_BYTES`` per row, at least 2, with a 1-step tail
+    joined to the block before it.  A one-row product runs as gemv, which
+    rounds differently from the gemm rows of a longer block; blocks of 2 or
+    more steps give the bits of one whole-sequence projection."""
+    step = max(2, _BLOCK_BYTES // (8 * 2 * 3 * units))
+    stops = list(range(step, t, step))
+    if stops and t - stops[-1] == 1:
+        stops.pop()
+    return list(zip([0, *stops], [*stops, t]))
+
+
+def _project(x, W_in, b, start, stop):
+    """Input projections of scan steps start..stop, (steps, D, 3, B, units):
+    direction 0 reads times start..stop, the reversed one the mirror slice
+    backwards."""
+    n_dir, _, _, units = W_in.shape
+    bsz, t, _ = x.shape
+    pre = np.empty((stop - start, n_dir, 3, bsz, units))
+    for d in range(n_dir):
+        xs = x[:, start:stop] if d == 0 else x[:, t - stop : t - start]
+        for k in range(3):
+            pre[:, d, k] = np.moveaxis(xs @ W_in[d, k] + b[d, k], 1, 0)[_SCAN[d]]
+    return pre
+
+
 def _scan_forward(x, W_in, W_rec, b, training):
     """Run every direction over x (B, T, in); returns the (B, T, D*units)
     output and the cache the backward scan needs, None unless ``training``.
-    An inference scan makes each recurrent product row by row, so a row's bits
+    The input projections are made one block of steps at a time.  An
+    inference scan makes each recurrent product row by row, so a row's bits
     do not depend on B, and keeps one step's gates and two state slots."""
     matmul = np.matmul if training else _row_matmul
     n_dir, _, _, units = W_in.shape
     bsz, t, _ = x.shape
-    # input projections for the whole sequence, time-major in scan order
-    pre = np.empty((t, n_dir, 3, bsz, units))
-    for d in range(n_dir):
-        for k in range(3):
-            pre[:, d, k] = np.moveaxis(x @ W_in[d, k] + b[d, k], 1, 0)[_SCAN[d]]
     w_zr, w_c = W_rec[:, :2], W_rec[:, 2]
     # training keeps every step's gates and hs[i], the state entering step i;
     # inference keeps one step's gates and two state slots, writing y as it goes
@@ -89,16 +123,19 @@ def _scan_forward(x, W_in, W_rec, b, training):
     cs = np.empty((kept, n_dir, bsz, units))
     y = None if training else np.empty((bsz, t, n_dir * units))
     times = [range(t)[s] for s in _SCAN[:n_dir]]  # the time index of each step
-    for i in range(t):
-        g, h, h_next = (i, hs[i], hs[i + 1]) if training else (0, hs[i % 2], hs[1 - i % 2])
-        _sigmoid(pre[i, :, :2] + matmul(h[:, None], w_zr), out=zr[g])
-        z, r = zr[g, :, 0], zr[g, :, 1]
-        np.tanh(pre[i, :, 2] + matmul(h * r, w_c), out=cs[g])
-        np.multiply(1.0 - z, h, out=h_next)
-        h_next += z * cs[g]
-        if not training:
-            for d in range(n_dir):
-                y[:, times[d][i], d * units : (d + 1) * units] = h_next[d]
+    for start, stop in _blocks(t, units):
+        pre = _project(x, W_in, b, start, stop)
+        for i in range(start, stop):
+            g, h, h_next = (i, hs[i], hs[i + 1]) if training else (0, hs[i % 2], hs[1 - i % 2])
+            p = pre[i - start]
+            _sigmoid(p[:, :2] + matmul(h[:, None], w_zr), out=zr[g])
+            z, r = zr[g, :, 0], zr[g, :, 1]
+            np.tanh(p[:, 2] + matmul(h * r, w_c), out=cs[g])
+            np.multiply(1.0 - z, h, out=h_next)
+            h_next += z * cs[g]
+            if not training:
+                for d in range(n_dir):
+                    y[:, times[d][i], d * units : (d + 1) * units] = h_next[d]
     if not training:
         return y, None
     y = np.empty((bsz, t, n_dir * units))
@@ -124,6 +161,10 @@ def _scan_backward(dy, cache, W_in, W_rec, g_in, g_rec, g_b, input_grad=True):
     # left factors of this step's W_rec gradients: h_prev for z and r, h_prev * r for c
     lhs = np.empty((n_dir, 3, bsz, units))
     lhs_t = lhs.swapaxes(-1, -2)
+    # at B=1 each W_rec gradient product is a (units, 1) @ (1, units) outer
+    # product: with one term per element, a broadcast multiply gives its bits,
+    # about twice as fast at 64 units
+    outer = np.empty((n_dir, 3, units, units)) if bsz == 1 else None
     dh_next = np.zeros((n_dir, bsz, units))
     for i in range(t - 1, -1, -1):
         dh = dys[i] + dh_next
@@ -139,7 +180,7 @@ def _scan_backward(dy, cache, W_in, W_rec, g_in, g_rec, g_b, input_grad=True):
         dh_next += back_zr[:, 0] + back_zr[:, 1]
         lhs[:, :2] = h_prev[:, None]
         np.multiply(h_prev, r, out=lhs[:, 2])
-        g_rec += lhs_t @ da[i]
+        g_rec += lhs_t @ da[i] if outer is None else np.multiply(lhs_t, da[i], out=outer)
     dx = None
     for d in range(n_dir):
         # the reversed direction pairs its scan-order gradients with x read backwards
@@ -202,7 +243,8 @@ class _PackedGru:
             x = x[None]
         if x.shape[-1] != self.in_dim:
             raise DomainError(f"gru expects {self.in_dim} input features, got {x.shape[-1]}")
-        y, cache = _scan_forward(x, self.W_in, self.W_rec, self.b, training)
+        W_in, W_rec, b = self.store.at(x.dtype, training, self.W_in, self.W_rec, self.b)
+        y, cache = _scan_forward(x, W_in, W_rec, b, training)
         self._cache = (cache, squeezed) if training else None
         return y[0] if squeezed else y
 
@@ -245,5 +287,6 @@ class BiGru(_PackedGru):
     def _direction(self, d: int) -> Gru:
         half = lambda arrays: tuple(a[d : d + 1] for a in arrays)
         view = Gru.__new__(Gru)
+        view.store = self.store
         view._attach(half((self.W_in, self.W_rec, self.b)), half(self._packed_grads))
         return view

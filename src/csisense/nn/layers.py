@@ -52,18 +52,24 @@ def positional_encoding(seq_len: int, dim: int) -> np.ndarray:
 
 
 class ParamStore:
-    """Flat float64 parameter values and gradients, carved into named views.
+    """Flat parameter values and gradients, carved into named views.
 
     Each parameter is a view into ``values``, and its gradient is the view at
     the same offset into ``grads``, so whole-model work (an Adam step, zeroing
     the gradients, keeping the best weights) is one operation on a flat array.
     Both arrays come from ``np.zeros``: pages that nothing writes, such as the
     gradients of a model that only runs inference, are never touched.
+
+    ``dtype`` is float64 for a model that trains.  An inference-only model
+    may keep its weights at the precision it loaded them in (float32 from a
+    bundle): a layer computes at its input's dtype, casting its parameters
+    once per forward (:meth:`at`), and only a training forward, whose
+    backward and optimizer update the values in place, needs float64.
     """
 
-    def __init__(self, size: int):
-        self.values = np.zeros(size)
-        self.grads = np.zeros(size)
+    def __init__(self, size: int, dtype=np.float64):
+        self.values = np.zeros(size, dtype)
+        self.grads = np.zeros(size, dtype)
         self._used = 0
 
     @classmethod
@@ -81,6 +87,14 @@ class ParamStore:
             values[name] = self.values[start : self._used].reshape(shape)
             grads[name] = self.grads[start : self._used].reshape(shape)
         return values, grads
+
+    def at(self, dtype, training: bool, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``arrays``, views into this store, at the compute ``dtype`` of one
+        forward: the views themselves on a store of that dtype, else one cast
+        each, so no product mixes dtypes (NumPy runs those off BLAS)."""
+        if training and self.values.dtype != np.float64:
+            raise DomainError(f"a training forward needs float64 parameters, not {self.values.dtype}")
+        return tuple(a.astype(dtype, copy=False) for a in arrays)
 
 
 class Dense:
@@ -103,7 +117,8 @@ class Dense:
             raise DomainError(
                 f"dense expects {self.params['W'].shape[0]} input features, got {x.shape[-1]}"
             )
-        z = x @ self.params["W"] + self.params["b"]
+        W, b = self.store.at(x.dtype, training, self.params["W"], self.params["b"])
+        z = x @ W + b
         self._cache = (x, z) if training else None
         return relu(z) if self.activation == "relu" else z
 
@@ -224,12 +239,14 @@ class MultiHeadSelfAttention:
         squeezed = x.ndim == 2
         if squeezed:
             x = x[None]
+        p = self.params
+        Wq, Wk, Wv, Wf = self.store.at(x.dtype, training, p["Wq"], p["Wk"], p["Wv"], p["Wf"])
         scale = 1.0 / np.sqrt(self.key_dim)
         kept, heads_out = [], []
         for h in range(self.heads):
-            q = x @ self.params["Wq"][h]
-            k = x @ self.params["Wk"][h]
-            v = x @ self.params["Wv"][h]
+            q = x @ Wq[h]
+            k = x @ Wk[h]
+            v = x @ Wv[h]
             a = q @ k.swapaxes(-1, -2)
             a *= scale
             softmax(a, out=a)
@@ -238,7 +255,7 @@ class MultiHeadSelfAttention:
                 kept.append((q, k, v, a))
             del a  # unless kept, free this head's scores before the next head's
         concat = np.concatenate(heads_out, axis=-1)
-        y = concat @ self.params["Wf"]
+        y = concat @ Wf
         self._cache = (x, kept, concat, squeezed) if training else None
         return y[0] if squeezed else y
 

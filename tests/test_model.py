@@ -12,6 +12,7 @@ from csisense.errors import ChecksumError, DomainError, FormatError, TrainingDiv
 from csisense.features import FeatureFrame, RobustScalerParams, one_hot
 from csisense.model import (
     ArchConfig,
+    SequenceClassifier,
     TrainConfig,
     _evaluate,
     build,
@@ -432,6 +433,39 @@ def test_loaded_model_predict_writes_no_gradient(tmp_path):
     model = model_from_weights(load_weights(path))
     model.predict(np.random.default_rng(8).standard_normal((6, 4)))
     assert not model.store.grads.any()
+
+
+def test_bundle_model_keeps_float32_weights_and_predicts_float64_bits(tmp_path):
+    arch = load_arch_config("configs/arch-desk.ini")
+    path = tmp_path / "desk.weights"
+    save_weights(weights_from_model(build(arch, seed=3), fold_id=0, seed=3), path)
+    loaded = load_weights(path)
+    m32 = model_from_weights(loaded)
+    m64 = SequenceClassifier(arch, seed=3, init_weights=False)
+    m64.set_params(loaded.arrays)
+    assert m32.store.values.dtype == np.float32 and m64.store.values.dtype == np.float64
+    assert m32.store.values.nbytes * 2 == m64.store.values.nbytes
+    for name, arr in loaded.arrays.items():
+        assert np.array_equal(m32.params[name], arr)
+    x = np.random.default_rng(9).standard_normal((3, 156, 366))
+    probs = m32.forward(x)
+    assert probs.dtype == np.float64
+    assert np.array_equal(probs, m64.forward(x))
+    assert np.array_equal(m32.predict(x[1]), m64.predict(x[1]))
+
+
+def test_training_on_a_float32_store_raises(tmp_path):
+    _, _, path = _bundle(tmp_path)
+    model = model_from_weights(load_weights(path))
+    before = model.store.values.copy()
+    x = np.random.default_rng(10).standard_normal((2, 6, 4))
+    with pytest.raises(DomainError, match="float64"):
+        model.forward(x, training=True)
+    for layer, width in (("attention", 8), ("dense1", 8), ("out", 12)):
+        with pytest.raises(DomainError, match="float64"):
+            getattr(model, layer).forward(np.zeros((2, 6, width)), training=True)
+    assert np.array_equal(model.store.values, before)
+    model.forward(x)  # inference still runs
 
 
 def test_weights_save_load_save_is_byte_identical(tmp_path):

@@ -1,5 +1,7 @@
 """Layer-level oracles and gradient checks for the from-scratch network."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from csisense.nn import (
     early_stopping,
     glorot_uniform,
     grad_check,
+    gru,
     orthogonal,
     positional_encoding,
     reduce_lr_on_plateau,
@@ -332,9 +335,12 @@ def _ref_gru(p, x, dy):
     return hs, dx, g
 
 
-@pytest.mark.parametrize("in_dim, units", [(366, 64), (128, 32)], ids=["desk-bigru1", "desk-bigru2"])
+@pytest.mark.parametrize("in_dim, units", [(366, 64), (128, 32), (5, 33)],
+                         ids=["desk-bigru1", "desk-bigru2", "odd-width"])
 @pytest.mark.parametrize("batch", [1, 4])
 def test_bigru_is_bit_identical_to_per_direction_scans(in_dim, units, batch):
+    # at batch 1 the reference forms each W_rec gradient term as a
+    # (units, 1) @ (1, units) matmul, the scan as a broadcast multiply
     rng = np.random.default_rng(59)
     bi = BiGru(in_dim, units, rng)
     x = rng.standard_normal((batch, 156, in_dim))
@@ -370,6 +376,66 @@ def test_bigru_inference_rows_are_single_row_scans(in_dim, units):
         hf = _ref_gru(part("fwd/"), row, zeros)[0]
         hb = _ref_gru(part("bwd/"), np.ascontiguousarray(row[:, ::-1]), zeros)[0]
         assert np.array_equal(y[i], np.concatenate([hf, hb[:, ::-1]], axis=-1)[0])
+
+
+_BLOCK = 5  # input-projection block length the block tests force
+
+
+def _force_block(monkeypatch, units, steps):
+    """Set the byte budget so that a block is ``steps`` scan steps long."""
+    monkeypatch.setattr(gru, "_BLOCK_BYTES", steps * 8 * 2 * 3 * units)
+
+
+def test_projection_blocks_cover_the_sequence(monkeypatch):
+    # one block covers a desk sequence; full width makes blocks of 85 steps
+    assert gru._blocks(156, 64) == [(0, 156)]
+    assert gru._blocks(1560, 1024) == [(i, min(i + 85, 1560)) for i in range(0, 1560, 85)]
+    _force_block(monkeypatch, 1, _BLOCK)
+    for t in range(1, 4 * _BLOCK):
+        blocks = gru._blocks(t, 1)
+        assert blocks[0][0] == 0 and blocks[-1][1] == t
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(stop - start >= 2 for start, stop in blocks) or t == 1
+    # a 1-step tail joins the block before it
+    assert gru._blocks(6, 1) == [(0, 6)]
+    assert gru._blocks(7, 1) == [(0, 5), (5, 7)]
+    assert gru._blocks(11, 1) == [(0, 5), (5, 11)]
+
+
+@pytest.mark.parametrize("t", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
+def test_blocked_projection_equals_whole_sequence(monkeypatch, t, batch, training):
+    rng = np.random.default_rng(73)
+    units = 16
+    bi = BiGru(24, units, rng)
+    x = rng.standard_normal((batch, t, 24))
+    whole = bi.forward(x, training)
+    whole_cache = bi._cache
+    _force_block(monkeypatch, units, _BLOCK)
+    blocked = bi.forward(x, training)
+    assert np.array_equal(blocked, whole)
+    if training:
+        (cache, _), (want, _) = bi._cache, whole_cache
+        for got_part, want_part in zip(cache, want):
+            assert np.array_equal(got_part, want_part)
+    else:
+        assert bi._cache is None and whole_cache is None
+
+
+def test_long_inference_bigru_peaks_below_the_whole_sequence_projection():
+    units, t = 256, 2000
+    bi = BiGru(16, units, np.random.default_rng(79))
+    x = np.random.default_rng(80).standard_normal((1, t, 16))
+    projection = t * 2 * 3 * units * 8  # float64 bytes of every step's projections
+    tracemalloc.start()
+    try:
+        y = bi.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output (a third of the projection) plus one 4 MiB block
+    assert y.nbytes < peak < projection
 
 
 def _packed_slot(layer, name):
