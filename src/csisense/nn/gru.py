@@ -161,10 +161,6 @@ def _scan_backward(dy, cache, W_in, W_rec, g_in, g_rec, g_b, input_grad=True):
     # left factors of this step's W_rec gradients: h_prev for z and r, h_prev * r for c
     lhs = np.empty((n_dir, 3, bsz, units))
     lhs_t = lhs.swapaxes(-1, -2)
-    # at B=1 each W_rec gradient product is a (units, 1) @ (1, units) outer
-    # product: with one term per element, a broadcast multiply gives its bits,
-    # about twice as fast at 64 units
-    outer = np.empty((n_dir, 3, units, units)) if bsz == 1 else None
     dh_next = np.zeros((n_dir, bsz, units))
     for i in range(t - 1, -1, -1):
         dh = dys[i] + dh_next
@@ -180,7 +176,7 @@ def _scan_backward(dy, cache, W_in, W_rec, g_in, g_rec, g_b, input_grad=True):
         dh_next += back_zr[:, 0] + back_zr[:, 1]
         lhs[:, :2] = h_prev[:, None]
         np.multiply(h_prev, r, out=lhs[:, 2])
-        g_rec += lhs_t @ da[i] if outer is None else np.multiply(lhs_t, da[i], out=outer)
+        g_rec += lhs_t @ da[i]
     dx = None
     for d in range(n_dir):
         # the reversed direction pairs its scan-order gradients with x read backwards
@@ -243,7 +239,7 @@ class _PackedGru:
             x = x[None]
         if x.shape[-1] != self.in_dim:
             raise DomainError(f"gru expects {self.in_dim} input features, got {x.shape[-1]}")
-        W_in, W_rec, b = self.store.at(x.dtype, training, self.W_in, self.W_rec, self.b)
+        W_in, W_rec, b = self.store.at(training, self.W_in, self.W_rec, self.b)
         y, cache = _scan_forward(x, W_in, W_rec, b, training)
         self._cache = (cache, squeezed) if training else None
         return y[0] if squeezed else y

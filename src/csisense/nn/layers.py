@@ -62,9 +62,9 @@ class ParamStore:
 
     ``dtype`` is float64 for a model that trains.  An inference-only model
     may keep its weights at the precision it loaded them in (float32 from a
-    bundle): a layer computes at its input's dtype, casting its parameters
-    once per forward (:meth:`at`), and only a training forward, whose
-    backward and optimizer update the values in place, needs float64.
+    bundle): every layer computes in float64, casting its parameters once
+    per forward (:meth:`at`), and only a training forward, whose backward and
+    optimizer update the values in place, needs a float64 store.
     """
 
     def __init__(self, size: int, dtype=np.float64):
@@ -88,13 +88,13 @@ class ParamStore:
             grads[name] = self.grads[start : self._used].reshape(shape)
         return values, grads
 
-    def at(self, dtype, training: bool, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``arrays``, views into this store, at the compute ``dtype`` of one
-        forward: the views themselves on a store of that dtype, else one cast
-        each, so no product mixes dtypes (NumPy runs those off BLAS)."""
+    def at(self, training: bool, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``arrays``, views into this store, in float64 for one forward: the
+        views themselves on a float64 store, else one cast each, so no product
+        mixes dtypes (NumPy runs those off BLAS)."""
         if training and self.values.dtype != np.float64:
             raise DomainError(f"a training forward needs float64 parameters, not {self.values.dtype}")
-        return tuple(a.astype(dtype, copy=False) for a in arrays)
+        return tuple(a.astype(np.float64, copy=False) for a in arrays)
 
 
 class Dense:
@@ -117,7 +117,7 @@ class Dense:
             raise DomainError(
                 f"dense expects {self.params['W'].shape[0]} input features, got {x.shape[-1]}"
             )
-        W, b = self.store.at(x.dtype, training, self.params["W"], self.params["b"])
+        W, b = self.store.at(training, self.params["W"], self.params["b"])
         z = x @ W + b
         self._cache = (x, z) if training else None
         return relu(z) if self.activation == "relu" else z
@@ -240,7 +240,7 @@ class MultiHeadSelfAttention:
         if squeezed:
             x = x[None]
         p = self.params
-        Wq, Wk, Wv, Wf = self.store.at(x.dtype, training, p["Wq"], p["Wk"], p["Wv"], p["Wf"])
+        Wq, Wk, Wv, Wf = self.store.at(training, p["Wq"], p["Wk"], p["Wv"], p["Wf"])
         scale = 1.0 / np.sqrt(self.key_dim)
         kept, heads_out = [], []
         for h in range(self.heads):
