@@ -3,9 +3,12 @@
 A batch pipeline over files on disk.  Every command is deterministic given its
 inputs and seeds; reruns produce byte-identical artifacts.  Exit status 0
 means every requested artifact was written, 2 flags a configuration or input
-problem, 1 an aborted run (for example training divergence).  ``classify``,
-``evaluate`` and ``report`` name each input file they cannot use, still write
-the artifacts of every other, and exit 2.
+problem, 1 an aborted run (for example training divergence).  ``preprocess``,
+``classify``, ``evaluate`` and ``report`` name each input file they cannot
+use, still write the artifacts of every other, and exit 2; ``train`` names
+every missing or unreadable feature CSV and stops.  ``preprocess`` and
+``classify`` accept the same trials (:func:`_read_frame`); ``preprocess``
+also needs them labeled and of the manifest's feature width.
 
 Parallel commands take --jobs (default 1), and CSISENSE_VERBOSE=0 silences
 progress chatter on standard error.
@@ -19,6 +22,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +31,8 @@ from . import dataio
 from .channel import PropagationConfig
 from .dataio import Manifest, ManifestEntry, _atomic_write_text, write_csv
 from .domain import LABELS, validate_trial
-from .errors import CsiSenseError, TrainingDiverged
+from .errors import CsiSenseError, DomainError, TrainingDiverged
 from .features import (
-    FeatureFrame,
     kfold_assign,
     normalize_length,
     robust_fit,
@@ -93,6 +96,35 @@ def _run_jobs(fn, jobs_list, jobs: int, initializer=None, initargs=()):
         return list(pool.map(fn, jobs_list))
 
 
+def _guarded(reader, path):
+    try:
+        return str(path), True, reader(path)
+    except (CsiSenseError, OSError) as exc:
+        return str(path), False, str(exc)
+
+
+def _per_file(reader, paths, jobs: int = 1):
+    """``reader(path)`` for every path, mapped through :func:`_run_jobs`:
+    ``(path, value)`` for each file it read and ``(path, reason)`` for each
+    it could not, both in input order."""
+    outcomes = _run_jobs(partial(_guarded, reader), paths, jobs)
+    read = [(path, value) for path, ok, value in outcomes if ok]
+    failures = [(path, reason) for path, ok, reason in outcomes if not ok]
+    return read, failures
+
+
+def _read_frame(path: str, seq_len: int):
+    """A trial file as ``preprocess`` and ``classify`` both take it: read,
+    checked by ``validate_trial``, normalized to ``seq_len`` packets and
+    featurized unscaled.  Returns its trial id, labeled flag and frame."""
+    trial = dataio.read_trial(path)
+    report = validate_trial(trial)
+    if not report.ok:
+        raise DomainError(f"invalid trial: {'; '.join(report.violations[:3])}")
+    trial = normalize_length(trial, seq_len)
+    return trial.trial_id, trial.labeled, trial_features(trial)
+
+
 # ---------------------------------------------------------------- simulate
 
 def _simulate_job(job) -> dict:
@@ -110,7 +142,7 @@ def _simulate_job(job) -> dict:
         geometry=geometry,
         envelope_scale=scale,
     )
-    dataio.write_trial(trial, out_path, labeled=True)
+    dataio.write_trial(trial, out_path)
     return {
         "trial_id": trial_id,
         "pair_id": pair_id,
@@ -166,17 +198,6 @@ def _trial_class(labels: np.ndarray) -> int:
     return int(np.bincount(active).argmax()) if active.size else 0
 
 
-def _preprocess_job(job):
-    path, target_len = job
-    try:
-        trial = dataio.read_trial(path)
-        trial = normalize_length(trial, target_len)
-        frame = trial_features(trial)
-    except (CsiSenseError, OSError) as exc:
-        return ("error", path, str(exc))
-    return ("ok", trial.trial_id, frame.matrix, frame.labels, _trial_class(frame.labels))
-
-
 def cmd_preprocess(args) -> int:
     if args.target_len < 1:
         raise CliError("--target-len must be at least 1")
@@ -187,27 +208,31 @@ def cmd_preprocess(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs_list = [(str(base / e.path), args.target_len) for e in manifest.entries]
-    results = _run_jobs(_preprocess_job, jobs_list, args.jobs)
-    # the scaler, the split and the outputs come from the trials that read
-    failures = [r[1:] for r in results if r[0] == "error"]
-    results = [r for r in results if r[0] == "ok"]
-    if not results:
+    paths = [str(base / e.path) for e in manifest.entries]
+    read, failures = _per_file(partial(_read_frame, seq_len=args.target_len), paths, args.jobs)
+    # the scaler, the split and the outputs come from the labeled trials that
+    # read and have the manifest's feature width
+    width = len(dataio.feature_column_names(manifest.dims))
+    frames = []
+    for path, (tid, labeled, frame) in read:
+        if not labeled:
+            failures.append((path, "unlabeled trial; preprocess needs labels"))
+        elif frame.matrix.shape[1] != width:
+            found = frame.matrix.shape[1]
+            failures.append((path, f"{found} feature columns, not the {width} of dims {manifest.dims}"))
+        else:
+            frames.append((tid, frame))
+    if not frames:
         raise _failed("could not read", "trial", failures)
 
-    ids = [r[1] for r in results]
-    matrices = {r[1]: r[2] for r in results}
-    labels = {r[1]: r[3] for r in results}
-    class_names = [LABELS[r[4]] for r in results]
-
+    ids = [tid for tid, _ in frames]
+    class_names = [LABELS[_trial_class(frame.labels)] for _, frame in frames]
     split = split_dataset(ids, seed=manifest.seed, classes=class_names)
     pool = set(split.train) | set(split.val)
-    scaler = robust_fit(np.vstack([matrices[tid] for tid in ids if tid in pool]))
+    scaler = robust_fit(np.vstack([frame.matrix for tid, frame in frames if tid in pool]))
 
-    for tid in ids:
-        frame = robust_transform(FeatureFrame(matrix=matrices[tid], labels=labels[tid]), scaler)
-        dataio.export_feature_csv(frame, out / f"{tid}.csv", dims=manifest.dims)
-        matrices[tid] = None  # free as we go; full-scale matrices are large
+    for tid, frame in frames:
+        dataio.export_feature_csv(robust_transform(frame, scaler), out / f"{tid}.csv", dims=manifest.dims)
     dataio.save_scaler(scaler, out / "scaler.json")
     dataio.save_split(split, out / "splits.json")
     _say(f"wrote {len(ids)} feature files, scaler.json and splits.json under {out}")
@@ -229,12 +254,10 @@ def cmd_train(args) -> int:
     split = dataio.load_split(fdir / "splits.json")
 
     pool_ids = sorted(split.train + split.val)
-    frames = {}
-    for tid in pool_ids:
-        path = fdir / f"{tid}.csv"
-        if not path.exists():
-            raise CliError(f"feature file missing for trial {tid}: {path}")
-        frames[tid] = dataio.import_feature_csv(path)
+    read, failures = _per_file(dataio.import_feature_csv, [fdir / f"{tid}.csv" for tid in pool_ids])
+    if failures:
+        raise _failed("could not read", "feature", failures)
+    frames = {tid: frame for tid, (_, frame) in zip(pool_ids, read)}
     class_names = [LABELS[_trial_class(frames[tid].labels)] for tid in pool_ids]
     folds = kfold_assign(pool_ids, cfg.folds, split.seed, classes=class_names)
 
@@ -280,34 +303,24 @@ def _classify_init(bundles: list[ModelWeights]) -> None:
     _CLASSIFY_STATE["models"] = models
 
 
+def _classify_read(path: str):
+    """A trial file's scaled features and labeled flag."""
+    _, labeled, frame = _read_frame(path, _CLASSIFY_STATE["seq_len"])
+    return robust_transform(frame, _CLASSIFY_STATE["scaler"]), labeled
+
+
 def _classify_job(chunk) -> list[tuple[str, str]]:
     """Classify a chunk of (trial path, output path) pairs with one batched
     predict per fold.  A trial that cannot be read or fails validation is
     left out and returned as (path, reason); every other gets its CSV."""
-    models = _CLASSIFY_STATE["models"]
-    scaler = _CLASSIFY_STATE["scaler"]
-    seq_len = _CLASSIFY_STATE["seq_len"]
-
-    failures, ready = [], []
-    for in_path, out_path in chunk:
-        try:
-            labeled = dataio.trial_is_labeled(in_path)
-            trial = dataio.read_trial(in_path)
-            report = validate_trial(trial)
-            if not report.ok:
-                failures.append((in_path, f"invalid trial: {'; '.join(report.violations[:3])}"))
-                continue
-            trial = normalize_length(trial, seq_len)
-            frame = robust_transform(trial_features(trial), scaler)
-        except (CsiSenseError, OSError) as exc:
-            failures.append((in_path, str(exc)))
-            continue
-        ready.append((out_path, frame, labeled))
+    out_paths = dict(chunk)
+    ready, failures = _per_file(_classify_read, list(out_paths))
     if not ready:
         return failures
-    batch = np.stack([frame.matrix for _, frame, _ in ready])
-    per_trial = np.stack([m.predict(batch) for m in models], axis=1)  # (trials, folds, T)
-    for (out_path, frame, labeled), per_fold in zip(ready, per_trial):
+    batch = np.stack([frame.matrix for _, (frame, _) in ready])
+    per_trial = np.stack([m.predict(batch) for m in _CLASSIFY_STATE["models"]], axis=1)  # (trials, folds, T)
+    for (in_path, (frame, labeled)), per_fold in zip(ready, per_trial):
+        out_path = out_paths[in_path]
         ensembled = ensemble_mode(per_fold)
         trace = PredictionTrace(
             trial_id=Path(out_path).stem,
@@ -375,15 +388,10 @@ def _load_traces(predictions_dir: str) -> tuple[list[PredictionTrace], list[tupl
     files = sorted(pdir.glob("*.csv"))
     if not files:
         raise CliError(f"no prediction files in {pdir}")
-    traces, failures = [], []
-    for f in files:
-        try:
-            traces.append(dataio.read_predictions(f))
-        except (CsiSenseError, OSError) as exc:
-            failures.append((str(f), str(exc)))
-    if not traces:
+    read, failures = _per_file(dataio.read_predictions, files)
+    if not read:
         raise _failed("could not read", "prediction", failures)
-    return traces, failures
+    return [trace for _, trace in read], failures
 
 
 def cmd_evaluate(args) -> int:

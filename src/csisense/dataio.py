@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Trial
+from .domain import NUM_CLASSES, Trial
 from .errors import ChecksumError, DomainError, FormatError, VersionError
 from .features import FeatureFrame, RobustScalerParams, SplitSpec
 from .postprocess import PredictionTrace
@@ -108,13 +108,13 @@ def record_stride(dims: tuple[int, int, int]) -> int:
     return _record_dtype(dims).itemsize
 
 
-def write_trial(trial: Trial, path: str | Path, labeled: bool = True) -> None:
-    """Serialize a trial.  ``labeled=False`` marks the stored labels invalid
-    (they are written as zero) for inference-only inputs."""
+def write_trial(trial: Trial, path: str | Path) -> None:
+    """Serialize a trial.  An unlabeled trial (``trial.labeled`` false) is
+    flagged so, and its labels are written as zero."""
     dims = trial.dims
     pair_raw = trial.pair_id.encode("utf-8")
     trial_raw = trial.trial_id.encode("utf-8")
-    flags = _FLAG_LABELED if labeled else 0
+    flags = _FLAG_LABELED if trial.labeled else 0
     head = bytearray()
     head += TRIAL_MAGIC
     head += struct.pack("<BBBBH", TRIAL_VERSION, flags, dims[0], dims[1], dims[2])
@@ -130,8 +130,8 @@ def write_trial(trial: Trial, path: str | Path, labeled: bool = True) -> None:
     records["rssi"] = trial.rssi
     # complex128 viewed as float64 interleaves real and imaginary parts
     records["csi"] = np.ascontiguousarray(trial.csi, dtype=np.complex128).reshape(n, -1).view(np.float64)
-    records["label"] = trial.labels if labeled else 0
-    if labeled and not np.array_equal(records["label"], trial.labels):
+    records["label"] = trial.labels if trial.labeled else 0
+    if trial.labeled and not np.array_equal(records["label"], trial.labels):
         raise DomainError(f"trial {trial.trial_id}: labels must lie in 0..255 to fit the record")
 
     write_checked(path, head, records.tobytes())
@@ -178,7 +178,7 @@ def read_checked(path: str | Path, magic: bytes, what: str) -> _Cursor:
 
 
 def read_trial(path: str | Path) -> Trial:
-    """Parse and checksum-verify a trial file."""
+    """Parse and checksum-verify a trial file; ``labeled`` is its flags bit."""
     cur = read_checked(path, TRIAL_MAGIC, "trial file")
     version, flags, *dims = cur.unpack("<BBBBH")
     if version != TRIAL_VERSION:
@@ -199,16 +199,8 @@ def read_trial(path: str | Path) -> Trial:
         labels=records["label"].astype(np.int64),
         pair_id=pair_id,
         trial_id=trial_id,
+        labeled=bool(flags & _FLAG_LABELED),
     )
-
-
-def trial_is_labeled(path: str | Path) -> bool:
-    """Header-only query: does the file declare valid per-packet labels?"""
-    with open(path, "rb") as fh:
-        head = fh.read(10)
-    if head[:4] != TRIAL_MAGIC or len(head) < 6:
-        raise FormatError(f"{path}: not a trial file (bad magic)")
-    return bool(head[5] & _FLAG_LABELED)
 
 
 def _csi_column_names(dims: tuple[int, int, int], kind: str) -> list[str]:
@@ -243,6 +235,13 @@ def export_feature_csv(frame: FeatureFrame, path: str | Path, dims: tuple[int, i
     write_csv(path, names + ["label"], ",".join(["%.9g"] * f + ["%d"]), rows)
 
 
+def _check_class_codes(path: str | Path, codes: np.ndarray, column: str) -> None:
+    """A format error naming the file if ``codes`` holds anything but a class code."""
+    bad = (codes < 0) | (codes >= NUM_CLASSES)
+    if bad.any():
+        raise FormatError(f"{path}: {column} holds {codes[bad][0]}, not a class code 0..{NUM_CLASSES - 1}")
+
+
 def _parse_feature_row(cells: list[str]) -> tuple[list[float], int]:
     return [float(v) for v in cells[:-1]], int(cells[-1])
 
@@ -256,7 +255,8 @@ def import_feature_csv(path: str | Path) -> FeatureFrame:
     header's width per non-blank line; any other file goes through the
     per-cell line parser, which raises the same format error as ever (zero
     data rows, a row of the wrong width, a cell that is not a number, a label
-    that is not an integer).
+    that is not an integer).  A label outside the class codes is a format
+    error too.
 
     The file does not record whether the scaler ran; pipeline CSVs are always
     scaled, so the frame comes back marked as scaled.
@@ -276,6 +276,7 @@ def import_feature_csv(path: str | Path) -> FeatureFrame:
         _, rows = _read_csv(path, "feature CSV", _parse_feature_row)
         matrix = np.asarray([values for values, _ in rows], dtype=np.float64)
         labels = np.asarray([label for _, label in rows], dtype=np.int64)
+    _check_class_codes(path, labels, "the label column")
     return FeatureFrame(matrix=matrix, labels=labels, scaler_applied=True)
 
 
@@ -312,7 +313,8 @@ def _parse_prediction_row(cells: list[str]) -> list[int | None]:
 
 
 def read_predictions(path: str | Path) -> PredictionTrace:
-    """Inverse of :func:`write_predictions`; trial id comes from the filename."""
+    """Inverse of :func:`write_predictions`; trial id comes from the filename.
+    Every column but ``packet_index`` must hold class codes."""
     header, rows = _read_csv(path, "prediction CSV", _parse_prediction_row, _prediction_header_ok)
     folds = len(header) - 4
     true_cells = [row.pop() for row in rows]
@@ -323,6 +325,9 @@ def read_predictions(path: str | Path) -> PredictionTrace:
     else:
         true_labels = np.asarray(true_cells, dtype=np.int64)
     columns = np.ascontiguousarray(np.asarray(rows, dtype=np.int64).T)
+    for name, codes in zip(header[1:], [*columns[1:], true_labels]):
+        if codes is not None:
+            _check_class_codes(path, codes, f"column {name}")
     return PredictionTrace(
         trial_id=Path(path).stem,
         per_fold=columns[1 : 1 + folds],

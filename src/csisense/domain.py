@@ -65,6 +65,8 @@ class Trial:
     rssi        (N, n_rx) per-receive-antenna signal strength, dB
     csi         (N, n_tx, n_rx, n_subcarriers) complex channel matrices
     labels      (N,) interaction class codes, 0..12
+    labeled     whether ``labels`` are ground truth; an unlabeled trial's
+                labels mean nothing, and its file stores them as zero
 
     Arrays are treated as immutable after construction.
     """
@@ -77,6 +79,7 @@ class Trial:
     labels: np.ndarray
     pair_id: str
     trial_id: str
+    labeled: bool = True
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -117,4 +120,9 @@ def validate_trial(trial: Trial) -> ValidationReport:
         violations.append(f"label {labels[i]} out of range at index {i}")
     for i in np.flatnonzero(np.diff(trial.timestamps) < 0) + 1:
         violations.append(f"non-monotone timestamp at index {i}")
+    for name in ("timestamps", "noise", "agc", "rssi", "csi"):
+        values = np.asarray(getattr(trial, name))
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))))
+        if bad.size:
+            violations.append(f"{name} is not finite at index {bad[0]}")
     return ValidationReport(ok=not violations, violations=violations)

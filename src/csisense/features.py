@@ -14,7 +14,7 @@ fitted on training rows only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,8 +97,9 @@ def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
     normalize identically.  Padding replicates the first packet, with
     timestamps extrapolated backwards at the trial's median inter-arrival and
     the steady-state label; clipping drops the leading packets.  Timestamps
-    are re-based to start at 0 whenever the packet list changes; a trial
-    already at the target length is returned unchanged.
+    are re-based to start at 0 whenever the packet list changes; the ids and
+    the ``labeled`` flag carry over.  A trial already at the target length is
+    returned unchanged.
     """
     if target_len < 1:
         raise DomainError(f"target_len must be at least 1, got {target_len}")
@@ -118,15 +119,14 @@ def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
         labels[:pad] = STEADY_STATE
     if times[0] != 0.0:
         times = times - times[0]
-    return Trial(
+    return replace(
+        trial,
         timestamps=times,
         noise=trial.noise[index],
         agc=trial.agc[index],
         rssi=trial.rssi[index],
         csi=trial.csi[index],
         labels=labels,
-        pair_id=trial.pair_id,
-        trial_id=trial.trial_id,
     )
 
 

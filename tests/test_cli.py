@@ -253,17 +253,38 @@ def test_preprocess_bad_manifest_exits_2(pipeline, tmp_path, capsys, damage):
     assert f"{path}: bad manifest file" in capsys.readouterr().err
 
 
-def test_preprocess_reports_unreadable_trials(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("damage, reason", [
+    ("corrupt-byte", "checksum mismatch"),
+    ("label-13", "invalid trial: label 13 out of range at index 47"),
+    ("backwards", "invalid trial: non-monotone timestamp"),
+    ("non-finite", "invalid trial: noise is not finite at index 46"),
+    ("unlabeled", "unlabeled trial; preprocess needs labels"),
+    ("one-tx", "186 feature columns, not the 366 of dims (2, 3, 30)"),
+], ids=["corrupt-byte", "label-13", "backwards", "non-finite", "unlabeled", "one-tx"])
+def test_preprocess_reports_unreadable_trials(pipeline, tmp_path, capsys, damage, reason):
+    # preprocess takes the trials classify takes, and only labeled ones
     clone = tmp_path / "dataset"
-    (clone / "trials").mkdir(parents=True)
-    src = pipeline["dataset"]
-    (clone / "manifest.json").write_bytes((src / "manifest.json").read_bytes())
-    for path in (src / "trials").glob("*.trial"):
-        (clone / "trials" / path.name).write_bytes(path.read_bytes())
+    shutil.copytree(pipeline["dataset"], clone)
     victim = clone / "trials" / "pair00-pushing-02.trial"
-    raw = bytearray(victim.read_bytes())
-    raw[100] ^= 0xFF
-    victim.write_bytes(bytes(raw))
+    trial = read_trial(victim)
+    if damage == "corrupt-byte":
+        raw = bytearray(victim.read_bytes())
+        raw[100] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+    elif damage == "label-13":
+        labels = trial.labels.copy()
+        labels[-1] = 13
+        write_trial(dataclasses.replace(trial, labels=labels), victim)
+    elif damage == "backwards":
+        write_trial(dataclasses.replace(trial, timestamps=trial.timestamps[::-1].copy()), victim)
+    elif damage == "non-finite":
+        noise = trial.noise.copy()
+        noise[-2] = np.nan
+        write_trial(dataclasses.replace(trial, noise=noise), victim)
+    elif damage == "unlabeled":
+        write_trial(dataclasses.replace(trial, labeled=False), victim)
+    else:
+        write_trial(dataclasses.replace(trial, csi=trial.csi[:, :1].copy()), victim)
 
     rc = cli.main([
         "preprocess", "--manifest", str(clone / "manifest.json"),
@@ -271,14 +292,31 @@ def test_preprocess_reports_unreadable_trials(pipeline, tmp_path, capsys):
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "could not read 1 trial file(s)" in err
-    assert "pair00-pushing-02.trial" in err
-    # every other trial is written, and the split and scaler leave the bad one out
-    good = sorted(p.stem for p in (clone / "trials").glob("*.trial") if p != victim)
-    assert sorted(p.stem for p in (tmp_path / "f").glob("*.csv")) == good
-    split = load_split(tmp_path / "f" / "splits.json")
-    assert sorted(split.train + split.val + split.test) == good
-    assert (tmp_path / "f" / "scaler.json").exists()
+    assert f"could not read 1 trial file(s):\n  {victim}: {reason}" in err
+    # every other trial is written, and the split and scaler leave the bad one
+    # out: the outputs are those of a manifest that never listed it
+    manifest = json.loads((clone / "manifest.json").read_text())
+    manifest["trials"] = [e for e in manifest["trials"] if e["trial_id"] != victim.stem]
+    (clone / "without.json").write_text(json.dumps(manifest))
+    assert cli.main([
+        "preprocess", "--manifest", str(clone / "without.json"),
+        "--target-len", "40", "--out", str(tmp_path / "g"),
+    ]) == 0
+    want = {p.name: p.read_bytes() for p in (tmp_path / "g").iterdir()}
+    assert f"{victim.stem}.csv" not in want and "scaler.json" in want and "splits.json" in want
+    assert {p.name: p.read_bytes() for p in (tmp_path / "f").iterdir()} == want
+
+
+def test_preprocess_parallel_matches_serial(pipeline, tmp_path):
+    par = tmp_path / "par"
+    assert cli.main([
+        "preprocess", "--manifest", str(pipeline["dataset"] / "manifest.json"),
+        "--target-len", "40", "--out", str(par), "--jobs", "2",
+    ]) == 0
+    first = pipeline["features"]
+    assert sorted(p.name for p in par.iterdir()) == sorted(p.name for p in first.iterdir())
+    for path in sorted(first.iterdir()):
+        assert (par / path.name).read_bytes() == path.read_bytes()
 
 
 # ------------------------------------------------------------------- train
@@ -357,6 +395,26 @@ def test_train_divergence_exits_1(pipeline, tmp_path, capsys):
         ])
     assert rc == 1
     assert "fold 0" in capsys.readouterr().err
+
+
+def test_train_names_every_unreadable_feature_csv(pipeline, tmp_path, capsys):
+    features = tmp_path / "features"
+    shutil.copytree(pipeline["features"], features)
+    first, second = (features / f"{tid}.csv" for tid in sorted(pipeline["split"].train)[:2])
+    lines = first.read_text().splitlines()
+    lines[3] = lines[3].rpartition(",")[0] + ",20"  # a label that is no class code
+    first.write_text("\n".join(lines) + "\n")
+    second.unlink()
+    rc = cli.main([
+        "train", "--features", str(features), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "could not read 2 feature file(s)" in err
+    assert f"{first}: the label column holds 20, not a class code 0..12" in err
+    assert f"{second}: [Errno 2]" in err
+    assert not list((tmp_path / "m").glob("*.weights"))
 
 
 FROZEN_HISTORY = [
@@ -438,7 +496,7 @@ def test_classify_unlabeled_trial(pipeline, tmp_path):
     blind_dir.mkdir()
     for tid in tids:
         trial = read_trial(pipeline["test_dir"] / f"{tid}.trial")
-        write_trial(trial, blind_dir / f"{tid}.trial", labeled=False)
+        write_trial(dataclasses.replace(trial, labeled=False), blind_dir / f"{tid}.trial")
     out = tmp_path / "p"
     assert cli.main([
         "classify", "--weights", str(pipeline["models"]),
@@ -569,7 +627,7 @@ def test_evaluate_rejects_unlabeled(pipeline, tmp_path, capsys):
     trial = read_trial(pipeline["test_dir"] / f"{tid}.trial")
     blind_dir = tmp_path / "blind"
     blind_dir.mkdir()
-    write_trial(trial, blind_dir / "anon.trial", labeled=False)
+    write_trial(dataclasses.replace(trial, labeled=False), blind_dir / "anon.trial")
     pred = tmp_path / "pred"
     assert cli.main([
         "classify", "--weights", str(pipeline["models"]),
@@ -624,6 +682,27 @@ def test_evaluate_and_report_skip_a_bad_prediction_csv(pipeline, tmp_path, capsy
     assert rc == 2
     assert f"{victim}: " in capsys.readouterr().err
     assert sorted(p.stem for p in (tmp_path / "plots").glob("*.svg")) == good
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_prediction_csv_with_a_bad_class_code_is_skipped(pipeline, tmp_path, capsys, command):
+    preds = tmp_path / "preds"
+    shutil.copytree(pipeline["predictions"], preds)
+    victim = sorted(preds.glob("*.csv"))[0]
+    lines = victim.read_text().splitlines()
+    lines[5] = lines[5].rpartition(",")[0] + ",20"  # the true cell
+    victim.write_text("\n".join(lines) + "\n")
+    good = [p.stem for p in sorted(preds.glob("*.csv"))[1:]]
+
+    out = tmp_path / "out"
+    rc = cli.main([command, "--predictions", str(preds), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"skipped 1 prediction file(s):\n  {victim}: column true holds 20, not a class code 0..12" in err
+    if command == "evaluate":
+        assert (out / "metrics.csv").exists()
+    else:
+        assert sorted(p.stem for p in out.glob("*.svg")) == good
 
 
 # ------------------------------------------------------------------ report

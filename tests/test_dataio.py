@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from csisense.dataio import (
     save_manifest,
     save_scaler,
     save_split,
-    trial_is_labeled,
     write_predictions,
     write_trial,
 )
@@ -87,15 +88,17 @@ def test_trial_write_read_write_is_byte_identical(tmp_path):
 
 
 def test_trial_labeled_flag(tmp_path):
-    trial = _trial()
-    labeled = tmp_path / "l.trial"
-    blind = tmp_path / "b.trial"
-    write_trial(trial, labeled, labeled=True)
-    write_trial(trial, blind, labeled=False)
-    assert trial_is_labeled(labeled) is True
-    assert trial_is_labeled(blind) is False
-    assert (read_trial(blind).labels == 0).all()
-    assert read_trial(labeled).labels.tolist() == [0, 1, 2, 0, 1]
+    for labeled in (True, False):
+        trial = replace(_trial(), labeled=labeled)
+        path = tmp_path / f"{labeled}.trial"
+        write_trial(trial, path)
+        back = read_trial(path)
+        assert back.labeled is labeled
+        assert path.read_bytes()[5] == int(labeled)  # the flags byte
+        assert back.labels.tolist() == ([0, 1, 2, 0, 1] if labeled else [0] * 5)
+        # the flag survives a second write: write->read->write is byte-identical
+        write_trial(back, tmp_path / "again.trial")
+        assert (tmp_path / "again.trial").read_bytes() == path.read_bytes()
 
 
 def test_trial_label_outside_a_byte_is_rejected(tmp_path):
@@ -103,7 +106,7 @@ def test_trial_label_outside_a_byte_is_rejected(tmp_path):
     trial.labels[2] = 300  # would wrap to 44 in the one-byte label field
     with pytest.raises(DomainError, match="0..255"):
         write_trial(trial, tmp_path / "a.trial")
-    write_trial(trial, tmp_path / "a.trial", labeled=False)  # labels are not stored
+    write_trial(replace(trial, labeled=False), tmp_path / "a.trial")  # labels are not stored
 
 
 def test_trial_checksum_catches_corruption_anywhere(tmp_path):
@@ -140,8 +143,6 @@ def test_trial_bad_magic_and_version(tmp_path):
     path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
     with pytest.raises(FormatError, match="bad magic"):
         read_trial(path)
-    with pytest.raises(FormatError):
-        trial_is_labeled(path)
 
     body = bytearray(raw[:-4])
     body[4] = 7
@@ -283,14 +284,27 @@ def test_feature_csv_bulk_parse_equals_per_cell_parse(tmp_path, monkeypatch, wid
     # the bulk parse rounds every cell as float() does, signed zeros,
     # subnormals and non-finite values included
     path = tmp_path / "f.csv"
-    export_feature_csv(_pinned_feature_frame(width), path, dims=(2, 3, 30))
+    pinned = _pinned_feature_frame(width)
+    pinned.labels[2] = 11  # the pinned 255 is no class code, which import rejects
+    export_feature_csv(pinned, path, dims=(2, 3, 30))
     _, rows = dataio._read_csv(path, "feature CSV", dataio._parse_feature_row)
     per_cell = np.asarray([values for values, _ in rows], dtype=np.float64)
     monkeypatch.setattr(dataio, "_read_csv", None)  # a well-formed file never falls back
     frame = import_feature_csv(path)
     assert frame.matrix.shape == per_cell.shape == (5, width)
     assert frame.matrix.tobytes() == per_cell.tobytes()
-    assert frame.labels.tolist() == [label for _, label in rows] == [0, 12, 255, 3, 7]
+    assert frame.labels.tolist() == [label for _, label in rows] == [0, 12, 11, 3, 7]
+
+
+def test_feature_csv_rejects_labels_outside_the_class_codes(tmp_path):
+    path = tmp_path / "f.csv"
+    for label in (13, 255, -1):
+        export_feature_csv(FeatureFrame(np.zeros((3, 2)), np.array([0, label, 12]), True), path)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: the label column holds {label}, not a class code")):
+            import_feature_csv(path)
+    path.write_text("label\n20\n")  # a label-only file takes the per-cell parse
+    with pytest.raises(FormatError, match="the label column holds 20"):
+        import_feature_csv(path)
 
 
 # ---------------------------------------------------------- prediction CSV
@@ -337,6 +351,19 @@ def test_predictions_partial_true_column_rejected(tmp_path):
     lines[2] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="partially filled"):
+        read_predictions(path)
+
+
+@pytest.mark.parametrize("column", ["fold_1", "ensembled", "smoothed", "true"])
+def test_predictions_reject_values_outside_the_class_codes(tmp_path, column):
+    path = tmp_path / "p.csv"
+    write_predictions(_trace(t=3), path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = "20"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: column {column} holds 20, not a class code 0..12")):
         read_predictions(path)
 
 

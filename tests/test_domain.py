@@ -77,10 +77,14 @@ def test_validate_ok():
 
 def test_validate_flags_each_problem():
     bad = _trial([0.0, 0.2, 0.1, 0.3, 0.4], labels=[0, 0, 0, 0, 55], n_rx=2)
+    bad.noise[1] = np.nan
+    bad.csi[3, 1, 0, 2] = complex(0.0, np.inf)
     report = validate_trial(bad)
     assert not report.ok
     text = "\n".join(report.violations)
     assert "non-monotone timestamp at index 2" in text
+    assert "noise is not finite at index 1" in text
+    assert "csi is not finite at index 3" in text
     assert "rssi shape (5, 2) does not match n_rx 3" in text
     assert "label 55 out of range at index 4" in text
     assert "label -1 out of range at index 0" in "\n".join(

@@ -134,11 +134,12 @@ def _tail_dwell_trial(n_active, n_steady):
 )
 def test_normalize_is_label_free(n_active, n_steady, expected):
     labeled = _tail_dwell_trial(n_active, n_steady)
-    unlabeled = replace(labeled, labels=np.zeros_like(labeled.labels))
+    unlabeled = replace(labeled, labels=np.zeros_like(labeled.labels), labeled=False)
     out = normalize_length(labeled, 1560)
     blind = normalize_length(unlabeled, 1560)
     assert _labels(out) == expected
     assert _labels(blind) == [0] * 1560
+    assert out.labeled is True and blind.labeled is False  # the flag survives
     for name in ("timestamps", "noise", "agc", "rssi", "csi"):
         assert np.array_equal(getattr(out, name), getattr(blind, name)), name
     # the window is the trial's last packets, after any replicas of its first
