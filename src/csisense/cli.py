@@ -97,9 +97,14 @@ def _run_jobs(fn, jobs_list, jobs: int, initializer=None, initargs=()):
 
 
 def _guarded(reader, path):
+    """``(path, True, reader(path))``, or ``(path, False, reason)``.  An
+    ``OSError``'s reason leaves out the file name, which it would repeat."""
     try:
         return str(path), True, reader(path)
-    except (CsiSenseError, OSError) as exc:
+    except OSError as exc:
+        reason = str(exc) if exc.errno is None else f"[Errno {exc.errno}] {exc.strerror}"
+        return str(path), False, reason
+    except CsiSenseError as exc:
         return str(path), False, str(exc)
 
 
@@ -292,9 +297,9 @@ _CLASSIFY_STATE: dict = {}
 
 def _classify_init(bundles: list[ModelWeights]) -> None:
     """Build the fold models, emptying ``bundles`` as it goes: each model
-    holds its own float32 copy of its bundle's parameters (cast to float64
-    one layer at a time as it predicts), and the bundles would otherwise stay
-    live through every predict."""
+    holds its own float32 copy of its bundle's parameters and predicts in
+    float32, and the bundles would otherwise stay live through every
+    predict."""
     _CLASSIFY_STATE["scaler"] = bundles[0].scaler
     _CLASSIFY_STATE["seq_len"] = bundles[0].arch.seq_len
     models = []

@@ -16,9 +16,10 @@ Every named parameter (``bigru1/fwd/W_in_z``, ``out/W``, ...) is a view into
 one flat ``store.values`` of ``param_count(arch)`` elements, and its gradient
 the view at the same offset into ``store.grads``.  The store is float64 for
 a model that trains and float32 for one that ``classify`` loads from a
-bundle.  Either way every layer computes in float64: a float32 store's layer
-casts its parameters once at the top of each forward, so it predicts the
-bits of a float64 store holding the same values.
+bundle, and the model computes in its store's dtype: the forward casts its
+input once, and no layer casts a weight.  A bundle model's probabilities are
+therefore float32, within float32 rounding of a float64 store holding the
+same values.
 
 Only a training forward keeps activations, each layer's cache for the
 backward that reads and clears it; an inference forward (``predict``,
@@ -154,7 +155,8 @@ class TrainConfig:
             raise DomainError("learning rate must be positive")
 
 
-# float64 activation bytes an inference chunk may hold
+# activation bytes an inference chunk may hold, counted at 8 per value, so
+# a float32 model's chunk holds half of them
 _INFERENCE_BYTES = 12 << 20
 
 
@@ -237,7 +239,7 @@ class SequenceClassifier:
 
     def forward_logits(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Pre-softmax scores; backward() is the exact adjoint of a training pass."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.store.values.dtype)
         if x.shape[-1] != self.eff.feature_dim:
             raise DomainError(
                 f"input width {x.shape[-1]} does not match feature_dim {self.eff.feature_dim}"

@@ -1,14 +1,16 @@
 """Hand-written sequence-labeling layers with explicit backward passes.
 
-Everything operates on float64 arrays shaped (T, features) or batched
-(B, T, features); no autodiff framework is involved.  A layer with weights
-keeps its ``params`` and ``grads`` as named views into a :class:`ParamStore`,
-its model's or its own; ``backward`` consumes the upstream gradient,
-accumulates parameter gradients, and returns the input gradient.  Only
-``forward(x, training=True)`` keeps activations: what its ``backward`` reads
-and then clears.  An inference forward keeps nothing past the call.  Layers
-with weights draw them from their ``rng`` argument; without one the weights
-stay at zero and nothing is drawn, for parameters that are loaded next.
+Everything operates on arrays shaped (T, features) or batched
+(B, T, features), in the dtype of the layer's parameters: float64 to train,
+float32 for an inference model loaded from a bundle.  No autodiff framework
+is involved.  A layer with weights keeps its ``params`` and ``grads`` as
+named views into a :class:`ParamStore`, its model's or its own;
+``backward`` consumes the upstream gradient, accumulates parameter
+gradients, and returns the input gradient.  Only ``forward(x,
+training=True)`` keeps activations: what its ``backward`` reads and then
+clears.  An inference forward keeps nothing past the call.  Layers with
+weights draw them from their ``rng`` argument; without one the weights stay
+at zero and nothing is drawn, for parameters that are loaded next.
 """
 
 from .gradcheck import grad_check

@@ -45,10 +45,12 @@ per batch row, all rows in one NumPy call.  That is the product a single-row
 scan makes, so row i of a batched inference forward equals the forward of
 row i alone bit for bit, whatever B is.  It keeps only the step it is on:
 that step's gates and two state slots, each new state written straight into
-the output, so beside one input block, the output and the float64 cast of a
-float32 store's weights it holds O(B * units), not O(B * T * units).  A
-training forward keeps one ``(B, units) @ (units, units)`` product per
-direction and gate, and every step's gates and states for the backward.
+the output, so beside one input block and the output it holds
+O(B * units), not O(B * T * units).  A training forward keeps one
+``(B, units) @ (units, units)`` product per direction and gate, and every
+step's gates and states for the backward.  Every array a scan allocates is
+in the input's dtype, which the layer casts to its store's (float32 for a
+model loaded from a bundle), and the weights are read as stored.
 """
 
 from __future__ import annotations
@@ -60,9 +62,10 @@ from .layers import ParamStore, glorot_uniform, orthogonal
 
 # time order of each direction's scan: forward, then reversed
 _SCAN = (slice(None), slice(None, None, -1))
-# float64 bytes per batch row of one block of input projections (both
-# directions, three gates): 85 steps at 1024 units, 1365 at 64.  Each block
-# reads all of W_in again, so a smaller budget trades time for little memory.
+# bytes per batch row of one block of input projections (both directions,
+# three gates), counted at 8 per value whatever the dtype, so block lengths
+# depend on units alone: 85 steps at 1024 units, 1365 at 64.  Each block reads
+# all of W_in again, so a smaller budget trades time for little memory.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -97,7 +100,7 @@ def _project(x, W_in, b, start, stop):
     backwards."""
     n_dir, _, _, units = W_in.shape
     bsz, t, _ = x.shape
-    pre = np.empty((stop - start, n_dir, 3, bsz, units))
+    pre = np.empty((stop - start, n_dir, 3, bsz, units), x.dtype)
     for d in range(n_dir):
         xs = x[:, start:stop] if d == 0 else x[:, t - stop : t - start]
         for k in range(3):
@@ -118,10 +121,10 @@ def _scan_forward(x, W_in, W_rec, b, training):
     # training keeps every step's gates and hs[i], the state entering step i;
     # inference keeps one step's gates and two state slots, writing y as it goes
     kept = t if training else 1
-    hs = np.zeros((kept + 1, n_dir, bsz, units))
-    zr = np.empty((kept, n_dir, 2, bsz, units))
-    cs = np.empty((kept, n_dir, bsz, units))
-    y = None if training else np.empty((bsz, t, n_dir * units))
+    hs = np.zeros((kept + 1, n_dir, bsz, units), x.dtype)
+    zr = np.empty((kept, n_dir, 2, bsz, units), x.dtype)
+    cs = np.empty((kept, n_dir, bsz, units), x.dtype)
+    y = None if training else np.empty((bsz, t, n_dir * units), x.dtype)
     times = [range(t)[s] for s in _SCAN[:n_dir]]  # the time index of each step
     for start, stop in _blocks(t, units):
         pre = _project(x, W_in, b, start, stop)
@@ -138,7 +141,7 @@ def _scan_forward(x, W_in, W_rec, b, training):
                     y[:, times[d][i], d * units : (d + 1) * units] = h_next[d]
     if not training:
         return y, None
-    y = np.empty((bsz, t, n_dir * units))
+    y = np.empty((bsz, t, n_dir * units), x.dtype)
     for d in range(n_dir):
         y[..., d * units : (d + 1) * units] = np.moveaxis(hs[1:, d][_SCAN[d]], 0, 1)
     return y, (x, hs, zr, cs)
@@ -239,8 +242,8 @@ class _PackedGru:
             x = x[None]
         if x.shape[-1] != self.in_dim:
             raise DomainError(f"gru expects {self.in_dim} input features, got {x.shape[-1]}")
-        W_in, W_rec, b = self.store.at(training, self.W_in, self.W_rec, self.b)
-        y, cache = _scan_forward(x, W_in, W_rec, b, training)
+        x = self.store.at(training, x)
+        y, cache = _scan_forward(x, self.W_in, self.W_rec, self.b, training)
         self._cache = (cache, squeezed) if training else None
         return y[0] if squeezed else y
 

@@ -62,9 +62,9 @@ class ParamStore:
 
     ``dtype`` is float64 for a model that trains.  An inference-only model
     may keep its weights at the precision it loaded them in (float32 from a
-    bundle): every layer computes in float64, casting its parameters once
-    per forward (:meth:`at`), and only a training forward, whose backward and
-    optimizer update the values in place, needs a float64 store.
+    bundle), and its layers then compute at that precision (:meth:`at`):
+    only a training forward, whose backward and optimizer update the values
+    in place, needs a float64 store.
     """
 
     def __init__(self, size: int, dtype=np.float64):
@@ -88,13 +88,14 @@ class ParamStore:
             grads[name] = self.grads[start : self._used].reshape(shape)
         return values, grads
 
-    def at(self, training: bool, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``arrays``, views into this store, in float64 for one forward: the
-        views themselves on a float64 store, else one cast each, so no product
-        mixes dtypes (NumPy runs those off BLAS)."""
+    def at(self, training: bool, x: np.ndarray) -> np.ndarray:
+        """``x`` in this store's dtype (``x`` itself when it already is), so
+        no product with the parameter views, read as they are, mixes dtypes
+        (NumPy runs those off BLAS).  Raises for a training forward on a
+        store that is not float64."""
         if training and self.values.dtype != np.float64:
             raise DomainError(f"a training forward needs float64 parameters, not {self.values.dtype}")
-        return tuple(a.astype(np.float64, copy=False) for a in arrays)
+        return x.astype(self.values.dtype, copy=False)
 
 
 class Dense:
@@ -117,8 +118,8 @@ class Dense:
             raise DomainError(
                 f"dense expects {self.params['W'].shape[0]} input features, got {x.shape[-1]}"
             )
-        W, b = self.store.at(training, self.params["W"], self.params["b"])
-        z = x @ W + b
+        x = self.store.at(training, x)
+        z = x @ self.params["W"] + self.params["b"]
         self._cache = (x, z) if training else None
         return relu(z) if self.activation == "relu" else z
 
@@ -168,7 +169,7 @@ class AddPositional:
             raise DomainError(
                 f"feature dim {x.shape[-1]} does not match positional dim {self.table.shape[1]}"
             )
-        return x + self.table[:t]
+        return x + self.table[:t].astype(x.dtype, copy=False)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy
@@ -239,9 +240,9 @@ class MultiHeadSelfAttention:
         squeezed = x.ndim == 2
         if squeezed:
             x = x[None]
-        p = self.params
-        Wq, Wk, Wv, Wf = self.store.at(training, p["Wq"], p["Wk"], p["Wv"], p["Wf"])
-        scale = 1.0 / np.sqrt(self.key_dim)
+        x = self.store.at(training, x)
+        Wq, Wk, Wv, Wf = (self.params[name] for name in ("Wq", "Wk", "Wv", "Wf"))
+        scale = 1.0 / math.sqrt(self.key_dim)  # a Python float keeps a float32 product float32
         kept, heads_out = [], []
         for h in range(self.heads):
             q = x @ Wq[h]

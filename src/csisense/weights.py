@@ -48,11 +48,10 @@ def weights_from_model(
 
 def model_from_weights(w: ModelWeights) -> SequenceClassifier:
     """Rebuild the network for inference, its store holding the bundle's
-    float32 parameters as they are; each layer casts them to float64 once per
-    forward, so it predicts the bits of a float64 store holding the same
-    values, at half the resident bytes.  It cannot train (a training forward
-    raises DomainError).  No initial weights are drawn, since every one is
-    overwritten."""
+    float32 parameters as they are, at half the resident bytes of a float64
+    store.  It predicts in float32, reading each weight as stored.  It
+    cannot train (a training forward raises DomainError).  No initial
+    weights are drawn, since every one is overwritten."""
     model = SequenceClassifier(w.arch, seed=w.seed, init_weights=False, dtype=np.float32)
     model.set_params(w.arrays)
     return model

@@ -414,6 +414,8 @@ def test_train_names_every_unreadable_feature_csv(pipeline, tmp_path, capsys):
     assert "could not read 2 feature file(s)" in err
     assert f"{first}: the label column holds 20, not a class code 0..12" in err
     assert f"{second}: [Errno 2]" in err
+    second_line = next(line for line in err.splitlines() if f"{second}:" in line)
+    assert second_line.count(str(second)) == 1
     assert not list((tmp_path / "m").glob("*.weights"))
 
 

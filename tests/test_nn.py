@@ -16,6 +16,7 @@ from csisense.nn import (
     Dropout,
     Gru,
     MultiHeadSelfAttention,
+    ParamStore,
     WeightedSkipAdd,
     adam_step,
     cross_entropy,
@@ -378,6 +379,16 @@ def test_bigru_inference_rows_are_single_row_scans(in_dim, units):
 _BLOCK = 5  # input-projection block length the block tests force
 
 
+def _bigru_in(in_dim, units, rng, dtype):
+    """A BiGru with ``rng``'s weights in a store of ``dtype``."""
+    drawn = BiGru(in_dim, units, rng)
+    if dtype == np.float64:
+        return drawn
+    bi = BiGru(in_dim, units, store=ParamStore(drawn.store.values.size, dtype))
+    bi.store.values[...] = drawn.store.values
+    return bi
+
+
 def _force_block(monkeypatch, units, steps):
     """Set the byte budget so that a block is ``steps`` scan steps long."""
     monkeypatch.setattr(gru, "_BLOCK_BYTES", steps * 8 * 2 * 3 * units)
@@ -401,13 +412,15 @@ def test_projection_blocks_cover_the_sequence(monkeypatch):
 
 @pytest.mark.parametrize("t", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
-def test_blocked_projection_equals_whole_sequence(monkeypatch, t, batch, training):
+@pytest.mark.parametrize("training, dtype", [(False, np.float64), (True, np.float64), (False, np.float32)],
+                         ids=["inference", "training", "inference-float32"])
+def test_blocked_projection_equals_whole_sequence(monkeypatch, t, batch, training, dtype):
     rng = np.random.default_rng(73)
     units = 16
-    bi = BiGru(24, units, rng)
-    x = rng.standard_normal((batch, t, 24))
+    bi = _bigru_in(24, units, rng, dtype)
+    x = rng.standard_normal((batch, t, 24)).astype(dtype)
     whole = bi.forward(x, training)
+    assert whole.dtype == dtype
     whole_cache = bi._cache
     _force_block(monkeypatch, units, _BLOCK)
     blocked = bi.forward(x, training)
@@ -418,6 +431,20 @@ def test_blocked_projection_equals_whole_sequence(monkeypatch, t, batch, trainin
             assert np.array_equal(got_part, want_part)
     else:
         assert bi._cache is None and whole_cache is None
+
+
+def test_float32_inference_bigru_makes_no_float64_weight_copy():
+    bi = _bigru_in(366, 512, np.random.default_rng(81), np.float32)
+    x = np.random.default_rng(82).standard_normal((1, 8, 366)).astype(np.float32)
+    w_rec_f64 = bi.W_rec.size * 8  # 12.6 MB
+    tracemalloc.start()
+    try:
+        y = bi.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.dtype == np.float32
+    assert peak < w_rec_f64
 
 
 def test_long_inference_bigru_peaks_below_the_whole_sequence_projection():
