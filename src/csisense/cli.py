@@ -132,28 +132,25 @@ def _read_frame(path: str, seq_len: int):
 
 # ---------------------------------------------------------------- simulate
 
-def _simulate_job(job) -> dict:
-    (profile, config, geometry, scale, packet_rate, jitter, csi_noise,
-     seed_value, pair_id, trial_id, out_path) = job
+def _simulate_job(meta, config, geometry, out: Path, row) -> ManifestEntry:
+    """Write one ``dataset_trials`` row's trial under ``out``; returns its
+    manifest entry.  ``functools.partial`` binds the shared leading values."""
+    pair_id, scale, profile, _, trial_id, seed_value = row
     trial = synth_trial(
         profile,
         config,
-        packet_rate,
-        jitter,
+        meta.packet_rate,
+        meta.jitter,
         seed_value,
-        csi_noise=csi_noise,
+        csi_noise=meta.csi_noise,
         pair_id=pair_id,
         trial_id=trial_id,
         geometry=geometry,
         envelope_scale=scale,
     )
-    dataio.write_trial(trial, out_path)
-    return {
-        "trial_id": trial_id,
-        "pair_id": pair_id,
-        "class_name": LABELS[profile.label],
-        "length": len(trial.timestamps),
-    }
+    path = f"trials/{trial_id}.trial"
+    dataio.write_trial(trial, out / path)
+    return ManifestEntry(path, pair_id, trial_id, LABELS[profile.label], len(trial.timestamps))
 
 
 def cmd_simulate(args) -> int:
@@ -165,34 +162,18 @@ def cmd_simulate(args) -> int:
     config = PropagationConfig()
     geometry = build_geometry(config, CounterRng(args.seed, "geometry"))
     out = Path(args.out)
-    trials_dir = out / "trials"
-    trials_dir.mkdir(parents=True, exist_ok=True)
+    (out / "trials").mkdir(parents=True, exist_ok=True)
 
     plan = dataset_trials(profiles, args.pairs, args.trials_per_class, args.pair_variation, args.seed)
-    jobs_list = [
-        (profile, config, geometry, scale, meta.packet_rate, meta.jitter, meta.csi_noise,
-         seed_value, pair_id, trial_id, str(trials_dir / f"{trial_id}.trial"))
-        for pair_id, scale, profile, _, trial_id, seed_value in plan
-    ]
-    rows = _run_jobs(_simulate_job, jobs_list, args.jobs)
-
+    entries = _run_jobs(partial(_simulate_job, meta, config, geometry, out), plan, args.jobs)
     manifest = Manifest(
         dims=config.dims,
         seed=args.seed,
         profiles_sha256=hashlib.sha256(Path(args.profiles).read_bytes()).hexdigest(),
-        entries=[
-            ManifestEntry(
-                path=f"trials/{row['trial_id']}.trial",
-                pair_id=row["pair_id"],
-                trial_id=row["trial_id"],
-                class_name=row["class_name"],
-                length=row["length"],
-            )
-            for row in rows
-        ],
+        entries=entries,
     )
     dataio.save_manifest(manifest, out / "manifest.json")
-    _say(f"wrote {len(rows)} trials and manifest.json under {out}")
+    _say(f"wrote {len(entries)} trials and manifest.json under {out}")
     return 0
 
 
@@ -373,10 +354,13 @@ def cmd_classify(args) -> int:
     pairs = [(str(p), str(out / f"{p.stem}.csv")) for p in trial_paths]
     rows = inference_rows(bundles[0].arch)
     chunks = [pairs[i : i + rows] for i in range(0, len(pairs), rows)]
-    per_chunk = _run_jobs(
-        _classify_job, chunks, args.jobs,
-        initializer=_classify_init, initargs=(bundles,),
-    )
+    try:
+        per_chunk = _run_jobs(
+            _classify_job, chunks, args.jobs,
+            initializer=_classify_init, initargs=(bundles,),
+        )
+    finally:
+        _CLASSIFY_STATE.clear()  # a serial run built the models in this process
     failures = [f for found in per_chunk for f in found]
     _say(f"wrote {len(pairs) - len(failures)} prediction files under {out} using {len(weight_paths)} models")
     if failures:

@@ -226,7 +226,9 @@ def feature_column_names(dims: tuple[int, int, int] = (2, 3, 30)) -> list[str]:
 
 
 def export_feature_csv(frame: FeatureFrame, path: str | Path, dims: tuple[int, int, int] = (2, 3, 30)) -> None:
-    """One row per packet, 9-significant-digit decimals, label as last column."""
+    """One row per packet, 9-significant-digit decimals, label as last column.
+    A label outside the class codes is refused before anything is written."""
+    _check_class_codes(path, frame.labels, "the label column", DomainError)
     t, f = frame.matrix.shape
     names = feature_column_names(dims)
     if len(names) != f:
@@ -235,11 +237,12 @@ def export_feature_csv(frame: FeatureFrame, path: str | Path, dims: tuple[int, i
     write_csv(path, names + ["label"], ",".join(["%.9g"] * f + ["%d"]), rows)
 
 
-def _check_class_codes(path: str | Path, codes: np.ndarray, column: str) -> None:
-    """A format error naming the file if ``codes`` holds anything but a class code."""
+def _check_class_codes(path: str | Path, codes: np.ndarray, column: str, error=FormatError) -> None:
+    """``error`` naming the file and column if ``codes`` holds anything but a
+    class code: a format error for a reader, a domain error for a writer."""
     bad = (codes < 0) | (codes >= NUM_CLASSES)
     if bad.any():
-        raise FormatError(f"{path}: {column} holds {codes[bad][0]}, not a class code 0..{NUM_CLASSES - 1}")
+        raise error(f"{path}: {column} holds {codes[bad][0]}, not a class code 0..{NUM_CLASSES - 1}")
 
 
 def _parse_feature_row(cells: list[str]) -> tuple[list[float], int]:
@@ -282,7 +285,8 @@ def import_feature_csv(path: str | Path) -> FeatureFrame:
 
 def write_predictions(trace: PredictionTrace, path: str | Path) -> None:
     """Columns: packet_index, one per fold, ensembled, smoothed, true.
-    The true column is left empty when no ground truth exists."""
+    The true column is left empty when no ground truth exists.  A value
+    outside the class codes is refused before anything is written."""
     folds, t = trace.per_fold.shape
     header = (
         ["packet_index"]
@@ -292,6 +296,8 @@ def write_predictions(trace: PredictionTrace, path: str | Path) -> None:
     columns = [np.arange(t), *trace.per_fold, trace.ensembled, trace.smoothed]
     if trace.true_labels is not None:
         columns.append(trace.true_labels)
+    for name, codes in zip(header[1:], columns[1:]):
+        _check_class_codes(path, codes, f"column {name}", DomainError)
     row_format = ",".join(["%d"] * len(columns)) + ("," if trace.true_labels is None else "")
     write_csv(path, header, row_format, np.column_stack(columns).tolist())
 
@@ -380,7 +386,8 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    """Parse and validate a manifest; every referenced trial file must exist."""
+    """Parse and validate a manifest.  A referenced trial file that is
+    missing is left to its reader, which names it."""
     path = Path(path)
     try:
         d = json.loads(path.read_text(encoding="utf-8"))
@@ -406,9 +413,6 @@ def load_manifest(path: str | Path) -> Manifest:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad manifest file: {exc!r}") from exc
-    for e in manifest.entries:
-        if not (path.parent / e.path).exists():
-            raise FormatError(f"{path}: referenced trial file missing: {e.path}")
     if len(manifest.dims) != 3:
         raise FormatError(f"{path}: dims must have three entries")
     return manifest

@@ -44,13 +44,13 @@ makes the two recurrent products one ``(1, units) @ (units, units)`` product
 per batch row, all rows in one NumPy call.  That is the product a single-row
 scan makes, so row i of a batched inference forward equals the forward of
 row i alone bit for bit, whatever B is.  It keeps only the step it is on:
-that step's gates and two state slots, each new state written straight into
-the output, so beside one input block and the output it holds
-O(B * units), not O(B * T * units).  A training forward keeps one
-``(B, units) @ (units, units)`` product per direction and gate, and every
-step's gates and states for the backward.  Every array a scan allocates is
-in the input's dtype, which the layer casts to its store's (float32 for a
-model loaded from a bundle), and the weights are read as stored.
+that step's gates and two state slots, so beside one input block and the
+output it holds O(B * units), not O(B * T * units).  A training forward
+keeps one ``(B, units) @ (units, units)`` product per direction and gate,
+and every step's gates and states for the backward.  Both modes write each
+new state straight into the output.  Every array a scan allocates is in the
+input's dtype, which the layer casts to its store's (float32 for a model
+loaded from a bundle), and the weights are read as stored.
 """
 
 from __future__ import annotations
@@ -111,40 +111,36 @@ def _project(x, W_in, b, start, stop):
 def _scan_forward(x, W_in, W_rec, b, training):
     """Run every direction over x (B, T, in); returns the (B, T, D*units)
     output and the cache the backward scan needs, None unless ``training``.
-    The input projections are made one block of steps at a time.  An
-    inference scan makes each recurrent product row by row, so a row's bits
-    do not depend on B, and keeps one step's gates and two state slots."""
+    The input projections are made one block of steps at a time, and each
+    step writes its state straight into the output.  An inference scan makes
+    each recurrent product row by row, so a row's bits do not depend on B,
+    and keeps one step's gates and two state slots."""
     matmul = np.matmul if training else _row_matmul
     n_dir, _, _, units = W_in.shape
     bsz, t, _ = x.shape
     w_zr, w_c = W_rec[:, :2], W_rec[:, 2]
-    # training keeps every step's gates and hs[i], the state entering step i;
-    # inference keeps one step's gates and two state slots, writing y as it goes
+    # a ring of kept + 1 states and kept steps' gates: training keeps every
+    # step's gates and hs[i], the state entering step i; inference keeps one
+    # step's gates and two state slots
     kept = t if training else 1
     hs = np.zeros((kept + 1, n_dir, bsz, units), x.dtype)
     zr = np.empty((kept, n_dir, 2, bsz, units), x.dtype)
     cs = np.empty((kept, n_dir, bsz, units), x.dtype)
-    y = None if training else np.empty((bsz, t, n_dir * units), x.dtype)
+    y = np.empty((bsz, t, n_dir * units), x.dtype)
     times = [range(t)[s] for s in _SCAN[:n_dir]]  # the time index of each step
     for start, stop in _blocks(t, units):
         pre = _project(x, W_in, b, start, stop)
         for i in range(start, stop):
-            g, h, h_next = (i, hs[i], hs[i + 1]) if training else (0, hs[i % 2], hs[1 - i % 2])
+            g, h, h_next = i % kept, hs[i % (kept + 1)], hs[(i + 1) % (kept + 1)]
             p = pre[i - start]
             _sigmoid(p[:, :2] + matmul(h[:, None], w_zr), out=zr[g])
             z, r = zr[g, :, 0], zr[g, :, 1]
             np.tanh(p[:, 2] + matmul(h * r, w_c), out=cs[g])
             np.multiply(1.0 - z, h, out=h_next)
             h_next += z * cs[g]
-            if not training:
-                for d in range(n_dir):
-                    y[:, times[d][i], d * units : (d + 1) * units] = h_next[d]
-    if not training:
-        return y, None
-    y = np.empty((bsz, t, n_dir * units), x.dtype)
-    for d in range(n_dir):
-        y[..., d * units : (d + 1) * units] = np.moveaxis(hs[1:, d][_SCAN[d]], 0, 1)
-    return y, (x, hs, zr, cs)
+            for d in range(n_dir):
+                y[:, times[d][i], d * units : (d + 1) * units] = h_next[d]
+    return y, ((x, hs, zr, cs) if training else None)
 
 
 def _scan_backward(dy, cache, W_in, W_rec, g_in, g_rec, g_b, input_grad=True):

@@ -34,8 +34,9 @@ from .rng import CounterRng, derive_key
 # excess-delay multiples and base strengths of the four scattered rays
 _SCATTER_DELAY_RATIOS = (1.35, 1.70, 2.10, 2.60)
 _SCATTER_BASE_AMPS = (0.45, 0.30, 0.20, 0.12)
-# how strongly each scattered ray reacts to body movement
-_SCATTER_SENSITIVITY = (0.60, 0.40, 0.80, 0.50)
+# how strongly each ray reacts to body movement: the line of sight, then the
+# four scattered rays
+_RAY_SENSITIVITY = (1.0, 0.60, 0.40, 0.80, 0.50)
 
 REF_LOSS_DB = 40.0  # path loss at the reference distance
 RSSI_CALIBRATION_DB = 90.0  # maps received dB to the NIC's reported scale
@@ -46,19 +47,12 @@ _RSSI_MAX = 99.0
 
 
 @dataclass(frozen=True)
-class LinkGeometry:
-    """Static ray set for one (tx, rx) link; index 0 is the line of sight."""
+class Geometry:
+    """Static ray sets for the whole antenna grid: ``amplitudes`` and
+    ``delays`` are (n_tx, n_rx, rays) arrays, ray 0 the line of sight."""
 
     amplitudes: np.ndarray
     delays: np.ndarray
-    sensitivities: np.ndarray
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Per-link ray sets for the whole antenna grid."""
-
-    links: tuple[tuple[LinkGeometry, ...], ...]
     config: PropagationConfig
 
 
@@ -75,45 +69,28 @@ class EnvelopeScale:
 def build_geometry(config: PropagationConfig, rng: CounterRng) -> Geometry:
     """Draw the static multipath geometry for one dataset.
 
-    Line-of-sight delays get a small per-link offset (antenna spacing), the
-    scattered rays get jittered amplitudes and delays plus a random
-    reflection phase folded into the delay as a sub-cycle offset.
+    Line-of-sight rays have amplitude 1 and a delay with a small per-link
+    offset (antenna spacing); the scattered rays get jittered amplitudes and
+    delays plus a random reflection phase folded into the delay as a
+    sub-cycle offset.  Links are drawn in (tx, rx) order, and each scattered
+    ray draws its amplitude, delay and phase in that order.
     """
     n_tx, n_rx, _ = config.dims
     base_delay = config.tx_rx_distance / SPEED_OF_LIGHT
     omega_c = 2.0 * math.pi * config.carrier_freq
-    rows = []
+    amps = np.ones((n_tx, n_rx, 1 + len(_SCATTER_DELAY_RATIOS)))
+    delays = np.empty_like(amps)
     for t in range(n_tx):
-        row = []
         for r in range(n_rx):
             los_delay = base_delay * (1.0 + 0.002 * (t * n_rx + r))
-            amps = [1.0]
-            delays = [los_delay]
-            sens = [1.0]
-            for k, ratio in enumerate(_SCATTER_DELAY_RATIOS):
-                amp = _SCATTER_BASE_AMPS[k] * (1.0 + 0.10 * rng.normal())
+            delays[t, r, 0] = los_delay
+            for k, ratio in enumerate(_SCATTER_DELAY_RATIOS, start=1):
+                amp = _SCATTER_BASE_AMPS[k - 1] * (1.0 + 0.10 * rng.normal())
                 delay = los_delay * ratio * (1.0 + 0.03 * rng.normal())
                 phase = 2.0 * math.pi * float(rng.uniform(1)[0])
-                amps.append(max(0.01, amp))
-                delays.append(delay + phase / omega_c)
-                sens.append(_SCATTER_SENSITIVITY[k])
-            row.append(
-                LinkGeometry(
-                    amplitudes=np.asarray(amps),
-                    delays=np.asarray(delays),
-                    sensitivities=np.asarray(sens),
-                )
-            )
-        rows.append(tuple(row))
-    return Geometry(links=tuple(rows), config=config)
-
-
-def _rx_weight(profile: SyntheticClassProfile, r: int, n_rx: int) -> float:
-    # asymmetry tilts the scatter response across the receive array
-    if n_rx < 2:
-        return 1.0
-    centered = (2.0 * r - (n_rx - 1)) / (n_rx - 1)  # -1 .. +1 across antennas
-    return 1.0 + profile.asymmetry * centered
+                amps[t, r, k] = max(0.01, amp)
+                delays[t, r, k] = delay + phase / omega_c
+    return Geometry(amplitudes=amps, delays=delays, config=config)
 
 
 def _scaled_profile(profile: SyntheticClassProfile, scale: EnvelopeScale) -> SyntheticClassProfile:
@@ -189,7 +166,9 @@ def synth_trial(
     omega_c = 2.0 * math.pi * config.carrier_freq
     loss = path_loss_db(config, REF_LOSS_DB)
     noise = NOISE_FLOOR_DB + _NOISE_WOBBLE_DB * floor_rng.normal(n_total)
-    weights = np.array([_rx_weight(profile, r, n_rx) for r in range(n_rx)])
+    # asymmetry tilts the scatter response across the receive array
+    centered = (2.0 * np.arange(n_rx) - (n_rx - 1)) / max(1, n_rx - 1)  # -1 .. +1
+    weights = 1.0 + profile.asymmetry * centered
 
     # envelope values per packet (zero in the steady dwell); the envelopes
     # stay scalar calls, everything after them is array maths over packets
@@ -203,17 +182,14 @@ def synth_trial(
     labels[active] = profile.label
 
     # modulated rays, shape (packets, tx, rx, rays); index 0 is the line of sight
-    links = [link for row in geometry.links for link in row]
-    base_amps = np.array([link.amplitudes for link in links]).reshape(n_tx, n_rx, -1)
-    base_delays = np.array([link.delays for link in links]).reshape(n_tx, n_rx, -1)
-    sens = np.array([link.sensitivities for link in links]).reshape(n_tx, n_rx, -1)
+    sens = np.array(_RAY_SENSITIVITY)
     g = g_amp[:, None, None, None]
-    gains = np.empty((n_total,) + base_amps.shape)
+    gains = np.empty((n_total,) + geometry.amplitudes.shape)
     gains[..., :1] = 1.0 + profile.depth_los * scale.depth * g
-    gains[..., 1:] = 1.0 + profile.depth_scatter * scale.depth * g * sens[..., 1:] * weights[:, None]
-    amps = base_amps * np.maximum(gains, 0.0)
+    gains[..., 1:] = 1.0 + profile.depth_scatter * scale.depth * g * sens[1:] * weights[:, None]
+    amps = geometry.amplitudes * np.maximum(gains, 0.0)
     drift = profile.phase_drift * scale.drift * g_phase
-    delays = base_delays + sens * (drift / omega_c)[:, None, None, None]
+    delays = geometry.delays + sens * (drift / omega_c)[:, None, None, None]
 
     csi = assemble_h_matrix(amps, delays, config)
     if csi_noise > 0:

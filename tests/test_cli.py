@@ -260,7 +260,8 @@ def test_preprocess_bad_manifest_exits_2(pipeline, tmp_path, capsys, damage):
     ("non-finite", "invalid trial: noise is not finite at index 46"),
     ("unlabeled", "unlabeled trial; preprocess needs labels"),
     ("one-tx", "186 feature columns, not the 366 of dims (2, 3, 30)"),
-], ids=["corrupt-byte", "label-13", "backwards", "non-finite", "unlabeled", "one-tx"])
+    ("missing", "[Errno 2] No such file or directory"),
+], ids=["corrupt-byte", "label-13", "backwards", "non-finite", "unlabeled", "one-tx", "missing"])
 def test_preprocess_reports_unreadable_trials(pipeline, tmp_path, capsys, damage, reason):
     # preprocess takes the trials classify takes, and only labeled ones
     clone = tmp_path / "dataset"
@@ -283,8 +284,10 @@ def test_preprocess_reports_unreadable_trials(pipeline, tmp_path, capsys, damage
         write_trial(dataclasses.replace(trial, noise=noise), victim)
     elif damage == "unlabeled":
         write_trial(dataclasses.replace(trial, labeled=False), victim)
-    else:
+    elif damage == "one-tx":
         write_trial(dataclasses.replace(trial, csi=trial.csi[:, :1].copy()), victim)
+    else:
+        victim.unlink()
 
     rc = cli.main([
         "preprocess", "--manifest", str(clone / "manifest.json"),
@@ -547,6 +550,14 @@ def test_classify_init_releases_the_bundles(pipeline):
     assert bundles == []  # the float32 arrays are not kept alive next to the models
     assert len(cli._CLASSIFY_STATE["models"]) == 2
     assert cli._CLASSIFY_STATE["seq_len"] == 40
+
+
+def test_classify_releases_its_models_when_it_returns(pipeline, tmp_path):
+    assert cli.main([
+        "classify", "--weights", str(pipeline["models"]),
+        "--input", str(pipeline["test_dir"]), "--out", str(tmp_path / "p"),
+    ]) == 0
+    assert cli._CLASSIFY_STATE == {}
 
 
 def test_classify_parallel_matches_serial(pipeline, tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from csisense.profiles import (
 )
 from csisense.rng import CounterRng
 from csisense.simulate import (
+    _RAY_SENSITIVITY,
     EnvelopeScale,
     build_geometry,
     dataset_trials,
@@ -287,16 +288,13 @@ def test_build_geometry_layout_and_determinism():
     a = build_geometry(config, CounterRng(5, "geometry"))
     b = build_geometry(config, CounterRng(5, "geometry"))
     c = build_geometry(config, CounterRng(6, "geometry"))
-    assert len(a.links) == 2 and len(a.links[0]) == 3
-    link = a.links[0][0]
-    assert link.amplitudes[0] == 1.0 and link.sensitivities[0] == 1.0
-    assert link.amplitudes.shape == (5,)
-    assert (link.delays[1:] > link.delays[0]).all()
-    assert (link.amplitudes[1:] >= 0.01).all()
-    for t in range(2):
-        for r in range(3):
-            assert np.array_equal(a.links[t][r].delays, b.links[t][r].delays)
-    assert not np.array_equal(a.links[0][0].delays, c.links[0][0].delays)
+    assert a.amplitudes.shape == a.delays.shape == (2, 3, 5)
+    assert (a.amplitudes[..., 0] == 1.0).all() and _RAY_SENSITIVITY[0] == 1.0
+    assert (a.delays[..., 1:] > a.delays[..., :1]).all()
+    assert (a.amplitudes >= 0.01).all()
+    assert np.array_equal(a.amplitudes, b.amplitudes) and np.array_equal(a.delays, b.delays)
+    assert not np.array_equal(a.amplitudes, c.amplitudes)
+    assert not np.array_equal(a.delays, c.delays)
 
 
 def test_pair_envelope_scale():
