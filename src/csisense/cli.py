@@ -2,16 +2,20 @@
 
 A batch pipeline over files on disk.  Every command is deterministic given its
 inputs and seeds; reruns produce byte-identical artifacts.  Exit status 0
-means every requested artifact was written, 2 flags a configuration or input
-problem, 1 an aborted run (for example training divergence).  ``preprocess``,
+means every requested artifact was written, 2 flags a configuration, input or
+file-system problem (an ``--out`` that cannot be created, say), 1 an aborted
+run (for example training divergence).  ``preprocess``,
 ``classify``, ``evaluate`` and ``report`` name each input file they cannot
 use, still write the artifacts of every other, and exit 2; ``train`` names
 every missing or unreadable feature CSV and stops.  ``preprocess`` and
 ``classify`` accept the same trials (:func:`_read_frame`); ``preprocess``
 also needs them labeled and of the manifest's feature width.
 
-Parallel commands take --jobs (default 1), and CSISENSE_VERBOSE=0 silences
-progress chatter on standard error.
+``simulate``, ``preprocess`` and ``classify`` take --jobs (default 1), a
+number of worker processes for per-trial work; ``classify`` fans out only the
+reading and featurizing of trials and predicts in the calling process, with
+the models it loaded.  CSISENSE_VERBOSE=0 silences progress chatter on
+standard error.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .simulate import build_geometry, dataset_trials, synth_trial
 from .weights import ModelWeights, load_weights, model_from_weights, save_weights, weights_from_model
 
 
-class CliError(Exception):
+class CliError(CsiSenseError):
     """Configuration or input problem; reported on stderr with exit status 2."""
 
 
@@ -83,16 +87,17 @@ def _failed(verb: str, noun: str, failures: list[tuple[str, str]]) -> CliError:
     return CliError(f"{verb} {len(failures)} {noun} file(s):\n" + "\n".join(f"  {line}" for line in lines))
 
 
-def _run_jobs(fn, jobs_list, jobs: int, initializer=None, initargs=()):
-    """Map fn over jobs_list, optionally across processes.  Results keep the
-    input order, so the worker count never changes any output."""
+def _run_jobs(fn, jobs_list, jobs: int):
+    """Map fn over jobs_list, across ``jobs`` worker processes when there is
+    more than one job.  A job is per-trial work (writing a trial, or reading
+    and featurizing one); ``classify`` predicts in the calling process, so
+    no worker builds or holds a model.  Results keep the input order, so the
+    worker count never changes any output."""
     if jobs < 1:
         raise CliError("--jobs must be at least 1")
     if jobs <= 1 or len(jobs_list) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(job) for job in jobs_list]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=initializer, initargs=initargs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, jobs_list))
 
 
@@ -118,16 +123,18 @@ def _per_file(reader, paths, jobs: int = 1):
     return read, failures
 
 
-def _read_frame(path: str, seq_len: int):
+def _read_frame(path: str, seq_len: int, scaler=None):
     """A trial file as ``preprocess`` and ``classify`` both take it: read,
-    checked by ``validate_trial``, normalized to ``seq_len`` packets and
-    featurized unscaled.  Returns its trial id, labeled flag and frame."""
+    checked by ``validate_trial``, normalized to ``seq_len`` packets,
+    featurized, and scaled by ``scaler`` when one is given.  Returns its
+    trial id, labeled flag and frame."""
     trial = dataio.read_trial(path)
     report = validate_trial(trial)
     if not report.ok:
         raise DomainError(f"invalid trial: {'; '.join(report.violations[:3])}")
     trial = normalize_length(trial, seq_len)
-    return trial.trial_id, trial.labeled, trial_features(trial)
+    frame = trial_features(trial)
+    return trial.trial_id, trial.labeled, frame if scaler is None else robust_transform(frame, scaler)
 
 
 # ---------------------------------------------------------------- simulate
@@ -273,49 +280,28 @@ def cmd_train(args) -> int:
 
 # ---------------------------------------------------------------- classify
 
-_CLASSIFY_STATE: dict = {}
-
-
-def _classify_init(bundles: list[ModelWeights]) -> None:
-    """Build the fold models, emptying ``bundles`` as it goes: each model
-    holds its own float32 copy of its bundle's parameters and predicts in
-    float32, and the bundles would otherwise stay live through every
-    predict."""
-    _CLASSIFY_STATE["scaler"] = bundles[0].scaler
-    _CLASSIFY_STATE["seq_len"] = bundles[0].arch.seq_len
-    models = []
-    while bundles:
-        models.append(model_from_weights(bundles.pop(0)))
-    _CLASSIFY_STATE["models"] = models
-
-
-def _classify_read(path: str):
-    """A trial file's scaled features and labeled flag."""
-    _, labeled, frame = _read_frame(path, _CLASSIFY_STATE["seq_len"])
-    return robust_transform(frame, _CLASSIFY_STATE["scaler"]), labeled
-
-
-def _classify_job(chunk) -> list[tuple[str, str]]:
-    """Classify a chunk of (trial path, output path) pairs with one batched
-    predict per fold.  A trial that cannot be read or fails validation is
-    left out and returned as (path, reason); every other gets its CSV."""
-    out_paths = dict(chunk)
-    ready, failures = _per_file(_classify_read, list(out_paths))
+def _classify_chunk(models, read, paths: list[Path], out: Path, jobs: int) -> list[tuple[str, str]]:
+    """Classify a chunk of trial files with one batched predict per fold and
+    write each one's prediction CSV under ``out``.  ``read`` gives a path's
+    scaled frame (:func:`_read_frame`) and runs across ``jobs`` processes.  A
+    trial that cannot be read or fails validation is left out and returned as
+    (path, reason).  A function of its own, so that a chunk's frames and
+    batch are freed before the next chunk is read."""
+    ready, failures = _per_file(read, paths, jobs)
     if not ready:
         return failures
-    batch = np.stack([frame.matrix for _, (frame, _) in ready])
-    per_trial = np.stack([m.predict(batch) for m in _CLASSIFY_STATE["models"]], axis=1)  # (trials, folds, T)
-    for (in_path, (frame, labeled)), per_fold in zip(ready, per_trial):
-        out_path = out_paths[in_path]
+    batch = np.stack([frame.matrix for _, (_, _, frame) in ready])
+    per_trial = np.stack([m.predict(batch) for m in models], axis=1)  # (trials, folds, T)
+    for (path, (_, labeled, frame)), per_fold in zip(ready, per_trial):
         ensembled = ensemble_mode(per_fold)
         trace = PredictionTrace(
-            trial_id=Path(out_path).stem,
+            trial_id=Path(path).stem,
             per_fold=per_fold,
             ensembled=ensembled,
             smoothed=smooth(ensembled),
             true_labels=frame.labels if labeled else None,
         )
-        dataio.write_predictions(trace, out_path)
+        dataio.write_predictions(trace, out / f"{trace.trial_id}.csv")
     return failures
 
 
@@ -351,18 +337,18 @@ def cmd_classify(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pairs = [(str(p), str(out / f"{p.stem}.csv")) for p in trial_paths]
-    rows = inference_rows(bundles[0].arch)
-    chunks = [pairs[i : i + rows] for i in range(0, len(pairs), rows)]
-    try:
-        per_chunk = _run_jobs(
-            _classify_job, chunks, args.jobs,
-            initializer=_classify_init, initargs=(bundles,),
-        )
-    finally:
-        _CLASSIFY_STATE.clear()  # a serial run built the models in this process
-    failures = [f for found in per_chunk for f in found]
-    _say(f"wrote {len(pairs) - len(failures)} prediction files under {out} using {len(weight_paths)} models")
+    arch = bundles[0].arch
+    read = partial(_read_frame, seq_len=arch.seq_len, scaler=bundles[0].scaler)
+    # each model holds its own float32 copy of its bundle's parameters, so a
+    # bundle is dropped as its model is built rather than kept through predicts
+    models = []
+    while bundles:
+        models.append(model_from_weights(bundles.pop(0)))
+    rows = inference_rows(arch)
+    failures = []
+    for i in range(0, len(trial_paths), rows):
+        failures += _classify_chunk(models, read, trial_paths[i : i + rows], out, args.jobs)
+    _say(f"wrote {len(trial_paths) - len(failures)} prediction files under {out} using {len(weight_paths)} models")
     if failures:
         raise _failed("skipped", "trial", failures)
     return 0
@@ -370,26 +356,29 @@ def cmd_classify(args) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-def _load_traces(predictions_dir: str) -> tuple[list[PredictionTrace], list[tuple[str, str]]]:
-    """Every readable prediction CSV, and (path, reason) for each that is not;
-    raises if none is readable."""
+def _load_traces(predictions_dir: str, reader) -> tuple[list[PredictionTrace], list[tuple[str, str]]]:
+    """``reader(path)`` for every prediction CSV, and (path, reason) for each
+    it refuses; raises if it refuses them all."""
     pdir = Path(predictions_dir)
     files = sorted(pdir.glob("*.csv"))
     if not files:
         raise CliError(f"no prediction files in {pdir}")
-    read, failures = _per_file(dataio.read_predictions, files)
+    read, failures = _per_file(reader, files)
     if not read:
         raise _failed("could not read", "prediction", failures)
     return [trace for _, trace in read], failures
 
 
+def _labeled_predictions(path):
+    """A prediction CSV that ``evaluate`` can score: one with true labels."""
+    trace = dataio.read_predictions(path)
+    if trace.true_labels is None:
+        raise CliError("carries no true labels")
+    return trace
+
+
 def cmd_evaluate(args) -> int:
-    traces, failures = _load_traces(args.predictions)
-    missing = [t.trial_id for t in traces if t.true_labels is None]
-    if missing:
-        raise CliError(
-            "cannot evaluate: these predictions carry no true labels: " + ", ".join(missing)
-        )
+    traces, failures = _load_traces(args.predictions, _labeled_predictions)
     true_cat = np.concatenate([t.true_labels for t in traces])
     pred_cat = np.concatenate([t.smoothed for t in traces])
     conf = confusion(true_cat, pred_cat)
@@ -431,7 +420,7 @@ def cmd_evaluate(args) -> int:
 # ------------------------------------------------------------------ report
 
 def cmd_report(args) -> int:
-    traces, failures = _load_traces(args.predictions)
+    traces, failures = _load_traces(args.predictions, dataio.read_predictions)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for trace in traces:
@@ -512,13 +501,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CsiSenseError as exc:
+    except (CsiSenseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,15 @@
 """Packet features, trial length normalization, scaling, and dataset splits.
 
-Each packet becomes one row of F = 6 + 2 * n_tx * n_rx * n_sc features:
+Each packet becomes one row of F = 3 + n_rx + 2 * n_tx * n_rx * n_sc features:
 
-    [time_diff, noise, agc, rssi_a, rssi_b, rssi_c,
+    [time_diff, noise, agc, one RSSI per receive antenna (rssi_a, rssi_b, ...),
      |csi| flattened row-major over (tx, rx, subcarrier),
      principal-value phases in (-pi, pi], same order]
 
-so the default (2, 3, 30) dims give 366 columns.  Trials are first padded or
-clipped to a common length at their front, by a rule that reads no labels,
-then scaled column-wise by a robust (median / interquartile-range) scaler
-fitted on training rows only.
+so the default (2, 3, 30) dims give 366 columns and (2, 1, 4) give 20.
+Trials are first padded or clipped to a common length at their front, by a
+rule that reads no labels, then scaled column-wise by a robust (median /
+interquartile-range) scaler fitted on training rows only.
 """
 
 from __future__ import annotations

@@ -239,8 +239,6 @@ def dataset_trials(
     index).  Deterministic under seed."""
     if pairs < 1 or trials_per_class < 1:
         raise DomainError("pairs and trials_per_class must be at least 1")
-    if pair_variation < 0:
-        raise DomainError("pair_variation must be non-negative")
     out = []
     for p in range(pairs):
         pair_id = f"pair{p:02d}"

@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 import zlib
 from pathlib import Path
 
@@ -30,9 +31,9 @@ from csisense.dataio import (
     write_predictions,
     write_trial,
 )
-from csisense.model import build
+from csisense.model import SequenceClassifier, build
 from csisense.postprocess import PredictionTrace
-from csisense.weights import load_weights, save_weights
+from csisense.weights import load_weights, model_from_weights, save_weights
 
 MICRO_PROFILES = """\
 [meta]
@@ -544,20 +545,52 @@ def test_classify_rejects_bundles_with_different_scalers(pipeline, tmp_path, cap
     assert f"{path}: weight bundles disagree on the feature scaler" in capsys.readouterr().err
 
 
-def test_classify_init_releases_the_bundles(pipeline):
-    bundles = [load_weights(p) for p in sorted(pipeline["models"].glob("*.weights"))]
-    cli._classify_init(bundles)
-    assert bundles == []  # the float32 arrays are not kept alive next to the models
-    assert len(cli._CLASSIFY_STATE["models"]) == 2
-    assert cli._CLASSIFY_STATE["seq_len"] == 40
+def test_classify_builds_each_model_once_in_the_calling_process(pipeline, tmp_path, monkeypatch):
+    # one trial per chunk, over two jobs: still one model per bundle, built here
+    monkeypatch.setattr(cli, "inference_rows", lambda arch: 1)
+    built = []
+
+    def counting(bundle):
+        built.append(bundle.fold_id)
+        return model_from_weights(bundle)
+
+    monkeypatch.setattr(cli, "model_from_weights", counting)
+    out = tmp_path / "p"
+    assert cli.main([
+        "classify", "--weights", str(pipeline["models"]),
+        "--input", str(pipeline["test_dir"]), "--out", str(out), "--jobs", "2",
+    ]) == 0
+    assert built == [0, 1]
+    for path in sorted(pipeline["predictions"].glob("*.csv")):
+        assert (out / path.name).read_bytes() == path.read_bytes()
 
 
-def test_classify_releases_its_models_when_it_returns(pipeline, tmp_path):
+def test_classify_frees_the_bundles_before_predicting_and_the_models_on_return(
+    pipeline, tmp_path, monkeypatch
+):
+    bundles, models, bundles_alive = [], [], []
+
+    def tracking(bundle):
+        model = model_from_weights(bundle)
+        bundles.append(weakref.ref(bundle))
+        models.append(weakref.ref(model))
+        return model
+
+    predict = SequenceClassifier.predict
+
+    def watched_predict(self, x):
+        bundles_alive.append([ref() is not None for ref in bundles])
+        return predict(self, x)
+
+    monkeypatch.setattr(cli, "model_from_weights", tracking)
+    monkeypatch.setattr(SequenceClassifier, "predict", watched_predict)
     assert cli.main([
         "classify", "--weights", str(pipeline["models"]),
         "--input", str(pipeline["test_dir"]), "--out", str(tmp_path / "p"),
     ]) == 0
-    assert cli._CLASSIFY_STATE == {}
+    assert len(bundles) == 2
+    assert bundles_alive[0] == [False, False]  # the float32 arrays are not kept next to the models
+    assert [ref() for ref in models] == [None, None]
 
 
 def test_classify_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
@@ -649,6 +682,21 @@ def test_evaluate_rejects_unlabeled(pipeline, tmp_path, capsys):
     rc = cli.main(["evaluate", "--predictions", str(pred), "--out", str(tmp_path / "r")])
     assert rc == 2
     assert "no true labels" in capsys.readouterr().err
+
+
+def test_evaluate_scores_the_labeled_and_names_the_unlabeled(pipeline, tmp_path, capsys):
+    mixed, labeled = tmp_path / "mixed", tmp_path / "labeled"
+    shutil.copytree(pipeline["predictions"], mixed)
+    shutil.copytree(pipeline["predictions"], labeled)
+    victim = sorted(mixed.glob("*.csv"))[0]
+    write_predictions(dataclasses.replace(read_predictions(victim), true_labels=None), victim)
+    (labeled / victim.name).unlink()
+
+    rc = cli.main(["evaluate", "--predictions", str(mixed), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert f"skipped 1 prediction file(s):\n  {victim}: carries no true labels" in capsys.readouterr().err
+    assert cli.main(["evaluate", "--predictions", str(labeled), "--out", str(tmp_path / "want")]) == 0
+    assert (tmp_path / "r" / "metrics.csv").read_bytes() == (tmp_path / "want" / "metrics.csv").read_bytes()
 
 
 def test_evaluate_empty_dir(tmp_path, capsys):
@@ -754,6 +802,26 @@ def test_report_timeline_bytes_are_frozen(tmp_path, with_true, digest):
 
 
 # ------------------------------------------------------------- environment
+
+@pytest.mark.parametrize("command", ["simulate", "preprocess", "train", "classify", "evaluate", "report"])
+def test_an_out_that_cannot_be_made_exits_2(pipeline, tmp_path, capsys, command):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    inputs = {
+        "simulate": ["--profiles", str(pipeline["profiles"]), "--trials-per-class", "1"],
+        "preprocess": ["--manifest", str(pipeline["dataset"] / "manifest.json"), "--target-len", "40"],
+        "train": ["--features", str(pipeline["features"]), "--arch", str(pipeline["arch"]),
+                  "--train-cfg", str(pipeline["traincfg"])],
+        "classify": ["--weights", str(pipeline["models"]), "--input", str(pipeline["test_dir"])],
+        "evaluate": ["--predictions", str(pipeline["predictions"])],
+        "report": ["--predictions", str(pipeline["predictions"])],
+    }[command]
+    assert cli.main([command, *inputs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: [Errno 20] Not a directory: '{out}" in err  # simulate names its trials/ under out
+    assert "Traceback" not in err
+
 
 def test_jobs_flag_rejects_zero(pipeline, tmp_path, capsys):
     rc = cli.main([

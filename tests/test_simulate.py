@@ -314,7 +314,7 @@ def test_synth_trial_segments_and_labels():
     labels = trial.labels.tolist()
     assert labels[:10] == [STEADY_STATE] * 10
     assert labels[10:] == [PUSHING.label] * 20
-    validate_trial(trial)
+    assert validate_trial(trial).ok
 
 
 def test_synth_trial_approaching_ends_steady():
