@@ -7,15 +7,17 @@ file-system problem (an ``--out`` that cannot be created, say), 1 an aborted
 run (for example training divergence).  ``preprocess``,
 ``classify``, ``evaluate`` and ``report`` name each input file they cannot
 use, still write the artifacts of every other, and exit 2; ``train`` names
-every missing or unreadable feature CSV and stops.  ``preprocess`` and
-``classify`` accept the same trials (:func:`_read_frame`); ``preprocess``
-also needs them labeled and of the manifest's feature width.
+every missing or unreadable feature CSV and stops.  A file that is not UTF-8
+or not of its format's shape (a JSON top level that is no object, say) is
+unreadable too.  ``preprocess`` and ``classify`` accept the same trials
+(:func:`_read_frame`); ``preprocess`` also needs them labeled and of the
+manifest's feature width.
 
 ``simulate``, ``preprocess`` and ``classify`` take --jobs (default 1), a
-number of worker processes for per-trial work; ``classify`` fans out only the
-reading and featurizing of trials and predicts in the calling process, with
-the models it loaded.  CSISENSE_VERBOSE=0 silences progress chatter on
-standard error.
+number of worker processes for per-trial work; one pool serves the whole
+command.  ``classify`` fans out only the reading and featurizing of trials and
+predicts in the calling process, with the models it loaded.
+CSISENSE_VERBOSE=0 silences progress chatter on standard error.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -44,7 +47,7 @@ from .features import (
     split_dataset,
     trial_features,
 )
-from .model import inference_rows, load_arch_config, load_train_config, train_kfold
+from .model import fold_seed, inference_rows, load_arch_config, load_train_config, train_kfold
 from .postprocess import (
     PredictionTrace,
     confusion,
@@ -87,18 +90,19 @@ def _failed(verb: str, noun: str, failures: list[tuple[str, str]]) -> CliError:
     return CliError(f"{verb} {len(failures)} {noun} file(s):\n" + "\n".join(f"  {line}" for line in lines))
 
 
-def _run_jobs(fn, jobs_list, jobs: int):
-    """Map fn over jobs_list, across ``jobs`` worker processes when there is
-    more than one job.  A job is per-trial work (writing a trial, or reading
-    and featurizing one); ``classify`` predicts in the calling process, so
-    no worker builds or holds a model.  Results keep the input order, so the
-    worker count never changes any output."""
+@contextmanager
+def _job_map(jobs: int):
+    """The ``map`` for a command's per-trial work (writing a trial, or reading
+    and featurizing one): the builtin at one job, else that of one pool of
+    ``jobs`` worker processes serving the whole command.  Results keep the
+    input order, so the worker count never changes any output."""
     if jobs < 1:
         raise CliError("--jobs must be at least 1")
-    if jobs <= 1 or len(jobs_list) <= 1:
-        return [fn(job) for job in jobs_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, jobs_list))
+    if jobs == 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
 
 
 def _guarded(reader, path):
@@ -113,11 +117,11 @@ def _guarded(reader, path):
         return str(path), False, str(exc)
 
 
-def _per_file(reader, paths, jobs: int = 1):
-    """``reader(path)`` for every path, mapped through :func:`_run_jobs`:
-    ``(path, value)`` for each file it read and ``(path, reason)`` for each
-    it could not, both in input order."""
-    outcomes = _run_jobs(partial(_guarded, reader), paths, jobs)
+def _per_file(reader, paths, job_map=map):
+    """``reader(path)`` for every path, mapped through ``job_map`` (see
+    :func:`_job_map`): ``(path, value)`` for each file it read and
+    ``(path, reason)`` for each it could not, both in input order."""
+    outcomes = list(job_map(partial(_guarded, reader), paths))
     read = [(path, value) for path, ok, value in outcomes if ok]
     failures = [(path, reason) for path, ok, reason in outcomes if not ok]
     return read, failures
@@ -172,7 +176,8 @@ def cmd_simulate(args) -> int:
     (out / "trials").mkdir(parents=True, exist_ok=True)
 
     plan = dataset_trials(profiles, args.pairs, args.trials_per_class, args.pair_variation, args.seed)
-    entries = _run_jobs(partial(_simulate_job, meta, config, geometry, out), plan, args.jobs)
+    with _job_map(args.jobs) as job_map:
+        entries = list(job_map(partial(_simulate_job, meta, config, geometry, out), plan))
     manifest = Manifest(
         dims=config.dims,
         seed=args.seed,
@@ -202,7 +207,8 @@ def cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     paths = [str(base / e.path) for e in manifest.entries]
-    read, failures = _per_file(partial(_read_frame, seq_len=args.target_len), paths, args.jobs)
+    with _job_map(args.jobs) as job_map:
+        read, failures = _per_file(partial(_read_frame, seq_len=args.target_len), paths, job_map)
     # the scaler, the split and the outputs come from the labeled trials that
     # read and have the manifest's feature width
     width = len(dataio.feature_column_names(manifest.dims))
@@ -265,7 +271,7 @@ def cmd_train(args) -> int:
 
     results = train_kfold(frames, folds, arch, cfg, on_epoch=on_epoch)
     for fold_id, (model, history) in enumerate(results):
-        bundle = weights_from_model(model, fold_id, cfg.seed * 10007 + fold_id, scaler=scaler)
+        bundle = weights_from_model(model, fold_id, fold_seed(cfg.seed, fold_id), scaler=scaler)
         save_weights(bundle, out / f"fold{fold_id}.weights")
         columns = ["epoch", "loss", "acc", "precision", "recall", "lr"]
         write_csv(
@@ -280,14 +286,14 @@ def cmd_train(args) -> int:
 
 # ---------------------------------------------------------------- classify
 
-def _classify_chunk(models, read, paths: list[Path], out: Path, jobs: int) -> list[tuple[str, str]]:
+def _classify_chunk(models, read, paths: list[Path], out: Path, job_map) -> list[tuple[str, str]]:
     """Classify a chunk of trial files with one batched predict per fold and
     write each one's prediction CSV under ``out``.  ``read`` gives a path's
-    scaled frame (:func:`_read_frame`) and runs across ``jobs`` processes.  A
+    scaled frame (:func:`_read_frame`) and runs through ``job_map``.  A
     trial that cannot be read or fails validation is left out and returned as
     (path, reason).  A function of its own, so that a chunk's frames and
     batch are freed before the next chunk is read."""
-    ready, failures = _per_file(read, paths, jobs)
+    ready, failures = _per_file(read, paths, job_map)
     if not ready:
         return failures
     batch = np.stack([frame.matrix for _, (_, _, frame) in ready])
@@ -346,8 +352,9 @@ def cmd_classify(args) -> int:
         models.append(model_from_weights(bundles.pop(0)))
     rows = inference_rows(arch)
     failures = []
-    for i in range(0, len(trial_paths), rows):
-        failures += _classify_chunk(models, read, trial_paths[i : i + rows], out, args.jobs)
+    with _job_map(args.jobs) as job_map:
+        for i in range(0, len(trial_paths), rows):
+            failures += _classify_chunk(models, read, trial_paths[i : i + rows], out, job_map)
     _say(f"wrote {len(trial_paths) - len(failures)} prediction files under {out} using {len(weight_paths)} models")
     if failures:
         raise _failed("skipped", "trial", failures)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import os
 import struct
+import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -65,28 +66,78 @@ def write_csv(path: str | Path, header: list[str], row_format: str, rows) -> Non
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_csv(path: str | Path, what: str, parse_row, header_ok=lambda header: True):
-    """Header and ``parse_row(cells)`` of every data row, blank lines skipped.
+def _read_text(path: str | Path) -> str:
+    """A text file's contents; one that is not UTF-8 is a format error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from exc
 
-    Zero data rows, a header ``header_ok`` rejects, a row whose width differs
-    from the header's, or a ``ValueError`` from ``parse_row`` is a format error.
-    """
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+
+def _loadtxt(lines: list[str], dtype: np.dtype, width: int) -> np.ndarray:
+    with warnings.catch_warnings():
+        # NumPy 1.x reads an integer cell "3.5" as 3 with only this warning; NumPy 2 refuses it
+        warnings.simplefilter("error", DeprecationWarning)
+        ndmin = 1 if dtype.names else 2
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=range(width), ndmin=ndmin)
+
+
+def _read_table(path: str | Path, what: str, dtype, header_ok=lambda header: True, blank_last=False):
+    """Header and body of a CSV file, blank lines skipped; the body is read by
+    one ``np.loadtxt`` into rows of ``dtype(width)`` for the width parsed (with
+    ``blank_last``, a last column every row leaves empty is not parsed).  Zero
+    data rows, a rejected header, a row of another width than the header, a
+    last column empty in some rows only, or a refused cell is a format error
+    naming the file; a refused cell re-runs the parse line by line to name it."""
+    lines = [ln for ln in _read_text(path).splitlines() if ln]
     if len(lines) < 2:
         raise FormatError(f"{path}: {what} has zero data rows")
-    header = lines[0].split(",")
+    header, body = lines[0].split(","), lines[1:]
     if not header_ok(header):
         raise FormatError(f"{path}: unexpected {what} header")
-    rows = []
-    for ln_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise FormatError(f"{path}: line {ln_no} has {len(cells)} columns, header has {len(header)}")
-        try:
-            rows.append(parse_row(cells))
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {ln_no} is not numeric: {exc}") from exc
-    return header, rows
+    for ln_no, line in enumerate(body, start=2):
+        if line.count(",") != len(header) - 1:
+            raise FormatError(f"{path}: line {ln_no} has {line.count(',') + 1} columns, header has {len(header)}")
+    width = len(header)
+    if blank_last:
+        blank = sum(line.endswith(",") for line in body)
+        if blank == len(body):
+            width -= 1
+        elif blank:
+            raise FormatError(f"{path}: {header[-1]} column is only partially filled")
+    row = np.dtype(dtype(width))
+    try:
+        return header, _loadtxt(body, row, width)
+    except (ValueError, DeprecationWarning) as bulk_exc:
+        for ln_no, line in enumerate(body, start=2):
+            try:
+                _loadtxt([line], row, width)
+            except (ValueError, DeprecationWarning) as exc:
+                raise FormatError(f"{path}: line {ln_no} is not numeric: {exc}") from exc
+        raise FormatError(f"{path}: {what} is not numeric: {bulk_exc}") from bulk_exc
+
+
+def _load_json(path: str | Path, what: str, build):
+    """``build(record)`` of a JSON file whose top level is a version 1 object.
+    Anything else, or a ``KeyError``, ``TypeError`` or ``ValueError`` from
+    ``build``, is a format error naming the file; another version is a
+    version error."""
+    try:
+        record = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise FormatError(f"{path}: bad {what} file: the top level is not a JSON object")
+    if record.get("version") != 1:
+        raise VersionError(f"{path}: unsupported {what} version {record.get('version')!r}")
+    try:
+        return build(record)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad {what} file: {exc!r}") from exc
+
+
+def _save_json(record: dict, path: str | Path, indent: int | None = None) -> None:
+    _atomic_write_text(path, json.dumps(record, indent=indent, sort_keys=True) + "\n")
 
 
 def _record_dtype(dims: tuple[int, int, int]) -> np.dtype:
@@ -245,40 +296,13 @@ def _check_class_codes(path: str | Path, codes: np.ndarray, column: str, error=F
         raise error(f"{path}: {column} holds {codes[bad][0]}, not a class code 0..{NUM_CLASSES - 1}")
 
 
-def _parse_feature_row(cells: list[str]) -> tuple[list[float], int]:
-    return [float(v) for v in cells[:-1]], int(cells[-1])
-
-
 def import_feature_csv(path: str | Path) -> FeatureFrame:
-    """Parse a feature CSV back into a frame.
-
-    The body is parsed in bulk: ``np.loadtxt`` reads the feature cells, whose
-    C parser rounds each cell exactly as ``float()`` does, and ``int()`` reads
-    each label cell.  The bulk parse is kept only when it read one row of the
-    header's width per non-blank line; any other file goes through the
-    per-cell line parser, which raises the same format error as ever (zero
-    data rows, a row of the wrong width, a cell that is not a number, a label
-    that is not an integer).  A label outside the class codes is a format
-    error too.
-
+    """Parse a feature CSV back into a frame: each feature cell as ``float()``
+    rounds it, a label as an integer literal that must be a class code.
     The file does not record whether the scaler ran; pipeline CSVs are always
-    scaled, so the frame comes back marked as scaled.
-    """
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-    width = lines[0].count(",") + 1 if lines else 0
-    cells = [ln.rpartition(",") for ln in lines[1:]]
-    try:
-        # an empty body makes loadtxt warn, not raise, so it never gets there
-        if width < 2 or not cells or any(ln.count(",") != width - 1 for ln in lines[1:]):
-            raise ValueError("not a well-formed feature body")
-        labels = np.asarray([int(label) for _, _, label in cells], dtype=np.int64)
-        matrix = np.loadtxt([row for row, _, _ in cells], delimiter=",", comments=None, ndmin=2)
-        if matrix.shape != (len(cells), width - 1):
-            raise ValueError("loadtxt skipped a line")
-    except ValueError:
-        _, rows = _read_csv(path, "feature CSV", _parse_feature_row)
-        matrix = np.asarray([values for values, _ in rows], dtype=np.float64)
-        labels = np.asarray([label for _, label in rows], dtype=np.int64)
+    scaled, so the frame comes back marked as scaled."""
+    _, table = _read_table(path, "feature CSV", lambda w: [("features", "<f8", (w - 1,)), ("label", "<i8")])
+    matrix, labels = np.ascontiguousarray(table["features"]), np.ascontiguousarray(table["label"])
     _check_class_codes(path, labels, "the label column")
     return FeatureFrame(matrix=matrix, labels=labels, scaler_applied=True)
 
@@ -307,40 +331,27 @@ def _prediction_header_ok(header: list[str]) -> bool:
     return bool(fold_cols) and header == ["packet_index"] + fold_cols + ["ensembled", "smoothed", "true"]
 
 
-def _int64(cell: str) -> int:
-    value = int(cell)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(f"{cell} is outside the int64 range")
-    return value
-
-
-def _parse_prediction_row(cells: list[str]) -> list[int | None]:
-    return [_int64(c) for c in cells[:-1]] + [_int64(cells[-1]) if cells[-1] else None]
-
-
 def read_predictions(path: str | Path) -> PredictionTrace:
     """Inverse of :func:`write_predictions`; trial id comes from the filename.
     Every column but ``packet_index`` must hold class codes."""
-    header, rows = _read_csv(path, "prediction CSV", _parse_prediction_row, _prediction_header_ok)
+    header, table = _read_table(path, "prediction CSV", lambda _: np.int64, _prediction_header_ok, blank_last=True)
     folds = len(header) - 4
-    true_cells = [row.pop() for row in rows]
-    if all(c is None for c in true_cells):
-        true_labels = None
-    elif any(c is None for c in true_cells):
-        raise FormatError(f"{path}: true column is only partially filled")
-    else:
-        true_labels = np.asarray(true_cells, dtype=np.int64)
-    columns = np.ascontiguousarray(np.asarray(rows, dtype=np.int64).T)
-    for name, codes in zip(header[1:], [*columns[1:], true_labels]):
-        if codes is not None:
-            _check_class_codes(path, codes, f"column {name}")
+    columns = np.ascontiguousarray(table.T)
+    for name, codes in zip(header[1:], columns[1:]):
+        _check_class_codes(path, codes, f"column {name}")
     return PredictionTrace(
         trial_id=Path(path).stem,
         per_fold=columns[1 : 1 + folds],
         ensembled=columns[1 + folds],
         smoothed=columns[2 + folds],
-        true_labels=true_labels,
+        true_labels=columns[3 + folds] if len(columns) == len(header) else None,
     )
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -360,81 +371,49 @@ class Manifest:
     seed: int
     profiles_sha256: str
     entries: list[ManifestEntry] = field(default_factory=list)
-    version: int = 1
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": 1,
             "dims": list(self.dims),
             "seed": self.seed,
             "profiles_sha256": self.profiles_sha256,
-            "trials": [
-                {
-                    "path": e.path,
-                    "pair_id": e.pair_id,
-                    "trial_id": e.trial_id,
-                    "class_name": e.class_name,
-                    "length": e.length,
-                }
-                for e in self.entries
-            ],
+            "trials": [asdict(e) for e in self.entries],
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Manifest":
+        dims = tuple(int(v) for v in d["dims"])
+        if len(dims) != 3:
+            raise ValueError("dims must have three entries")
+        entries = [
+            ManifestEntry(*[_text(e[k]) for k in ("path", "pair_id", "trial_id", "class_name")], int(e["length"]))
+            for e in d.get("trials", [])
+        ]
+        return cls(dims, int(d["seed"]), _text(d["profiles_sha256"]), entries)  # type: ignore[arg-type]
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    _atomic_write_text(path, json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    _save_json(manifest.to_dict(), path, indent=2)
 
 
 def load_manifest(path: str | Path) -> Manifest:
     """Parse and validate a manifest.  A referenced trial file that is
     missing is left to its reader, which names it."""
-    path = Path(path)
-    try:
-        d = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if d.get("version") != 1:
-        raise VersionError(f"{path}: unsupported manifest version {d.get('version')!r}")
-    try:
-        manifest = Manifest(
-            dims=tuple(int(v) for v in d["dims"]),  # type: ignore[arg-type]
-            seed=int(d["seed"]),
-            profiles_sha256=str(d["profiles_sha256"]),
-            entries=[
-                ManifestEntry(
-                    path=e["path"],
-                    pair_id=e["pair_id"],
-                    trial_id=e["trial_id"],
-                    class_name=e["class_name"],
-                    length=int(e["length"]),
-                )
-                for e in d.get("trials", [])
-            ],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad manifest file: {exc!r}") from exc
-    if len(manifest.dims) != 3:
-        raise FormatError(f"{path}: dims must have three entries")
-    return manifest
+    return _load_json(path, "manifest", Manifest.from_dict)
 
 
 def save_scaler(params: RobustScalerParams, path: str | Path) -> None:
-    _atomic_write_text(path, json.dumps(params.to_dict(), sort_keys=True) + "\n")
+    _save_json(params.to_dict(), path)
 
 
 def load_scaler(path: str | Path) -> RobustScalerParams:
-    try:
-        return RobustScalerParams.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, DomainError) as exc:
-        raise FormatError(f"{path}: bad scaler params file: {exc}") from exc
+    return _load_json(path, "scaler params", RobustScalerParams.from_dict)
 
 
 def save_split(spec: SplitSpec, path: str | Path) -> None:
-    _atomic_write_text(path, json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
+    _save_json(spec.to_dict(), path, indent=2)
 
 
 def load_split(path: str | Path) -> SplitSpec:
-    try:
-        return SplitSpec.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, DomainError) as exc:
-        raise FormatError(f"{path}: bad split spec file: {exc}") from exc
+    return _load_json(path, "split spec", SplitSpec.from_dict)

@@ -38,6 +38,11 @@ class RobustScalerParams:
     iqr: np.ndarray
     degenerate: np.ndarray  # columns whose IQR was 0; divisor 1 is used there
 
+    def __post_init__(self):
+        shapes = {a.shape for a in (self.median, self.iqr, self.degenerate)}
+        if len(shapes) != 1 or self.median.ndim != 1:
+            raise DomainError(f"scaler arrays must be 1-D of one length, got shapes {sorted(shapes)}")
+
     def to_dict(self) -> dict:
         return {
             "version": 1,
@@ -48,13 +53,17 @@ class RobustScalerParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RobustScalerParams":
-        if d.get("version") != 1:
-            raise DomainError(f"unsupported scaler params version {d.get('version')!r}")
         return cls(
             median=np.asarray(d["median"], dtype=np.float64),
             iqr=np.asarray(d["iqr"], dtype=np.float64),
             degenerate=np.asarray(d["degenerate"], dtype=bool),
         )
+
+
+def _ids(value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of trial-id strings, got {value!r:.40}")
+    return list(value)
 
 
 @dataclass
@@ -79,13 +88,11 @@ class SplitSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplitSpec":
-        if d.get("version") != 1:
-            raise DomainError(f"unsupported split spec version {d.get('version')!r}")
         return cls(
-            train=list(d["train"]),
-            val=list(d["val"]),
-            test=list(d["test"]),
-            folds=[list(f) for f in d.get("folds", [])],
+            train=_ids(d["train"]),
+            val=_ids(d["val"]),
+            test=_ids(d["test"]),
+            folds=[_ids(f) for f in d.get("folds", [])],
             seed=int(d.get("seed", 0)),
         )
 

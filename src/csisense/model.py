@@ -381,6 +381,11 @@ def train_fold(
     return history
 
 
+def fold_seed(seed: int, fold_id: int) -> int:
+    """The initialization seed of fold ``fold_id`` under training seed ``seed``."""
+    return seed * 10007 + fold_id
+
+
 def train_kfold(
     frames_by_id: dict[str, FeatureFrame],
     folds: list[list[str]],
@@ -401,7 +406,7 @@ def train_kfold(
     results = []
     for fold_id, val_ids in enumerate(folds):
         train_ids = [tid for j, fold in enumerate(folds) if j != fold_id for tid in fold]
-        model = build(arch, seed=cfg.seed * 10007 + fold_id)
+        model = build(arch, seed=fold_seed(cfg.seed, fold_id))
         history = train_fold(
             model,
             [frames_by_id[tid] for tid in sorted(train_ids)],

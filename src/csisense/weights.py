@@ -123,6 +123,8 @@ def load_weights(path: str | Path) -> ModelWeights:
             )
         except KeyError as exc:
             raise FormatError(f"{path}: metadata promises a scaler but arrays are missing") from exc
+        except DomainError as exc:
+            raise FormatError(f"{path}: bad scaler arrays: {exc}") from exc
     try:
         return ModelWeights(
             arrays=arrays,

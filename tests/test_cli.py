@@ -423,6 +423,45 @@ def test_train_names_every_unreadable_feature_csv(pipeline, tmp_path, capsys):
     assert not list((tmp_path / "m").glob("*.weights"))
 
 
+def test_train_names_a_feature_csv_that_is_not_utf8(pipeline, tmp_path, capsys):
+    features = tmp_path / "features"
+    shutil.copytree(pipeline["features"], features)
+    victim = features / f"{sorted(pipeline['split'].train)[0]}.csv"
+    victim.write_bytes(victim.read_bytes() + b"\xff\n")
+    rc = cli.main([
+        "train", "--features", str(features), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 2
+    assert f"could not read 1 feature file(s):\n  {victim}: not UTF-8 text" in capsys.readouterr().err
+
+
+# each JSON record the pipeline reads, with one field and a value of the wrong type for it
+_JSON_FILES = {"manifest.json": ("dims", 5), "scaler.json": ("median", "abc"), "splits.json": ("train", 5)}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_FILES))
+@pytest.mark.parametrize("damage", ["array", "string", "wrong-type"])
+def test_a_malformed_json_record_exits_2_naming_the_file(pipeline, tmp_path, capsys, name, damage):
+    if name == "manifest.json":
+        (tmp_path / "trials").symlink_to(pipeline["dataset"] / "trials")
+        path = tmp_path / name
+        record = json.loads((pipeline["dataset"] / name).read_text())
+        argv = ["preprocess", "--manifest", str(path), "--target-len", "40", "--out", str(tmp_path / "f")]
+    else:
+        shutil.copytree(pipeline["features"], tmp_path / "features")
+        path = tmp_path / "features" / name
+        record = json.loads(path.read_text())
+        argv = [
+            "train", "--features", str(tmp_path / "features"), "--arch", str(pipeline["arch"]),
+            "--train-cfg", str(pipeline["traincfg"]), "--out", str(tmp_path / "m"),
+        ]
+    field, value = _JSON_FILES[name]
+    path.write_text(json.dumps({"array": [], "string": "text", "wrong-type": {**record, field: value}}[damage]))
+    assert cli.main(argv) == 2
+    assert re.search(rf"^error: {re.escape(str(path))}: bad \w[\w ]* file: ", capsys.readouterr().err, re.M)
+
+
 FROZEN_HISTORY = [
     {"epoch": 1, "loss": 2.5649493574615367, "acc": 0.1, "precision": 1.0 / 3.0,
      "recall": 0.0, "lr": 0.003},
@@ -562,6 +601,30 @@ def test_classify_builds_each_model_once_in_the_calling_process(pipeline, tmp_pa
     ]) == 0
     assert built == [0, 1]
     for path in sorted(pipeline["predictions"].glob("*.csv")):
+        assert (out / path.name).read_bytes() == path.read_bytes()
+
+
+def test_classify_opens_one_worker_pool_for_the_whole_command(pipeline, tmp_path, monkeypatch):
+    # one trial per chunk: every chunk is read by the same pool of two workers
+    monkeypatch.setattr(cli, "inference_rows", lambda arch: 1)
+    pools = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    out = tmp_path / "p"
+    assert len(list(pipeline["test_dir"].glob("*.trial"))) >= 3
+    assert cli.main([
+        "classify", "--weights", str(pipeline["models"]),
+        "--input", str(pipeline["test_dir"]), "--out", str(out), "--jobs", "2",
+    ]) == 0
+    assert pools == [2]
+    want = sorted(pipeline["predictions"].glob("*.csv"))  # written by --jobs 1
+    assert sorted(p.name for p in out.glob("*.csv")) == [p.name for p in want]
+    for path in want:
         assert (out / path.name).read_bytes() == path.read_bytes()
 
 
@@ -742,6 +805,28 @@ def test_evaluate_and_report_skip_a_bad_prediction_csv(pipeline, tmp_path, capsy
     rc = cli.main(["report", "--predictions", str(preds), "--out", str(tmp_path / "plots")])
     assert rc == 2
     assert f"{victim}: " in capsys.readouterr().err
+    assert sorted(p.stem for p in (tmp_path / "plots").glob("*.svg")) == good
+
+
+def test_evaluate_and_report_skip_a_prediction_csv_that_is_not_utf8(pipeline, tmp_path, capsys):
+    preds = tmp_path / "preds"
+    shutil.copytree(pipeline["predictions"], preds)
+    victim = sorted(preds.glob("*.csv"))[0]
+    victim.write_bytes(victim.read_bytes() + b"\xfe\n")
+    good = [p.stem for p in sorted(preds.glob("*.csv"))[1:]]
+
+    rc = cli.main(["evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r"), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"skipped 1 prediction file(s):\n  {victim}: not UTF-8 text" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["trials"] == len(good)
+    assert payload["skipped"] == [str(victim)]
+    assert (tmp_path / "r" / "metrics.csv").exists()
+
+    rc = cli.main(["report", "--predictions", str(preds), "--out", str(tmp_path / "plots")])
+    assert rc == 2
+    assert f"skipped 1 prediction file(s):\n  {victim}: not UTF-8 text" in capsys.readouterr().err
     assert sorted(p.stem for p in (tmp_path / "plots").glob("*.svg")) == good
 
 

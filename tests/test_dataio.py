@@ -253,6 +253,27 @@ def test_feature_csv_import_errors(tmp_path):
         import_feature_csv(path)
 
 
+def test_feature_csv_with_one_data_row_round_trips(tmp_path):
+    path = tmp_path / "f.csv"
+    frame = FeatureFrame(np.array([[0.5, -2.0, 1e-300]]), np.array([7]), True)
+    export_feature_csv(frame, path)
+    back = import_feature_csv(path)
+    assert back.matrix.shape == (1, 3)
+    assert back.matrix.tobytes() == frame.matrix.tobytes()
+    assert back.labels.tolist() == [7]
+
+
+@pytest.mark.parametrize("reader, header", [
+    (import_feature_csv, "a,b,label"),
+    (read_predictions, "packet_index,fold_0,ensembled,smoothed,true"),
+])
+def test_a_csv_that_is_not_utf8_is_a_format_error(tmp_path, reader, header):
+    path = tmp_path / "x.csv"
+    path.write_bytes(header.encode() + b"\n\xff\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not UTF-8 text: byte {len(header) + 1} ")):
+        reader(path)
+
+
 def _pinned_feature_frame(width):
     """Edge values (signed zeros, the smallest subnormal, the largest decades,
     non-finite values, a non-terminating binary fraction, integral values)
@@ -285,13 +306,16 @@ def test_feature_csv_bulk_parse_equals_per_cell_parse(tmp_path, monkeypatch, wid
     # subnormals and non-finite values included
     path = tmp_path / "f.csv"
     export_feature_csv(_pinned_feature_frame(width), path, dims=(2, 3, 30))
-    _, rows = dataio._read_csv(path, "feature CSV", dataio._parse_feature_row)
-    per_cell = np.asarray([values for values, _ in rows], dtype=np.float64)
-    monkeypatch.setattr(dataio, "_read_csv", None)  # a well-formed file never falls back
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    per_cell = np.asarray([[float(cell) for cell in row[:-1]] for row in rows], dtype=np.float64)
+    calls = []
+    bulk = dataio._loadtxt
+    monkeypatch.setattr(dataio, "_loadtxt", lambda *a: calls.append(len(a[0])) or bulk(*a))
     frame = import_feature_csv(path)
+    assert calls == [5]  # one bulk parse; a well-formed file is never re-read line by line
     assert frame.matrix.shape == per_cell.shape == (5, width)
     assert frame.matrix.tobytes() == per_cell.tobytes()
-    assert frame.labels.tolist() == [label for _, label in rows] == [0, 12, 11, 3, 7]
+    assert frame.labels.tolist() == [int(row[-1]) for row in rows] == [0, 12, 11, 3, 7]
 
 
 def test_feature_csv_rejects_labels_outside_the_class_codes(tmp_path):
@@ -338,6 +362,22 @@ def test_predictions_blank_true_column(tmp_path):
     write_predictions(_trace(with_true=False), path)
     assert read_predictions(path).true_labels is None
     assert path.read_text().splitlines()[1].endswith(",")
+
+
+@pytest.mark.parametrize("with_true", [True, False], ids=["labeled", "unlabeled"])
+def test_predictions_with_one_data_row_round_trip(tmp_path, with_true):
+    trace = _trace(t=1, folds=2, with_true=with_true, tid="one")
+    path = tmp_path / "one.csv"
+    write_predictions(trace, path)
+    back = read_predictions(path)
+    assert back.per_fold.shape == (2, 1)
+    assert np.array_equal(back.per_fold, trace.per_fold)
+    assert np.array_equal(back.ensembled, trace.ensembled)
+    assert np.array_equal(back.smoothed, trace.smoothed)
+    if with_true:
+        assert np.array_equal(back.true_labels, trace.true_labels)
+    else:
+        assert back.true_labels is None
 
 
 def test_predictions_partial_true_column_rejected(tmp_path):
@@ -499,6 +539,42 @@ def test_split_json_round_trip(tmp_path):
     path.write_text("{}")
     with pytest.raises(FormatError):
         load_split(path)
+
+
+# a valid record of each JSON file, with one field and a value of the wrong type for it
+_JSON_RECORDS = {
+    "manifest": (load_manifest, Manifest((2, 3, 30), 0, "x").to_dict(), "dims", 5),
+    "scaler params": (load_scaler, RobustScalerParams(*np.ones((3, 2))).to_dict(), "median", "abc"),
+    "split spec": (load_split, SplitSpec(["a"], ["b"], ["c"]).to_dict(), "train", 5),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_JSON_RECORDS))
+@pytest.mark.parametrize("damage", ["array", "string", "wrong-type"])
+def test_a_malformed_json_record_is_a_format_error_naming_the_file(tmp_path, what, damage):
+    load, record, name, value = _JSON_RECORDS[what]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"array": [], "string": "text", "wrong-type": {**record, name: value}}[damage]))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: bad {what} file: ")):
+        load(path)
+    path.write_text(json.dumps(record))
+    load(path)
+
+
+def test_scaler_file_with_arrays_of_unequal_length_is_a_format_error(tmp_path):
+    path = tmp_path / "scaler.json"
+    path.write_text(json.dumps({"version": 1, "median": [1, 2, 3], "iqr": [1, 2], "degenerate": [0, 0, 0]}))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: bad scaler params file: ") + ".*one length"):
+        load_scaler(path)
+
+
+def test_manifest_entry_fields_must_be_strings(tmp_path):
+    record = Manifest((2, 3, 30), 0, "x", [ManifestEntry("trials/a.trial", "p", "a", "pushing", 5)]).to_dict()
+    record["trials"][0]["path"] = 5
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: bad manifest file: ") + ".*expected a string, got int"):
+        load_manifest(path)
 
 
 def test_no_tmp_files_survive_writes(tmp_path):

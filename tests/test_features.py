@@ -274,6 +274,23 @@ def test_scaler_params_round_trip():
     assert np.array_equal(clone.degenerate, params.degenerate)
 
 
+@pytest.mark.parametrize("median, iqr, degenerate", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0], [False, False, False]),
+    ([1.0, 2.0], [1.0, 2.0], [False]),
+    (1.0, 1.0, False),
+])
+def test_scaler_params_need_1d_arrays_of_one_length(median, iqr, degenerate):
+    with pytest.raises(DomainError, match="1-D of one length"):
+        RobustScalerParams(np.asarray(median), np.asarray(iqr), np.asarray(degenerate))
+
+
+@pytest.mark.parametrize("field, value", [("train", "ab"), ("val", [1]), ("folds", ["ab"])])
+def test_split_spec_needs_lists_of_trial_id_strings(field, value):
+    record = {**SplitSpec(train=["a"], val=["b"], test=["c"]).to_dict(), field: value}
+    with pytest.raises(TypeError, match="expected a list of trial-id strings"):
+        SplitSpec.from_dict(record)
+
+
 def test_one_hot():
     out = one_hot(np.array([0, 2, 1]), num_classes=3)
     assert np.array_equal(out, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])

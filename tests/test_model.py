@@ -574,6 +574,15 @@ def test_weights_bad_metadata_is_a_format_error(tmp_path, meta):
         load_weights(path)
 
 
+def test_weights_scaler_arrays_of_unequal_length_are_a_format_error(tmp_path):
+    scaler = RobustScalerParams(np.zeros(3), np.ones(3), np.zeros(3, dtype=bool))
+    scaler.iqr = scaler.iqr[:2]  # past the constructor's check, as a foreign writer could
+    path = tmp_path / "m.weights"
+    save_weights(weights_from_model(build(MICRO, seed=0), fold_id=0, seed=0, scaler=scaler), path)
+    with pytest.raises(FormatError, match=r"m.weights: bad scaler arrays: .*1-D of one length"):
+        load_weights(path)
+
+
 def test_weights_reserved_scaler_names(tmp_path):
     model = build(MICRO, seed=0)
     w = weights_from_model(model, fold_id=0, seed=0)
