@@ -117,23 +117,32 @@ def _read_table(path: str | Path, what: str, dtype, header_ok=lambda header: Tru
         raise FormatError(f"{path}: {what} is not numeric: {bulk_exc}") from bulk_exc
 
 
-def _load_json(path: str | Path, what: str, build):
-    """``build(record)`` of a JSON file whose top level is a version 1 object.
-    Anything else, or a ``KeyError``, ``TypeError`` or ``ValueError`` from
-    ``build``, is a format error naming the file; another version is a
-    version error."""
+def decode_json(text: str, path: str | Path, what: str, build):
+    """``build(record)`` of JSON text whose top level is an object.  Text that
+    does not parse, another top level, or a ``KeyError``, ``TypeError`` or
+    ``ValueError`` from ``build`` is a format error naming ``path``."""
     try:
-        record = json.loads(_read_text(path))
+        record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
-        raise FormatError(f"{path}: bad {what} file: the top level is not a JSON object")
-    if record.get("version") != 1:
-        raise VersionError(f"{path}: unsupported {what} version {record.get('version')!r}")
+        raise FormatError(f"{path}: bad {what}: the top level is not a JSON object")
     try:
         return build(record)
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad {what} file: {exc!r}") from exc
+        raise FormatError(f"{path}: bad {what}: {exc!r}") from exc
+
+
+def _load_json(path: str | Path, what: str, build):
+    """:func:`decode_json` of a file whose record is version 1; another
+    version is a version error."""
+
+    def versioned(record: dict):
+        if record.get("version") != 1:
+            raise VersionError(f"{path}: unsupported {what} version {record.get('version')!r}")
+        return build(record)
+
+    return decode_json(_read_text(path), path, f"{what} file", versioned)
 
 
 def _save_json(record: dict, path: str | Path, indent: int | None = None) -> None:
@@ -152,11 +161,6 @@ def _record_dtype(dims: tuple[int, int, int]) -> np.dtype:
             ("label", "u1"),
         ]
     )
-
-
-def record_stride(dims: tuple[int, int, int]) -> int:
-    """Bytes per packet record; 1469 for the default (2, 3, 30) dims."""
-    return _record_dtype(dims).itemsize
 
 
 def write_trial(trial: Trial, path: str | Path) -> None:

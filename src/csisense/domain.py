@@ -49,12 +49,6 @@ def label_to_index(name: str) -> int:
         raise DomainError(f"unknown interaction label {name!r}") from None
 
 
-def index_to_label(index: int) -> str:
-    if not 0 <= int(index) < NUM_CLASSES:
-        raise DomainError(f"interaction label index {index} out of range 0..{NUM_CLASSES - 1}")
-    return LABELS[int(index)]
-
-
 @dataclass(frozen=True)
 class Trial:
     """One recording as per-packet columns: row i of every array is packet i.

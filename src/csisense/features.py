@@ -212,9 +212,7 @@ def one_hot(labels: np.ndarray, num_classes: int = 13) -> np.ndarray:
     return out
 
 
-def _grouped(trial_ids: list[str], classes: list[str] | None) -> dict[str, list[str]]:
-    if classes is None:
-        return {"": sorted(trial_ids)}
+def _grouped(trial_ids: list[str], classes: list[str]) -> dict[str, list[str]]:
     if len(classes) != len(trial_ids):
         raise DomainError("classes list must parallel trial_ids")
     groups: dict[str, list[str]] = {}
@@ -223,11 +221,11 @@ def _grouped(trial_ids: list[str], classes: list[str] | None) -> dict[str, list[
     return {k: groups[k] for k in sorted(groups)}
 
 
-def split_dataset(trial_ids: list[str], seed: int, classes: list[str] | None = None) -> SplitSpec:
-    """Deterministic 60:20:20 train/val/test split, stratified per class when
-    a parallel ``classes`` list is given.  Within each class the shuffled ids
-    are dealt test, then val, then train, with the two holdout sizes rounded
-    from 20% of the class count."""
+def split_dataset(trial_ids: list[str], seed: int, classes: list[str]) -> SplitSpec:
+    """Deterministic 60:20:20 train/val/test split, stratified per class of
+    the parallel ``classes`` list.  Within each class the shuffled ids are
+    dealt test, then val, then train, with the two holdout sizes rounded from
+    20% of the class count."""
     if len(set(trial_ids)) != len(trial_ids):
         raise DomainError("trial ids must be unique")
     train: list[str] = []
@@ -245,11 +243,10 @@ def split_dataset(trial_ids: list[str], seed: int, classes: list[str] | None = N
     return SplitSpec(train=sorted(train), val=sorted(val), test=sorted(test), seed=seed)
 
 
-def kfold_assign(
-    trial_ids: list[str], k: int, seed: int, classes: list[str] | None = None
-) -> list[list[str]]:
-    """Partition ids into ``k`` folds, stratified per class when given,
-    deterministic under the seed.  Folds are near-equal in size."""
+def kfold_assign(trial_ids: list[str], k: int, seed: int, classes: list[str]) -> list[list[str]]:
+    """Partition ids into ``k`` folds, stratified per class of the parallel
+    ``classes`` list, deterministic under the seed.  Folds are near-equal in
+    size."""
     if k < 2:
         raise DomainError(f"fold count must be at least 2, got {k}")
     if len(trial_ids) < k:

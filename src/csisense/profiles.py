@@ -11,15 +11,12 @@ no per-class code.
 
 from __future__ import annotations
 
-import configparser
-import io
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import read_ini, section_to
-from .dataio import _atomic_write_text
 from .domain import LABELS, label_to_index
 from .errors import DomainError
 
@@ -155,14 +152,3 @@ def load_profiles(path: str | Path) -> tuple[list[SyntheticClassProfile], SimMet
         raise DomainError(f"{path}: profile file defines no classes")
     profiles.sort(key=lambda p: p.label)
     return profiles, meta
-
-
-def save_profiles(profiles: list[SyntheticClassProfile], meta: SimMeta, path: str | Path) -> None:
-    """Write profiles back out in the ini schema (used to derive subsets)."""
-    parser = configparser.ConfigParser()
-    parser["meta"] = {"version": 1, **asdict(meta)}
-    for p in sorted(profiles, key=lambda p: p.label):
-        parser[LABELS[p.label]] = {k: v for k, v in asdict(p).items() if k != "label"}
-    buf = io.StringIO()
-    parser.write(buf)
-    _atomic_write_text(path, buf.getvalue())

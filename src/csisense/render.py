@@ -17,7 +17,6 @@ _SERIES_COLORS = {
     "ensembled": "#1d4ed8",
     "smoothed": "#dc2626",
 }
-_FALLBACK_COLORS = ("#059669", "#d97706", "#7c3aed", "#0891b2")
 
 _WIDTH = 920
 _HEIGHT = 380
@@ -50,13 +49,10 @@ def step_path(values: np.ndarray, x_left: float, x_step: float, y_of) -> str:
     return " ".join(parts)
 
 
-def render_label_plot(
-    series: list[tuple[str, np.ndarray]],
-    title: str,
-    class_names: tuple[str, ...] = LABELS,
-) -> str:
+def render_label_plot(series: list[tuple[str, np.ndarray]], title: str) -> str:
     """One SVG document: packet index on x, class code on y, one step path
-    per (name, labels) series plus a legend."""
+    per (name, labels) series plus a legend.  Each series name is one of
+    ``true``, ``ensembled`` and ``smoothed``, and picks the series colour."""
     if not series:
         raise DomainError("no series to plot")
     lengths = {len(np.asarray(v)) for _, v in series}
@@ -65,7 +61,7 @@ def render_label_plot(
     n = lengths.pop()
     if n == 0:
         raise DomainError("cannot plot an empty label series")
-    n_classes = len(class_names)
+    n_classes = len(LABELS)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -89,7 +85,7 @@ def render_label_plot(
         )
         out.append(
             f'<text x="{_MARGIN_LEFT - 6}" y="{_fmt(y + 3)}" font-size="9" fill="#4b5563" '
-            f'text-anchor="end">{_escape(class_names[c])}</text>'
+            f'text-anchor="end">{_escape(LABELS[c])}</text>'
         )
     axis_y = _MARGIN_TOP + plot_h
     out.append(
@@ -107,13 +103,9 @@ def render_label_plot(
         f'fill="#374151" text-anchor="middle">packet index</text>'
     )
 
-    fallback = 0
     legend_x = _MARGIN_LEFT
     for name, values in series:
-        color = _SERIES_COLORS.get(name)
-        if color is None:
-            color = _FALLBACK_COLORS[fallback % len(_FALLBACK_COLORS)]
-            fallback += 1
+        color = _SERIES_COLORS[name]
         path = step_path(np.asarray(values), _MARGIN_LEFT, x_step, y_of)
         out.append(
             f'<path d="{path}" fill="none" stroke="{color}" stroke-width="1.6" '

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import read_checked, write_checked
+from .dataio import decode_json, read_checked, write_checked
 from .errors import DomainError, FormatError, VersionError
 from .features import RobustScalerParams
 from .model import ArchConfig, SequenceClassifier
@@ -33,7 +33,6 @@ class ModelWeights:
     fold_id: int
     seed: int
     scaler: RobustScalerParams | None = None
-    version: int = WEIGHTS_VERSION
 
 
 def weights_from_model(
@@ -92,17 +91,16 @@ def save_weights(w: ModelWeights, path: str | Path) -> None:
     write_checked(path, out)
 
 
+def _read_meta(meta: dict) -> tuple[ArchConfig, int, int, bool]:
+    return ArchConfig(**meta["arch"]), int(meta["fold_id"]), int(meta["seed"]), bool(meta.get("has_scaler"))
+
+
 def load_weights(path: str | Path) -> ModelWeights:
     cur = read_checked(path, WEIGHTS_MAGIC, "weight bundle")
     (version,) = cur.unpack("<B")
     if version != WEIGHTS_VERSION:
         raise VersionError(f"{path}: weight bundle version {version} not supported")
-    try:
-        meta = json.loads(cur.text("<I"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: bad metadata block: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: bad metadata block: not a JSON object")
+    arch, fold_id, seed, has_scaler = decode_json(cur.text("<I"), path, "metadata block", _read_meta)
     (n_arrays,) = cur.unpack("<I")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):
@@ -114,7 +112,7 @@ def load_weights(path: str | Path) -> ModelWeights:
         raise FormatError(f"{path}: {len(cur.body) - cur.offset} unexpected trailing bytes")
 
     scaler = None
-    if meta.get("has_scaler"):
+    if has_scaler:
         try:
             scaler = RobustScalerParams(
                 median=arrays.pop("scaler/median").astype(np.float64),
@@ -125,14 +123,4 @@ def load_weights(path: str | Path) -> ModelWeights:
             raise FormatError(f"{path}: metadata promises a scaler but arrays are missing") from exc
         except DomainError as exc:
             raise FormatError(f"{path}: bad scaler arrays: {exc}") from exc
-    try:
-        return ModelWeights(
-            arrays=arrays,
-            arch=ArchConfig(**meta["arch"]),
-            fold_id=int(meta["fold_id"]),
-            seed=int(meta["seed"]),
-            scaler=scaler,
-            version=version,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad metadata block: {exc}") from exc
+    return ModelWeights(arrays=arrays, arch=arch, fold_id=fold_id, seed=seed, scaler=scaler)

@@ -23,7 +23,6 @@ from csisense.dataio import (
     load_split,
     read_predictions,
     read_trial,
-    record_stride,
     save_manifest,
     save_scaler,
     save_split,
@@ -55,8 +54,15 @@ def _trial(n=5, dims=(2, 3, 30), seed=0, pair="pair00", tid="pair00-pushing-00")
 
 # ------------------------------------------------------------- trial binary
 
-def test_record_stride_default_dims():
-    assert record_stride((2, 3, 30)) == 1469
+@pytest.mark.parametrize("dims, stride", [((2, 3, 30), 1469), ((2, 1, 4), 85)])
+def test_trial_file_size_follows_the_record_stride(tmp_path, dims, stride):
+    # FORMATS.md: 18 header bytes plus the two ids, count records of
+    # 17 + 4 n_rx + 8 n_tx n_rx n_sc bytes each, and the 4-byte CRC
+    trial = _trial(n=7, dims=dims)
+    path = tmp_path / "a.trial"
+    write_trial(trial, path)
+    assert 17 + 4 * dims[1] + 8 * dims[0] * dims[1] * dims[2] == stride
+    assert path.stat().st_size == 18 + len(trial.pair_id) + len(trial.trial_id) + 7 * stride + 4
 
 
 def test_trial_round_trip(tmp_path):
@@ -324,7 +330,7 @@ def test_feature_csv_rejects_labels_outside_the_class_codes(tmp_path):
         path.write_text(f"a,b,label\n0,0,0\n0,0,{label}\n0,0,12\n")
         with pytest.raises(FormatError, match=re.escape(f"{path}: the label column holds {label}, not a class code")):
             import_feature_csv(path)
-    path.write_text("label\n20\n")  # a label-only file takes the per-cell parse
+    path.write_text("label\n20\n")  # a label-only file: no feature column beside the label
     with pytest.raises(FormatError, match="the label column holds 20"):
         import_feature_csv(path)
 

@@ -10,7 +10,6 @@ from csisense.domain import (
     NUM_CLASSES,
     STEADY_STATE,
     Trial,
-    index_to_label,
     label_to_index,
     validate_trial,
 )
@@ -42,13 +41,8 @@ def test_class_codes_are_frozen():
 def test_label_round_trip():
     for i, name in enumerate(LABELS):
         assert label_to_index(name) == i
-        assert index_to_label(i) == name
     with pytest.raises(DomainError):
         label_to_index("waving")
-    with pytest.raises(DomainError):
-        index_to_label(13)
-    with pytest.raises(DomainError):
-        index_to_label(-1)
 
 
 def _trial(timestamps, labels=None, dims=(2, 3, 4), n_rx=3):

@@ -313,13 +313,14 @@ def test_split_dataset_counts_and_stratification():
 
 def test_split_dataset_deterministic():
     ids = [f"t{i}" for i in range(50)]
-    a = split_dataset(ids, seed=3)
-    b = split_dataset(ids, seed=3)
-    c = split_dataset(ids, seed=4)
+    classes = ["a"] * 25 + ["b"] * 25
+    a = split_dataset(ids, seed=3, classes=classes)
+    b = split_dataset(ids, seed=3, classes=classes)
+    c = split_dataset(ids, seed=4, classes=classes)
     assert (a.train, a.val, a.test) == (b.train, b.val, b.test)
     assert (a.train, a.val, a.test) != (c.train, c.val, c.test)
     with pytest.raises(DomainError):
-        split_dataset(["x", "x"], seed=0)
+        split_dataset(["x", "x"], seed=0, classes=["a", "a"])
 
 
 def test_kfold_assign_partitions():
@@ -338,9 +339,9 @@ def test_kfold_assign_partitions():
 
 def test_kfold_assign_errors():
     with pytest.raises(DomainError):
-        kfold_assign(["a", "b"], 1, seed=0)
+        kfold_assign(["a", "b"], 1, seed=0, classes=["c", "c"])
     with pytest.raises(DomainError):
-        kfold_assign(["a", "b"], 3, seed=0)
+        kfold_assign(["a", "b"], 3, seed=0, classes=["c", "c"])
 
 
 def test_split_spec_round_trip():

@@ -420,7 +420,7 @@ def test_weights_round_trip(tmp_path):
     model, w, path = _bundle(tmp_path)
     back = load_weights(path)
     assert back.arch == model.arch
-    assert (back.fold_id, back.seed, back.version) == (2, 4, 1)
+    assert (back.fold_id, back.seed) == (2, 4)
     assert set(back.arrays) == set(w.arrays)
     for k in w.arrays:
         assert np.array_equal(back.arrays[k], w.arrays[k])
@@ -565,12 +565,22 @@ def test_weights_array_overrunning_the_file_is_a_format_error(tmp_path):
         load_weights(path)
 
 
-@pytest.mark.parametrize("meta", ["[]", '{"arch": {}, "fold_id": "two", "seed": 0}'])
+# metadata text -> what the error says after the file name
+_BAD_META = {
+    "[]": "bad metadata block",
+    '{"arch": {}, "fold_id": "two", "seed": 0}': "bad metadata block",
+    "{": "not valid JSON",  # as the JSON sidecars word it
+    '{"fold_id": 0, "seed": 0}': "bad metadata block: KeyError",
+    '{"arch": {"widht": 3}, "fold_id": 0, "seed": 0}': "bad metadata block: TypeError",
+}
+
+
+@pytest.mark.parametrize("meta", list(_BAD_META))
 def test_weights_bad_metadata_is_a_format_error(tmp_path, meta):
     path = tmp_path / "m.weights"
     raw = meta.encode()
     _rechecked(path, b"CSWB\x01" + struct.pack("<I", len(raw)) + raw + struct.pack("<I", 0))
-    with pytest.raises(FormatError, match="m.weights: bad metadata block"):
+    with pytest.raises(FormatError, match=f"m.weights: {_BAD_META[meta]}"):
         load_weights(path)
 
 

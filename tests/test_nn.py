@@ -347,7 +347,7 @@ def test_bigru_is_bit_identical_to_per_direction_scans(in_dim, units, batch):
     flip = lambda a: np.ascontiguousarray(a[:, ::-1])
     hf, dxf, gf = _ref_gru(part("fwd/"), x, dy[..., :units])
     hb, dxb, gb = _ref_gru(part("bwd/"), flip(x), flip(dy[..., units:]))
-    # batch 1 runs squeezed, as predict and the gradient checks do
+    # batch 1 runs as one 2-D (T, F) input, the public layer form that c01's gradient checks use
     squeeze = (lambda a: a[0]) if batch == 1 else (lambda a: a)
     y = bi.forward(squeeze(x), training=True)
     dx = bi.backward(squeeze(dy))

@@ -1,7 +1,6 @@
 """Profile parsing, envelope shapes, and the trial generator."""
 
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from csisense.profiles import (
     amp_envelope,
     load_profiles,
     phase_envelope,
-    save_profiles,
 )
 from csisense.rng import CounterRng
 from csisense.simulate import (
@@ -166,30 +164,6 @@ def test_load_profiles_schema_errors(tmp_path):
     path.write_text("[meta]\nversion = 1\n" + pushing + "version = 1\n")
     profiles, _ = load_profiles(path)
     assert [LABELS[p.label] for p in profiles] == ["pushing"]
-
-
-def test_profiles_round_trip(tmp_path):
-    profiles, meta = load_profiles("configs/profiles.ini")
-    path = tmp_path / "copy.ini"
-    save_profiles(profiles, meta, path)
-    back, back_meta = load_profiles(path)
-    assert back == profiles
-    assert back_meta == meta
-
-
-def test_save_profiles_is_atomic(tmp_path, monkeypatch):
-    profiles, meta = load_profiles("configs/profiles.ini")
-    path = tmp_path / "copy.ini"
-    path.write_text("old\n")
-
-    def refuse(src, dst):
-        raise OSError("rename refused")
-
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="rename refused"):
-        save_profiles(profiles, meta, path)
-    assert path.read_text() == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["copy.ini"]
 
 
 def test_profile_timing_table_is_enforced():
