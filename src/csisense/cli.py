@@ -96,8 +96,6 @@ def _job_map(jobs: int):
     and featurizing one): the builtin at one job, else that of one pool of
     ``jobs`` worker processes serving the whole command.  Results keep the
     input order, so the worker count never changes any output."""
-    if jobs < 1:
-        raise CliError("--jobs must be at least 1")
     if jobs == 1:
         yield map
     else:
@@ -143,22 +141,11 @@ def _read_frame(path: str, seq_len: int, scaler=None):
 
 # ---------------------------------------------------------------- simulate
 
-def _simulate_job(meta, config, geometry, out: Path, row) -> ManifestEntry:
+def _simulate_job(meta, geometry, out: Path, row) -> ManifestEntry:
     """Write one ``dataset_trials`` row's trial under ``out``; returns its
     manifest entry.  ``functools.partial`` binds the shared leading values."""
-    pair_id, scale, profile, _, trial_id, seed_value = row
-    trial = synth_trial(
-        profile,
-        config,
-        meta.packet_rate,
-        meta.jitter,
-        seed_value,
-        csi_noise=meta.csi_noise,
-        pair_id=pair_id,
-        trial_id=trial_id,
-        geometry=geometry,
-        envelope_scale=scale,
-    )
+    pair_id, scale, profile, trial_id, seed = row
+    trial = synth_trial(profile, meta, geometry, seed, pair_id=pair_id, trial_id=trial_id, envelope_scale=scale)
     path = f"trials/{trial_id}.trial"
     dataio.write_trial(trial, out / path)
     return ManifestEntry(path, pair_id, trial_id, LABELS[profile.label], len(trial.timestamps))
@@ -170,16 +157,15 @@ def cmd_simulate(args) -> int:
     if args.pair_variation < 0:
         raise CliError("--pair-variation must be non-negative")
     profiles, meta = load_profiles(args.profiles)
-    config = PropagationConfig()
-    geometry = build_geometry(config, CounterRng(args.seed, "geometry"))
+    geometry = build_geometry(PropagationConfig(), CounterRng(args.seed, "geometry"))
     out = Path(args.out)
     (out / "trials").mkdir(parents=True, exist_ok=True)
 
     plan = dataset_trials(profiles, args.pairs, args.trials_per_class, args.pair_variation, args.seed)
     with _job_map(args.jobs) as job_map:
-        entries = list(job_map(partial(_simulate_job, meta, config, geometry, out), plan))
+        entries = list(job_map(partial(_simulate_job, meta, geometry, out), plan))
     manifest = Manifest(
-        dims=config.dims,
+        dims=geometry.config.dims,
         seed=args.seed,
         profiles_sha256=hashlib.sha256(Path(args.profiles).read_bytes()).hexdigest(),
         entries=entries,
@@ -451,6 +437,18 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _job_count(text: str) -> int:
+    """``--jobs``, checked as it is parsed, so that a bad count stops a
+    command (exit status 2) before it reads or writes anything."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, not {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csisense",
@@ -466,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pair-variation", type=float, default=0.0,
                    help="per-pair envelope perturbation fraction")
     s.add_argument("--out", required=True, help="output dataset directory")
-    s.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    s.add_argument("--jobs", type=_job_count, default=1, help="parallel worker processes")
     s.set_defaults(func=cmd_simulate)
 
     s = sub.add_parser("preprocess", help="trials to scaled feature CSVs, scaler and splits")
@@ -474,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--target-len", type=int, default=1560,
                    help="normalize every trial to this many packets")
     s.add_argument("--out", required=True, help="output feature directory")
-    s.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    s.add_argument("--jobs", type=_job_count, default=1, help="parallel worker processes")
     s.set_defaults(func=cmd_preprocess)
 
     s = sub.add_parser("train", help="k-fold training from preprocessed features")
@@ -488,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--weights", required=True, help="directory holding *.weights bundles")
     s.add_argument("--input", required=True, help="one .trial file or a directory of them")
     s.add_argument("--out", required=True, help="output prediction directory")
-    s.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    s.add_argument("--jobs", type=_job_count, default=1, help="parallel worker processes")
     s.set_defaults(func=cmd_classify)
 
     s = sub.add_parser("evaluate", help="score predictions that carry true labels")

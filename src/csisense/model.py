@@ -153,6 +153,13 @@ class TrainConfig:
             raise DomainError("fold count must be at least 2")
         if self.lr <= 0:
             raise DomainError("learning rate must be positive")
+        # the schedule functions check these too, but only once training runs
+        if not 0.0 < self.lr_factor < 1.0:
+            raise DomainError("lr_factor must lie in (0, 1)")
+        if self.lr_patience < 1:
+            raise DomainError("lr_patience must be at least 1")
+        if self.early_stop_patience < 1:
+            raise DomainError("early_stop_patience must be at least 1")
 
 
 # activation bytes an inference chunk may hold, counted at 8 per value, so

@@ -28,7 +28,7 @@ import numpy as np
 from .channel import SPEED_OF_LIGHT, PropagationConfig, assemble_h_matrix, path_loss_db
 from .domain import LABELS, STEADY_STATE, Trial
 from .errors import DomainError
-from .profiles import SyntheticClassProfile, amp_envelope, phase_envelope
+from .profiles import SimMeta, SyntheticClassProfile, amp_envelope, phase_envelope
 from .rng import CounterRng, derive_key
 
 # excess-delay multiples and base strengths of the four scattered rays
@@ -115,39 +115,27 @@ def pair_envelope_scale(pair_variation: float, rng: CounterRng) -> EnvelopeScale
 
 def synth_trial(
     profile: SyntheticClassProfile,
-    config: PropagationConfig | None = None,
-    packet_rate: float = 260.0,
-    jitter: float = 0.08,
-    seed: int = 0,
+    meta: SimMeta,
+    geometry: Geometry,
+    seed: int,
     *,
-    csi_noise: float = 0.01,
-    pair_id: str = "pair00",
-    trial_id: str | None = None,
-    geometry: Geometry | None = None,
-    envelope_scale: EnvelopeScale | None = None,
+    pair_id: str,
+    trial_id: str,
+    envelope_scale: EnvelopeScale = EnvelopeScale(),
 ) -> Trial:
     """Generate one trial: steady dwell plus interaction segment.
 
-    Packet count comes from the profile durations and packet_rate; the
-    steady dwell sits at the trial start except for profiles that declare it
-    at the end.  With the same arguments the result is bit-identical.
+    The packet rate, timestamp jitter and CSI noise come from ``meta``, the
+    propagation config from ``geometry``.  Packet count comes from the
+    profile durations and the packet rate; the steady dwell sits at the trial
+    start except for profiles that declare it at the end.  With the same
+    arguments the result is bit-identical.
     """
-    if packet_rate <= 0:
-        raise DomainError("packet_rate must be positive")
-    if not 0.0 <= jitter < 1.0:
-        raise DomainError("jitter must lie in [0, 1)")
-    if csi_noise < 0:
-        raise DomainError("csi_noise must be non-negative")
-    config = config or PropagationConfig()
-    if geometry is None:
-        geometry = build_geometry(config, CounterRng(seed, "geometry"))
-    elif geometry.config.dims != config.dims:
-        raise DomainError("geometry dims do not match the propagation config")
-    scale = envelope_scale or EnvelopeScale()
-    profile = _scaled_profile(profile, scale)
+    config = geometry.config
+    profile = _scaled_profile(profile, envelope_scale)
 
-    n_steady = int(round(profile.steady_duration * packet_rate))
-    n_active = int(round(profile.duration * packet_rate))
+    n_steady = int(round(profile.steady_duration * meta.packet_rate))
+    n_active = int(round(profile.duration * meta.packet_rate))
     n_total = n_steady + n_active
     if n_total < 1:
         raise DomainError("profile durations and packet_rate give an empty trial")
@@ -159,7 +147,7 @@ def synth_trial(
     floor_rng = rng.spawn("floor")
 
     # jittered inter-arrival times; mean spacing is 1/packet_rate
-    spacing = (1.0 / packet_rate) * (1.0 + jitter * (2.0 * jitter_rng.uniform(n_total) - 1.0))
+    spacing = (1.0 / meta.packet_rate) * (1.0 + meta.jitter * (2.0 * jitter_rng.uniform(n_total) - 1.0))
     timestamps = np.concatenate([[0.0], np.cumsum(spacing[:-1])])
 
     n_tx, n_rx, n_sc = config.dims
@@ -185,15 +173,15 @@ def synth_trial(
     sens = np.array(_RAY_SENSITIVITY)
     g = g_amp[:, None, None, None]
     gains = np.empty((n_total,) + geometry.amplitudes.shape)
-    gains[..., :1] = 1.0 + profile.depth_los * scale.depth * g
-    gains[..., 1:] = 1.0 + profile.depth_scatter * scale.depth * g * sens[1:] * weights[:, None]
+    gains[..., :1] = 1.0 + profile.depth_los * envelope_scale.depth * g
+    gains[..., 1:] = 1.0 + profile.depth_scatter * envelope_scale.depth * g * sens[1:] * weights[:, None]
     amps = geometry.amplitudes * np.maximum(gains, 0.0)
-    drift = profile.phase_drift * scale.drift * g_phase
+    drift = profile.phase_drift * envelope_scale.drift * g_phase
     delays = geometry.delays + sens * (drift / omega_c)[:, None, None, None]
 
     csi = assemble_h_matrix(amps, delays, config)
-    if csi_noise > 0:
-        csi = csi + csi_noise * csi_rng.complex_normal_rows(n_total, (n_tx, n_rx, n_sc))
+    if meta.csi_noise > 0:
+        csi = csi + meta.csi_noise * csi_rng.complex_normal_rows(n_total, (n_tx, n_rx, n_sc))
 
     # received power per link as channel.received_power computes it, except
     # that squares are x*x where it uses pow(): a last-bit difference that the
@@ -209,7 +197,6 @@ def synth_trial(
     rssi = np.minimum(_RSSI_MAX, np.maximum(0.0, level))
     agc = np.minimum(60.0, np.maximum(0.0, AGC_SETPOINT_DB - rssi.mean(axis=1)))
 
-    trial_id = trial_id or f"{pair_id}-{LABELS[profile.label]}-00"
     return Trial(
         timestamps=timestamps,
         noise=noise,
@@ -233,10 +220,10 @@ def dataset_trials(
     trials_per_class: int,
     pair_variation: float = 0.0,
     seed: int = 0,
-) -> list[tuple[str, EnvelopeScale, SyntheticClassProfile, int, str, int]]:
+) -> list[tuple[str, EnvelopeScale, SyntheticClassProfile, str, int]]:
     """Enumerate a dataset's trials as (pair id, envelope scale, profile,
-    trial index, trial id, trial seed), ordered by (pair, class code, trial
-    index).  Deterministic under seed."""
+    trial id, trial seed), ordered by (pair, class code, trial index).
+    Deterministic under seed."""
     if pairs < 1 or trials_per_class < 1:
         raise DomainError("pairs and trials_per_class must be at least 1")
     out = []
@@ -246,5 +233,5 @@ def dataset_trials(
         for profile in sorted(profiles, key=lambda pr: pr.label):
             for k in range(trials_per_class):
                 trial_id = f"{pair_id}-{LABELS[profile.label]}-{k:02d}"
-                out.append((pair_id, scale, profile, k, trial_id, trial_seed(seed, p, profile.label, k)))
+                out.append((pair_id, scale, profile, trial_id, trial_seed(seed, p, profile.label, k)))
     return out

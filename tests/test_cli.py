@@ -909,12 +909,19 @@ def test_an_out_that_cannot_be_made_exits_2(pipeline, tmp_path, capsys, command)
 
 
 def test_jobs_flag_rejects_zero(pipeline, tmp_path, capsys):
-    rc = cli.main([
-        "simulate", "--profiles", str(pipeline["profiles"]), "--out", str(tmp_path / "d"),
-        "--jobs", "0",
-    ])
-    assert rc == 2
-    assert "--jobs" in capsys.readouterr().err
+    # a usage error, raised as the flag is parsed: no command starts its work
+    inputs = {
+        "simulate": ["--profiles", str(pipeline["profiles"])],
+        "preprocess": ["--manifest", str(pipeline["dataset"] / "manifest.json")],
+        "classify": ["--weights", str(pipeline["models"]), "--input", str(pipeline["test_dir"])],
+    }
+    for command, args in inputs.items():
+        out = tmp_path / command
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *args, "--out", str(out), "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be a whole number of at least 1, not '0'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_verbose_zero_silences_progress(pipeline, tmp_path, monkeypatch, capsys):

@@ -650,6 +650,16 @@ def test_config_loader_errors(tmp_path):
     with pytest.raises(DomainError, match="t\\.ini: \\[train\\] version 2 is not supported"):
         load_train_config(str(t))
 
+    # the schedule fields are checked at load, before train reads a feature file
+    for key, value, message in [
+        ("lr_factor", "1.5", "lr_factor must lie in \\(0, 1\\)"),
+        ("lr_patience", "0", "lr_patience must be at least 1"),
+        ("early_stop_patience", "0", "early_stop_patience must be at least 1"),
+    ]:
+        t.write_text(f"[train]\n{key} = {value}\n")
+        with pytest.raises(DomainError, match=f"t\\.ini: \\[train\\] {message}"):
+            load_train_config(str(t))
+
 
 def _assert_loads_every_field(tmp_path, loader, cls, section, values):
     defaults = cls()

@@ -5,8 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from csisense import cli
 from csisense.channel import PropagationConfig
-from csisense.dataio import write_trial
+from csisense.dataio import load_manifest, write_trial
 from csisense.domain import LABELS, STEADY_STATE, label_to_index, validate_trial
 from csisense.errors import DomainError
 from csisense.profiles import (
@@ -282,8 +283,24 @@ def test_pair_envelope_scale():
 
 # ------------------------------------------------------------------ trials
 
+def _trial(profile, seed=0, *, config=PropagationConfig(), geometry_seed=None, pair_id="pair00",
+           envelope_scale=EnvelopeScale(), **meta):
+    # one trial of index 0 for pair_id, its SimMeta built from meta, over a
+    # geometry drawn from geometry_seed (by default the trial's own seed)
+    geometry = build_geometry(config, CounterRng(seed if geometry_seed is None else geometry_seed, "geometry"))
+    return synth_trial(
+        profile,
+        SimMeta(**meta),
+        geometry,
+        seed,
+        pair_id=pair_id,
+        trial_id=f"{pair_id}-{LABELS[profile.label]}-00",
+        envelope_scale=envelope_scale,
+    )
+
+
 def test_synth_trial_segments_and_labels():
-    trial = synth_trial(PUSHING, packet_rate=5.0, jitter=0.0, seed=1)
+    trial = _trial(PUSHING, packet_rate=5.0, jitter=0.0, seed=1)
     assert len(trial.timestamps) == 10 + 20
     labels = trial.labels.tolist()
     assert labels[:10] == [STEADY_STATE] * 10
@@ -292,7 +309,7 @@ def test_synth_trial_segments_and_labels():
 
 
 def test_synth_trial_approaching_ends_steady():
-    trial = synth_trial(APPROACHING, packet_rate=4.0, jitter=0.0, seed=1)
+    trial = _trial(APPROACHING, packet_rate=4.0, jitter=0.0, seed=1)
     assert len(trial.timestamps) == 14 + 8
     labels = trial.labels.tolist()
     assert labels[:14] == [APPROACHING.label] * 14
@@ -300,18 +317,18 @@ def test_synth_trial_approaching_ends_steady():
 
 
 def test_synth_trial_is_byte_deterministic(tmp_path):
-    a = synth_trial(PUSHING, packet_rate=10.0, seed=42, pair_id="pair03")
-    b = synth_trial(PUSHING, packet_rate=10.0, seed=42, pair_id="pair03")
+    a = _trial(PUSHING, packet_rate=10.0, seed=42, pair_id="pair03")
+    b = _trial(PUSHING, packet_rate=10.0, seed=42, pair_id="pair03")
     pa, pb = tmp_path / "a.trial", tmp_path / "b.trial"
     write_trial(a, pa)
     write_trial(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
-    c = synth_trial(PUSHING, packet_rate=10.0, seed=43, pair_id="pair03")
+    c = _trial(PUSHING, packet_rate=10.0, seed=43, pair_id="pair03")
     write_trial(c, pb)
     assert pa.read_bytes() != pb.read_bytes()
 
 
-# SHA-256 of write_trial(synth_trial(...)) for one trial per envelope shape
+# SHA-256 of write_trial(_trial(...)) for one trial per envelope shape
 # and steady position, a scaled envelope with a shared geometry, an envelope
 # deep enough to clamp the line-of-sight gain to zero, a noise-free trial
 # and an odd tx*rx*sc; a change to the trial bytes must be deliberate
@@ -362,28 +379,25 @@ def test_synth_trial_bytes_are_frozen(case, tmp_path):
     kwargs, digest = FROZEN_TRIALS[case]
     kwargs = dict(kwargs)
     config = PropagationConfig(dims=kwargs.pop("dims", (2, 3, 30)))
-    geometry_seed = kwargs.pop("geometry_seed", None)
-    if geometry_seed is not None:
-        kwargs["geometry"] = build_geometry(config, CounterRng(geometry_seed, "geometry"))
-    trial = synth_trial(config=config, packet_rate=20.0, **kwargs)
+    trial = _trial(config=config, packet_rate=20.0, **kwargs)
     path = tmp_path / "t.trial"
     write_trial(trial, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_synth_trial_timestamp_jitter_bounds():
-    trial = synth_trial(PUSHING, packet_rate=10.0, jitter=0.25, seed=7)
+    trial = _trial(PUSHING, packet_rate=10.0, jitter=0.25, seed=7)
     t = trial.timestamps
     diffs = np.diff(t)
     assert t[0] == 0.0
     assert (diffs >= 0.1 * 0.75 - 1e-12).all() and (diffs <= 0.1 * 1.25 + 1e-12).all()
-    exact = synth_trial(PUSHING, packet_rate=10.0, jitter=0.0, seed=7)
+    exact = _trial(PUSHING, packet_rate=10.0, jitter=0.0, seed=7)
     te = exact.timestamps
     assert np.allclose(np.diff(te), 0.1, atol=1e-12)
 
 
 def test_synth_trial_receiver_side_values():
-    trial = synth_trial(PUSHING, packet_rate=5.0, seed=3)
+    trial = _trial(PUSHING, packet_rate=5.0, seed=3)
     assert (trial.rssi == np.round(trial.rssi)).all()
     assert (trial.rssi >= 0).all() and (trial.rssi <= 99).all()
     assert ((trial.agc >= 0.0) & (trial.agc <= 60.0)).all()
@@ -391,7 +405,7 @@ def test_synth_trial_receiver_side_values():
 
 
 def test_synth_trial_steady_packets_are_identical_without_noise():
-    trial = synth_trial(PUSHING, packet_rate=5.0, jitter=0.0, seed=2, csi_noise=0.0)
+    trial = _trial(PUSHING, packet_rate=5.0, jitter=0.0, seed=2, csi_noise=0.0)
     steady = trial.csi[:10]
     for h in steady[1:]:
         assert np.array_equal(h, steady[0])
@@ -400,15 +414,10 @@ def test_synth_trial_steady_packets_are_identical_without_noise():
 
 
 def test_synth_trial_validation():
-    with pytest.raises(DomainError):
-        synth_trial(PUSHING, packet_rate=0.0)
-    with pytest.raises(DomainError):
-        synth_trial(PUSHING, jitter=1.0)
-    with pytest.raises(DomainError):
-        synth_trial(PUSHING, csi_noise=-1.0)
-    geo = build_geometry(PropagationConfig(dims=(1, 1, 8)), CounterRng(0, "geometry"))
-    with pytest.raises(DomainError, match="dims"):
-        synth_trial(PUSHING, PropagationConfig(), geometry=geo)
+    # SimMeta checks the packet rate, jitter and noise (test_sim_meta_validation);
+    # a rate positive but too low for one packet still gives no trial
+    with pytest.raises(DomainError, match="empty trial"):
+        _trial(PUSHING, packet_rate=0.01)
 
 
 def test_synth_trial_rejects_a_drift_that_makes_a_delay_negative():
@@ -423,8 +432,8 @@ def test_synth_trial_rejects_a_drift_that_makes_a_delay_negative():
         phase_drift=-1e4,
     )
     with pytest.raises(DomainError, match="path delay .* must be non-negative"):
-        synth_trial(extreme, packet_rate=5.0, seed=1)
-    synth_trial(PUSHING, packet_rate=5.0, seed=1)
+        _trial(extreme, packet_rate=5.0, seed=1)
+    _trial(PUSHING, packet_rate=5.0, seed=1)
 
 
 STEADY = SyntheticClassProfile(
@@ -444,7 +453,7 @@ STEADY = SyntheticClassProfile(
 def test_synth_trial_clamps_rssi_and_agc(profile, distance, rssi, agc):
     # 10 km away the received power is far below the RSSI floor; 1 mm away
     # it is far above the RSSI ceiling, and the AGC clamps the other way
-    trial = synth_trial(profile, PropagationConfig(tx_rx_distance=distance), packet_rate=8.0, seed=0)
+    trial = _trial(profile, config=PropagationConfig(tx_rx_distance=distance), packet_rate=8.0, seed=0)
     assert np.all(trial.rssi == rssi)
     assert np.all(trial.agc == agc)
 
@@ -452,24 +461,13 @@ def test_synth_trial_clamps_rssi_and_agc(profile, distance, rssi, agc):
 # ----------------------------------------------------------------- dataset
 
 def _synth_dataset(profiles, pairs, trials_per_class, pair_variation=0.0, seed=0, meta=SimMeta()):
-    # the dataset loop of cmd_simulate: one shared geometry, one trial per plan row
+    # the dataset loop of cmd_simulate: one shared geometry, one trial per plan
+    # row (test_synth_dataset_matches_the_simulate_command pins the copy)
     plan = dataset_trials(profiles, pairs, trials_per_class, pair_variation, seed)
-    config = PropagationConfig()
-    geometry = build_geometry(config, CounterRng(seed, "geometry"))
+    geometry = build_geometry(PropagationConfig(), CounterRng(seed, "geometry"))
     return [
-        synth_trial(
-            profile,
-            config,
-            meta.packet_rate,
-            meta.jitter,
-            seed_value,
-            csi_noise=meta.csi_noise,
-            pair_id=pair_id,
-            trial_id=trial_id,
-            geometry=geometry,
-            envelope_scale=scale,
-        )
-        for pair_id, scale, profile, _, trial_id, seed_value in plan
+        synth_trial(profile, meta, geometry, seed_value, pair_id=pair_id, trial_id=trial_id, envelope_scale=scale)
+        for pair_id, scale, profile, trial_id, seed_value in plan
     ]
 
 
@@ -492,9 +490,25 @@ def test_synth_dataset_counts_and_ordering():
     assert trials[0].pair_id == "pair00" and trials[-1].pair_id == "pair01"
     # the enumeration orders by class code whatever order the profiles come in
     plan = dataset_trials(profiles[::-1], pairs=2, trials_per_class=2, seed=1)
-    assert [trial_id for _, _, _, _, trial_id, _ in plan] == ids
+    assert [trial_id for _, _, _, trial_id, _ in plan] == ids
     expected_seeds = [trial_seed(1, p, c.label, k) for p in range(2) for c in profiles for k in range(2)]
     assert [seed for *_, seed in plan] == expected_seeds
+
+
+def test_synth_dataset_matches_the_simulate_command(tmp_path):
+    out = tmp_path / "dataset"
+    assert cli.main([
+        "simulate", "--profiles", "configs/profiles-3class.ini", "--pairs", "2", "--trials-per-class", "2",
+        "--seed", "7", "--pair-variation", "0.2", "--out", str(out),
+    ]) == 0
+    profiles, meta = load_profiles("configs/profiles-3class.ini")
+    assert len({scale for _, scale, *_ in dataset_trials(profiles, 2, 2, 0.2, 7)}) == 2
+    trials = _synth_dataset(profiles, 2, 2, pair_variation=0.2, seed=7, meta=meta)
+    assert [e.trial_id for e in load_manifest(out / "manifest.json").entries] == [t.trial_id for t in trials]
+    assert len(list((out / "trials").iterdir())) == len(trials) == 2 * 3 * 2
+    for trial in trials:
+        write_trial(trial, tmp_path / "t.trial")
+        assert (out / "trials" / f"{trial.trial_id}.trial").read_bytes() == (tmp_path / "t.trial").read_bytes()
 
 
 def test_synth_dataset_shares_geometry_across_pairs():

@@ -1,4 +1,5 @@
-"""Count the lines of every module under src/csisense, and in total.
+"""Count the lines of every module under src/csisense, and in total, and
+the lines of the test modules under tests/ in total.
 
 Usage: python tools/src_lines.py
 
@@ -16,7 +17,9 @@ import io
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "csisense"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "csisense"
+TESTS = ROOT / "tests"
 _NOT_CODE = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -62,6 +65,8 @@ def main() -> None:
         total_code += code
         print(f"{path.relative_to(PACKAGE).as_posix():<28} {lines:>6} {code:>6}")
     print(f"{'total':<28} {total_lines:>6} {total_code:>6}")
+    tests = [count(path.read_text(encoding="utf-8")) for path in sorted(TESTS.rglob("*.py"))]
+    print(f"{'tests/ total':<28} {sum(n for n, _ in tests):>6} {sum(c for _, c in tests):>6}")
 
 
 if __name__ == "__main__":
