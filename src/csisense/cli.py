@@ -15,8 +15,11 @@ manifest's feature width.
 
 ``simulate``, ``preprocess`` and ``classify`` take --jobs (default 1), a
 number of worker processes for per-trial work; one pool serves the whole
-command.  ``classify`` fans out only the reading and featurizing of trials and
-predicts in the calling process, with the models it loaded.
+command.  ``classify`` fans out only the reading and featurizing of trials
+and predicts in the calling process, with the models it loaded.  A count
+flag (--jobs, --pairs, --trials-per-class, --target-len) below 1, or a
+negative or non-finite --pair-variation, is a usage error: exit status 2
+before the command reads or writes anything.
 CSISENSE_VERBOSE=0 silences progress chatter on standard error.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -152,10 +156,6 @@ def _simulate_job(meta, geometry, out: Path, row) -> ManifestEntry:
 
 
 def cmd_simulate(args) -> int:
-    if args.pairs < 1 or args.trials_per_class < 1:
-        raise CliError("--pairs and --trials-per-class must be at least 1")
-    if args.pair_variation < 0:
-        raise CliError("--pair-variation must be non-negative")
     profiles, meta = load_profiles(args.profiles)
     geometry = build_geometry(PropagationConfig(), CounterRng(args.seed, "geometry"))
     out = Path(args.out)
@@ -183,8 +183,6 @@ def _trial_class(labels: np.ndarray) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    if args.target_len < 1:
-        raise CliError("--target-len must be at least 1")
     if not Path(args.manifest).exists():
         raise CliError(f"manifest not found: {args.manifest}")
     manifest = dataio.load_manifest(args.manifest)
@@ -437,16 +435,28 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _job_count(text: str) -> int:
-    """``--jobs``, checked as it is parsed, so that a bad count stops a
-    command (exit status 2) before it reads or writes anything."""
+def _count(text: str) -> int:
+    """A count flag (``--jobs``, ``--pairs``, ...), checked as it is parsed,
+    so that a bad value stops a command (exit status 2) before it reads or
+    writes anything."""
     try:
-        jobs = int(text)
+        count = int(text)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        count = 0
+    if count < 1:
         raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, not {text!r}")
-    return jobs
+    return count
+
+
+def _non_negative(text: str) -> float:
+    """``--pair-variation``, checked as it is parsed, like :func:`_count`."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, not {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,21 +468,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="generate a synthetic trial dataset plus manifest")
     s.add_argument("--profiles", required=True, help="class profile ini file")
-    s.add_argument("--pairs", type=int, default=1, help="number of simulated person pairs")
-    s.add_argument("--trials-per-class", type=int, default=10)
+    s.add_argument("--pairs", type=_count, default=1, help="number of simulated person pairs")
+    s.add_argument("--trials-per-class", type=_count, default=10)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--pair-variation", type=float, default=0.0,
+    s.add_argument("--pair-variation", type=_non_negative, default=0.0,
                    help="per-pair envelope perturbation fraction")
     s.add_argument("--out", required=True, help="output dataset directory")
-    s.add_argument("--jobs", type=_job_count, default=1, help="parallel worker processes")
+    s.add_argument("--jobs", type=_count, default=1, help="parallel worker processes")
     s.set_defaults(func=cmd_simulate)
 
     s = sub.add_parser("preprocess", help="trials to scaled feature CSVs, scaler and splits")
     s.add_argument("--manifest", required=True, help="dataset manifest.json")
-    s.add_argument("--target-len", type=int, default=1560,
+    s.add_argument("--target-len", type=_count, default=1560,
                    help="normalize every trial to this many packets")
     s.add_argument("--out", required=True, help="output feature directory")
-    s.add_argument("--jobs", type=_job_count, default=1, help="parallel worker processes")
+    s.add_argument("--jobs", type=_count, default=1, help="parallel worker processes")
     s.set_defaults(func=cmd_preprocess)
 
     s = sub.add_parser("train", help="k-fold training from preprocessed features")
@@ -486,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--weights", required=True, help="directory holding *.weights bundles")
     s.add_argument("--input", required=True, help="one .trial file or a directory of them")
     s.add_argument("--out", required=True, help="output prediction directory")
-    s.add_argument("--jobs", type=_job_count, default=1, help="parallel worker processes")
+    s.add_argument("--jobs", type=_count, default=1, help="parallel worker processes")
     s.set_defaults(func=cmd_classify)
 
     s = sub.add_parser("evaluate", help="score predictions that carry true labels")

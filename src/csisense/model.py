@@ -60,8 +60,6 @@ from .nn import (
     WeightedSkipAdd,
     cross_entropy,
     cross_entropy_logit_grad,
-    early_stopping,
-    reduce_lr_on_plateau,
     softmax,
 )
 from .postprocess import confusion, metrics
@@ -153,7 +151,8 @@ class TrainConfig:
             raise DomainError("fold count must be at least 2")
         if self.lr <= 0:
             raise DomainError("learning rate must be positive")
-        # the schedule functions check these too, but only once training runs
+        if not 0.0 <= self.min_lr <= self.lr:
+            raise DomainError(f"min_lr {self.min_lr} must lie in [0, lr = {self.lr}]")
         if not 0.0 < self.lr_factor < 1.0:
             raise DomainError("lr_factor must lie in (0, 1)")
         if self.lr_patience < 1:
@@ -340,24 +339,27 @@ def train_fold(
     the best-validation-accuracy epoch's weights, holding no forward caches.
 
     History rows carry validation-set values (epoch, loss, acc, precision,
-    recall, lr): the schedules key on validation accuracy, so that is the
-    series worth exporting.  Raises TrainingDiverged if the loss goes
-    non-finite.  A fixed (cfg.seed, fold_id) pair reproduces the history
-    exactly.
+    recall, lr): the schedule keys on validation accuracy, so that is the
+    series worth exporting.  After each epoch, a strictly higher accuracy
+    becomes the best epoch and resets the plateau wait; any other epoch adds
+    one to the wait, and a wait of ``cfg.lr_patience`` epochs cuts the rate
+    to ``max(cfg.min_lr, lr * cfg.lr_factor)`` and starts the wait again.
+    Training stops once ``cfg.early_stop_patience`` epochs have passed since
+    the best one.  Raises TrainingDiverged if the loss goes non-finite.  A
+    fixed (cfg.seed, fold_id) pair reproduces the history exactly.
     """
     eff = model.eff
     _validate_frames(train_frames, eff, "training")
     _validate_frames(val_frames, eff, "validation")
     rng = np.random.default_rng([cfg.seed, fold_id])
-    optimizer = Adam(cfg.lr)
+    optimizer = Adam()
     history: list[dict] = []
-    acc_series: list[float] = []
     best_values = model.store.values.copy()
     best_acc = -np.inf
+    lr = cfg.lr
+    wait = best_epoch = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        lr = reduce_lr_on_plateau(acc_series, cfg.lr, cfg.lr_factor, cfg.lr_patience, cfg.min_lr)
-        optimizer.lr = lr
         order = rng.permutation(len(train_frames))
         for start in range(0, len(order), cfg.batch):
             chunk = [train_frames[i] for i in order[start : start + cfg.batch]]
@@ -370,18 +372,20 @@ def train_fold(
                 raise TrainingDiverged(f"loss became non-finite in fold {fold_id}, epoch {epoch}")
             model.store.grads.fill(0.0)
             model.backward(cross_entropy_logit_grad(probs, y), input_grad=False)
-            optimizer.step(model.store.values, model.store.grads)
+            optimizer.step(model.store.values, model.store.grads, lr)
         row = _evaluate(model, val_frames, eff.classes)
         row.update(epoch=epoch, lr=lr)
         history.append(row)
-        acc_series.append(row["acc"])
         if row["acc"] > best_acc:
-            best_acc = row["acc"]
+            best_acc, best_epoch, wait = row["acc"], epoch, 0
             best_values[...] = model.store.values
+        else:
+            wait += 1
+            if wait == cfg.lr_patience:
+                lr, wait = max(cfg.min_lr, lr * cfg.lr_factor), 0
         if on_epoch is not None:
             on_epoch(fold_id, row)
-        stop, _best = early_stopping(acc_series, cfg.early_stop_patience)
-        if stop:
+        if epoch - best_epoch >= cfg.early_stop_patience:
             break
 
     model.store.values[...] = best_values

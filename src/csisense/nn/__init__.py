@@ -30,7 +30,7 @@ from .layers import (
     softmax,
 )
 from .losses import cross_entropy, cross_entropy_logit_grad
-from .optim import Adam, adam_step, early_stopping, reduce_lr_on_plateau
+from .optim import Adam
 
 __all__ = [
     "Adam",
@@ -43,15 +43,12 @@ __all__ = [
     "MultiHeadSelfAttention",
     "ParamStore",
     "WeightedSkipAdd",
-    "adam_step",
     "cross_entropy",
     "cross_entropy_logit_grad",
-    "early_stopping",
     "glorot_uniform",
     "grad_check",
     "orthogonal",
     "positional_encoding",
-    "reduce_lr_on_plateau",
     "relu",
     "softmax",
 ]

@@ -102,8 +102,6 @@ def _scaled_profile(profile: SyntheticClassProfile, scale: EnvelopeScale) -> Syn
 
 def pair_envelope_scale(pair_variation: float, rng: CounterRng) -> EnvelopeScale:
     """Perturb envelope knobs for one simulated pair (body size, gesture pace)."""
-    if pair_variation < 0:
-        raise DomainError("pair_variation must be non-negative")
     eta = rng.normal(4)
     return EnvelopeScale(
         depth=max(0.2, 1.0 + pair_variation * float(eta[0])),
@@ -223,9 +221,9 @@ def dataset_trials(
 ) -> list[tuple[str, EnvelopeScale, SyntheticClassProfile, str, int]]:
     """Enumerate a dataset's trials as (pair id, envelope scale, profile,
     trial id, trial seed), ordered by (pair, class code, trial index).
-    Deterministic under seed."""
-    if pairs < 1 or trials_per_class < 1:
-        raise DomainError("pairs and trials_per_class must be at least 1")
+    Deterministic under seed.  The counts are at least 1 and
+    ``pair_variation`` is non-negative: ``simulate`` checks its flags as it
+    parses them."""
     out = []
     for p in range(pairs):
         pair_id = f"pair{p:02d}"

@@ -199,12 +199,25 @@ def test_simulate_missing_profile_file(tmp_path, capsys):
 
 
 def test_simulate_rejects_bad_counts(pipeline, tmp_path, capsys):
-    rc = cli.main([
-        "simulate", "--profiles", str(pipeline["profiles"]), "--pairs", "0",
-        "--out", str(tmp_path / "d"),
-    ])
-    assert rc == 2
-    assert "--pairs" in capsys.readouterr().err
+    # each a usage error, raised as the flag is parsed: nothing is written
+    simulate = ["simulate", "--profiles", str(pipeline["profiles"])]
+    preprocess = ["preprocess", "--manifest", str(pipeline["dataset"] / "manifest.json")]
+    cases = [
+        (simulate, "--pairs", "0", "must be a whole number of at least 1, not '0'"),
+        (simulate, "--trials-per-class", "-3", "must be a whole number of at least 1, not '-3'"),
+        (simulate, "--trials-per-class", "2.5", "must be a whole number of at least 1, not '2.5'"),
+        (simulate, "--pair-variation", "-0.1", "must be a finite number of at least 0, not '-0.1'"),
+        (simulate, "--pair-variation", "nan", "must be a finite number of at least 0, not 'nan'"),
+        (simulate, "--pair-variation", "inf", "must be a finite number of at least 0, not 'inf'"),
+        (preprocess, "--target-len", "0", "must be a whole number of at least 1, not '0'"),
+    ]
+    for i, (command, flag, value, message) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, flag, value, "--out", str(out)])
+        assert exc.value.code == 2, (flag, value)
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists(), (flag, value)
 
 
 # -------------------------------------------------------------- preprocess

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+import csisense.model as model_module
 from csisense.errors import ChecksumError, DomainError, FormatError, TrainingDiverged, VersionError
 from csisense.features import FeatureFrame, RobustScalerParams, one_hot
 from csisense.model import (
@@ -318,6 +319,64 @@ def test_train_fold_history_and_best_restore():
         correct += int((pred == f.labels).sum())
         total += f.labels.size
     assert abs(correct / total - max(r["acc"] for r in history)) < 1e-12
+
+
+def _scripted_fold(monkeypatch, accs, cfg):
+    """Train a fold whose validation accuracies are ``accs``, one per epoch;
+    returns the history, the weights at each epoch's end and the weights
+    the fold leaves in the model."""
+    script = iter(accs)
+    monkeypatch.setattr(
+        model_module, "_evaluate",
+        lambda model, frames, classes: {"loss": 0.0, "acc": next(script), "precision": 0.0, "recall": 0.0},
+    )
+    frames = _frames(4, MICRO, seed=41)
+    model = build(MICRO, seed=cfg.seed)
+    snapshots = {}
+    history = train_fold(
+        model, frames[:2], frames[2:], cfg,
+        on_epoch=lambda fold, row: snapshots.setdefault(row["epoch"], model.store.values.copy()),
+    )
+    assert [row["epoch"] for row in history] == list(range(1, len(history) + 1))
+    assert [row["acc"] for row in history] == list(accs[: len(history)])
+    return history, snapshots, model.store.values
+
+
+@pytest.mark.parametrize("accs, patience, lrs", [
+    # strict improvement every epoch: never cut
+    ([0.1, 0.2, 0.3], 2, [1e-3] * 4),
+    # ten flat epochs after the best: one halving
+    ([1.0] + [0.5] * 10, 10, [1e-3] * 11 + [5e-4]),
+    # nine flat, a new best, nine flat: the wait never reaches patience
+    ([1.0] + [0.5] * 9 + [2.0] + [0.5] * 9, 10, [1e-3] * 21),
+    # repeated plateaus floor at min_lr (1e-6): the tenth halving would pass it
+    ([1.0] + [0.0] * 300, 10, [1e-3] + [1e-3 * 0.5 ** (k // 10) for k in range(100)] + [1e-6] * 201),
+], ids=["improving", "one-plateau", "reset-by-new-best", "floor"])
+def test_train_fold_lr_plateau_schedule(monkeypatch, accs, patience, lrs):
+    # one epoch past the series shows the rate the whole series leaves
+    cfg = TrainConfig(epochs=len(accs) + 1, batch=2, lr=1e-3, folds=2, lr_factor=0.5,
+                      lr_patience=patience, min_lr=1e-6, early_stop_patience=len(accs) + 1)
+    history, _, _ = _scripted_fold(monkeypatch, [*accs, 0.0], cfg)
+    assert len(history) == len(accs) + 1
+    assert [row["lr"] for row in history] == lrs
+
+
+@pytest.mark.parametrize("accs, epochs, stop, best", [
+    # still improving at the budget: no early stop, the last epoch is best
+    ([0.1, 0.2, 0.3], 3, 3, 3),
+    # falling from the first epoch: stop once two epochs pass it
+    ([0.3, 0.2, 0.1, 0.9], 4, 3, 1),
+    # ties resolve to the earliest maximum
+    ([0.1, 0.5, 0.5, 0.5, 0.9], 5, 4, 2),
+    # with no best yet, the first epoch is best even at accuracy 0
+    ([0.0, 0.0, 0.0, 0.9], 4, 3, 1),
+], ids=["improving", "falling", "tie", "first-is-best"])
+def test_train_fold_early_stopping_restores_the_best_epoch(monkeypatch, accs, epochs, stop, best):
+    cfg = TrainConfig(epochs=epochs, batch=2, lr=1e-3, folds=2, lr_patience=10, early_stop_patience=2)
+    history, snapshots, kept = _scripted_fold(monkeypatch, accs, cfg)
+    assert len(history) == stop
+    assert np.array_equal(kept, snapshots[best])
+    assert not np.array_equal(kept, snapshots[stop]) or best == stop
 
 
 def test_train_fold_is_deterministic():
@@ -655,6 +714,9 @@ def test_config_loader_errors(tmp_path):
         ("lr_factor", "1.5", "lr_factor must lie in \\(0, 1\\)"),
         ("lr_patience", "0", "lr_patience must be at least 1"),
         ("early_stop_patience", "0", "early_stop_patience must be at least 1"),
+        # a floor above the rate would raise it at the first plateau
+        ("min_lr", "0.01", "min_lr 0.01 must lie in \\[0, lr = 0.001\\]"),
+        ("min_lr", "-1e-06", "min_lr -1e-06 must lie in \\[0, lr = 0.001\\]"),
     ]:
         t.write_text(f"[train]\n{key} = {value}\n")
         with pytest.raises(DomainError, match=f"t\\.ini: \\[train\\] {message}"):

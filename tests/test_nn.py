@@ -18,16 +18,13 @@ from csisense.nn import (
     MultiHeadSelfAttention,
     ParamStore,
     WeightedSkipAdd,
-    adam_step,
     cross_entropy,
     cross_entropy_logit_grad,
-    early_stopping,
     glorot_uniform,
     grad_check,
     gru,
     orthogonal,
     positional_encoding,
-    reduce_lr_on_plateau,
     relu,
     softmax,
 )
@@ -486,8 +483,8 @@ def test_gate_views_write_through_to_packed_arrays():
     bi.store.grads[...] = rng.standard_normal(bi.store.grads.size)
     plain = {k: v.copy() for k, v in bi.params.items()}
     for name, p in plain.items():
-        adam_step(p, bi.grads[name].copy(), np.zeros_like(p), np.zeros_like(p), t=1, lr=0.01)
-    Adam(lr=0.01).step(bi.store.values, bi.store.grads)
+        Adam().step(p, bi.grads[name].copy(), 0.01)
+    Adam().step(bi.store.values, bi.store.grads, 0.01)
     for name in plain:
         assert np.array_equal(_packed_slot(bi, name), plain[name]), name
 
@@ -540,12 +537,13 @@ def test_model_params_and_bundles_write_through_to_packed_arrays(tmp_path):
 def test_adam_single_step_hand_value():
     p = np.array([1.0])
     g = np.array([2.0])
-    m, v = np.zeros(1), np.zeros(1)
-    adam_step(p, g, m, v, t=1, lr=0.1)
+    opt = Adam()
+    opt.step(p, g, 0.1)
     # m_hat = 2, v_hat = 4: step = 0.1 * 2 / (2 + 1e-8)
     want = 1.0 - 0.1 * 2.0 / (2.0 + 1e-8)
     assert abs(p[0] - want) < 1e-15
-    assert (m[0], v[0]) == pytest.approx((0.2, 0.004))  # the moments update in place
+    assert opt.t == 1
+    assert (opt.m[0], opt.v[0]) == pytest.approx((0.2, 0.004))  # the moments update in place
 
 
 def test_adam_two_steps_match_reference_formula():
@@ -553,42 +551,14 @@ def test_adam_two_steps_match_reference_formula():
     p = rng.standard_normal((3, 2))
     p0 = p.copy()
     g1, g2 = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
-    opt = Adam(lr=0.01)
-    opt.step(p, g1)
-    opt.step(p, g2)
+    opt = Adam()
+    opt.step(p, g1, 0.01)
+    opt.step(p, g2, 0.005)  # the rate is the caller's, step by step
 
     m = 0.1 * g1
     v = 0.001 * g1 * g1
     ref = p0 - 0.01 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
     m = 0.9 * m + 0.1 * g2
     v = 0.999 * v + 0.001 * g2 * g2
-    ref -= 0.01 * (m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8)
+    ref -= 0.005 * (m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8)
     assert np.allclose(p, ref, atol=1e-14)
-    with pytest.raises(DomainError):
-        Adam(lr=0.0)
-
-
-def test_reduce_lr_on_plateau_cases():
-    # strict improvement every epoch: never reduced
-    assert reduce_lr_on_plateau([0.1, 0.2, 0.3], 1e-3, patience=2) == 1e-3
-    # ten flat epochs after the best: one halving
-    assert reduce_lr_on_plateau([1.0] + [0.5] * 10, 1e-3, 0.5, 10) == 5e-4
-    # nine flat, a new best, nine flat: the wait never reaches patience
-    history = [1.0] + [0.5] * 9 + [2.0] + [0.5] * 9
-    assert reduce_lr_on_plateau(history, 1e-3, 0.5, 10) == 1e-3
-    # repeated plateaus floor at min_lr
-    assert reduce_lr_on_plateau([1.0] + [0.0] * 300, 1e-3, 0.5, 10, min_lr=1e-6) == 1e-6
-    with pytest.raises(DomainError):
-        reduce_lr_on_plateau([1.0], 1e-3, factor=1.5)
-    with pytest.raises(DomainError):
-        reduce_lr_on_plateau([1.0], 1e-3, patience=0)
-
-
-def test_early_stopping_cases():
-    assert early_stopping([0.1, 0.2, 0.3], patience=2) == (False, 2)
-    assert early_stopping([0.3, 0.2, 0.1], patience=2) == (True, 0)
-    # ties resolve to the earliest maximum
-    assert early_stopping([0.1, 0.5, 0.5, 0.5], patience=2) == (True, 1)
-    assert early_stopping([], patience=2) == (False, -1)
-    with pytest.raises(DomainError):
-        early_stopping([0.1], patience=0)

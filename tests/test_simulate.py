@@ -277,8 +277,6 @@ def test_pair_envelope_scale():
     assert pair_envelope_scale(0.0, rng) == EnvelopeScale()
     big = pair_envelope_scale(5.0, CounterRng(1, "pair-envelope", 3))
     assert big.depth >= 0.2 and big.drift >= 0.2 and big.width >= 0.3
-    with pytest.raises(DomainError):
-        pair_envelope_scale(-0.1, rng)
 
 
 # ------------------------------------------------------------------ trials
@@ -530,10 +528,3 @@ def test_synth_dataset_trial_seeds_are_distinct():
         for k in range(5)
     }
     assert len(seen) == 3 * 13 * 5
-
-
-def test_synth_dataset_validation():
-    with pytest.raises(DomainError):
-        dataset_trials([PUSHING], pairs=0, trials_per_class=1)
-    with pytest.raises(DomainError):
-        dataset_trials([PUSHING], pairs=1, trials_per_class=1, pair_variation=-1.0)
