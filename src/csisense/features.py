@@ -97,7 +97,7 @@ class SplitSpec:
         )
 
 
-def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
+def normalize_length(trial: Trial, target_len: int) -> Trial:
     """Pad or clip a trial to ``target_len`` packets at its front.
 
     The rule reads no labels, so a labeled and an unlabeled copy of a trial
@@ -106,13 +106,10 @@ def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
     the steady-state label; clipping drops the leading packets.  Timestamps
     are re-based to start at 0 whenever the packet list changes; the ids and
     the ``labeled`` flag carry over.  A trial already at the target length is
-    returned unchanged.
+    returned unchanged.  The callers own the checks: ``target_len`` is at
+    least 1 and the trial holds a packet (``validate_trial``).
     """
-    if target_len < 1:
-        raise DomainError(f"target_len must be at least 1, got {target_len}")
     n = len(trial.timestamps)
-    if n == 0:
-        raise DomainError("cannot normalize an empty trial")
     if n == target_len:
         return trial
 
@@ -140,8 +137,6 @@ def normalize_length(trial: Trial, target_len: int = 1560) -> Trial:
 def packet_time_diffs(trial: Trial) -> np.ndarray:
     """Per-packet inter-arrival seconds; the first entry is 0."""
     times = np.asarray(trial.timestamps, dtype=np.float64)
-    if times.size == 0:
-        raise DomainError("trial contains no packets")
     diffs = np.empty_like(times)
     diffs[0] = 0.0
     np.subtract(times[1:], times[:-1], out=diffs[1:])

@@ -1,8 +1,8 @@
 """Sequence classifier: BiGRU stack with self-attention, and its training loop.
 
-Data path per trial (T timesteps, F features):
+Data path per batch of B trials (T timesteps, F features):
 
-    input (T, F)
+    input (B, T, F)
       + fixed sinusoidal positional encoding (dim F)
       -> BiGRU 1 (out 2 * bigru1_units) -> dropout1
       -> BiGRU 2 (out 2 * bigru2_units) -> dropout2
@@ -16,10 +16,10 @@ Every named parameter (``bigru1/fwd/W_in_z``, ``out/W``, ...) is a view into
 one flat ``store.values`` of ``param_count(arch)`` elements, and its gradient
 the view at the same offset into ``store.grads``.  The store is float64 for
 a model that trains and float32 for one that ``classify`` loads from a
-bundle, and the model computes in its store's dtype: the forward casts its
-input once, and no layer casts a weight.  A bundle model's probabilities are
-therefore float32, within float32 rounding of a float64 store holding the
-same values.
+bundle, and the model computes in its store's dtype: the forward checks
+its input's shape and casts it once, and no layer checks or casts again.
+A bundle model's probabilities are therefore float32, within float32
+rounding of a float64 store holding the same values.
 
 Only a training forward keeps activations, each layer's cache for the
 backward that reads and clears it; an inference forward (``predict``,
@@ -143,6 +143,8 @@ class TrainConfig:
     early_stop_patience: int = 30
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"seed must be at least 0, got {self.seed}")
         if self.epochs < 1:
             raise DomainError("epoch budget must be at least 1")
         if self.batch < 1:
@@ -192,7 +194,7 @@ def param_count(arch: ArchConfig) -> int:
 
 
 class SequenceClassifier:
-    """The assembled network.  Accepts (T, F) or batched (B, T, F) input."""
+    """The assembled network, over a (B, T, F) batch of sequences."""
 
     def __init__(self, arch: ArchConfig, seed: int = 0, init_weights: bool = True,
                  dtype=np.float64):
@@ -244,11 +246,20 @@ class SequenceClassifier:
             target[...] = arr
 
     def forward_logits(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Pre-softmax scores; backward() is the exact adjoint of a training pass."""
-        x = np.asarray(x, dtype=self.store.values.dtype)
-        if x.shape[-1] != self.eff.feature_dim:
+        """Pre-softmax scores; backward() is the exact adjoint of a training pass.
+
+        The network's one input check: ``x`` must be (B, T, F) with T at most
+        seq_len and F feature_dim, and a training forward needs a float64
+        store.  ``x`` is cast to the store's dtype here, once; the layers
+        rely on both and check nothing.
+        """
+        dtype = self.store.values.dtype
+        if training and dtype != np.float64:
+            raise DomainError(f"a training forward needs float64 parameters, not {dtype}")
+        x = np.asarray(x, dtype=dtype)
+        if x.ndim != 3 or x.shape[1] > self.eff.seq_len or x.shape[2] != self.eff.feature_dim:
             raise DomainError(
-                f"input width {x.shape[-1]} does not match feature_dim {self.eff.feature_dim}"
+                f"input shape {x.shape} is not (batch, T <= {self.eff.seq_len}, {self.eff.feature_dim})"
             )
         h = self.posenc.forward(x, training)
         h = self.bigru1.forward(h, training)
@@ -345,7 +356,8 @@ def train_fold(
     one to the wait, and a wait of ``cfg.lr_patience`` epochs cuts the rate
     to ``max(cfg.min_lr, lr * cfg.lr_factor)`` and starts the wait again.
     Training stops once ``cfg.early_stop_patience`` epochs have passed since
-    the best one.  Raises TrainingDiverged if the loss goes non-finite.  A
+    the best one.  Raises TrainingDiverged if the network output goes
+    non-finite (a finite softmax always gives a finite loss).  A
     fixed (cfg.seed, fold_id) pair reproduces the history exactly.
     """
     eff = model.eff
@@ -367,9 +379,6 @@ def train_fold(
             probs = model.forward(x, training=True)
             if not np.isfinite(probs).all():
                 raise TrainingDiverged(f"network output became non-finite in fold {fold_id}, epoch {epoch}")
-            loss = cross_entropy(probs, y)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became non-finite in fold {fold_id}, epoch {epoch}")
             model.store.grads.fill(0.0)
             model.backward(cross_entropy_logit_grad(probs, y), input_grad=False)
             optimizer.step(model.store.values, model.store.grads, lr)

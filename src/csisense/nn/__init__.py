@@ -1,11 +1,13 @@
 """Hand-written sequence-labeling layers with explicit backward passes.
 
-Everything operates on arrays shaped (T, features) or batched
-(B, T, features), in the dtype of the layer's parameters: float64 to train,
-float32 for an inference model loaded from a bundle.  No autodiff framework
-is involved.  A layer with weights keeps its ``params`` and ``grads`` as
-named views into a :class:`ParamStore`, its model's or its own;
-``backward`` consumes the upstream gradient, accumulates parameter
+The sequence layers take batches shaped (B, T, features) in the dtype of
+their store: float64 to train, float32 for an inference model loaded from a
+bundle.  They check neither shape nor dtype: the model's forward checks and
+casts its input once (``SequenceClassifier.forward_logits``), and the
+layers rely on that check and on the widths the model wires them with.  No
+autodiff framework is involved.  A layer with weights keeps its ``params``
+and ``grads`` as named views into a :class:`ParamStore`, its model's or its
+own; ``backward`` consumes the upstream gradient, accumulates parameter
 gradients, and returns the input gradient.  Only ``forward(x,
 training=True)`` keeps activations: what its ``backward`` reads and then
 clears.  An inference forward keeps nothing past the call.  Layers with

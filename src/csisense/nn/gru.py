@@ -49,15 +49,14 @@ output it holds O(B * units), not O(B * T * units).  A training forward
 keeps one ``(B, units) @ (units, units)`` product per direction and gate,
 and every step's gates and states for the backward.  Both modes write each
 new state straight into the output.  Every array a scan allocates is in the
-input's dtype, which the layer casts to its store's (float32 for a model
-loaded from a bundle), and the weights are read as stored.
+input's dtype, which the model has cast to its store's (float32 for a
+model loaded from a bundle), and the weights are read as stored.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError
 from .layers import ParamStore, glorot_uniform, orthogonal
 
 # time order of each direction's scan: forward, then reversed
@@ -200,8 +199,6 @@ class _PackedGru:
     def __init__(self, in_dim: int, units: int, rng: np.random.Generator | None = None,
                  store: ParamStore | None = None):
         """``rng`` draws the initial weights; None leaves them at zero."""
-        if in_dim < 1 or units < 1:
-            raise DomainError("in_dim and units must be positive")
         n_dir = len(self._prefixes)
         shapes = {"W_in": (n_dir, 3, in_dim, units), "W_rec": (n_dir, 3, units, units),
                   "b": (n_dir, 3, units)}
@@ -233,28 +230,18 @@ class _PackedGru:
         return out
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        squeezed = x.ndim == 2
-        if squeezed:
-            x = x[None]
-        if x.shape[-1] != self.in_dim:
-            raise DomainError(f"gru expects {self.in_dim} input features, got {x.shape[-1]}")
-        x = self.store.at(training, x)
-        y, cache = _scan_forward(x, self.W_in, self.W_rec, self.b, training)
-        self._cache = (cache, squeezed) if training else None
-        return y[0] if squeezed else y
+        y, self._cache = _scan_forward(x, self.W_in, self.W_rec, self.b, training)
+        return y
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the parameter gradients; returns the input gradient, or
         None, computing no part of it, when ``input_grad`` is false."""
-        (cache, squeezed), self._cache = self._cache, None
-        if squeezed:
-            dy = dy[None]
-        dx = _scan_backward(dy, cache, self.W_in, self.W_rec, *self._packed_grads, input_grad)
-        return dx[0] if squeezed and dx is not None else dx
+        cache, self._cache = self._cache, None
+        return _scan_backward(dy, cache, self.W_in, self.W_rec, *self._packed_grads, input_grad)
 
 
 class Gru(_PackedGru):
-    """Unidirectional scan over (B, T, in) or (T, in); zero initial state."""
+    """Unidirectional scan over (B, T, in); zero initial state."""
 
     _prefixes = ("",)
 
@@ -282,6 +269,5 @@ class BiGru(_PackedGru):
     def _direction(self, d: int) -> Gru:
         half = lambda arrays: tuple(a[d : d + 1] for a in arrays)
         view = Gru.__new__(Gru)
-        view.store = self.store
         view._attach(half((self.W_in, self.W_rec, self.b)), half(self._packed_grads))
         return view

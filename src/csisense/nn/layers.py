@@ -40,8 +40,6 @@ def positional_encoding(seq_len: int, dim: int) -> np.ndarray:
     Even columns are sin(t / 10000^(2i/dim)), odd columns the matching cos;
     row 0 is therefore [0, 1, 0, 1, ...].  Values lie in [-1, 1].
     """
-    if seq_len < 1 or dim < 1:
-        raise DomainError("positional encoding needs positive seq_len and dim")
     t = np.arange(seq_len, dtype=np.float64)[:, None]
     i = np.arange(0, dim, 2, dtype=np.float64)
     angles = t / np.power(10000.0, i / dim)
@@ -62,9 +60,9 @@ class ParamStore:
 
     ``dtype`` is float64 for a model that trains.  An inference-only model
     may keep its weights at the precision it loaded them in (float32 from a
-    bundle), and its layers then compute at that precision (:meth:`at`):
-    only a training forward, whose backward and optimizer update the values
-    in place, needs a float64 store.
+    bundle), and its layers then compute at that precision: only a training
+    forward, whose backward and optimizer update the values in place, needs
+    a float64 store.
     """
 
     def __init__(self, size: int, dtype=np.float64):
@@ -88,23 +86,12 @@ class ParamStore:
             grads[name] = self.grads[start : self._used].reshape(shape)
         return values, grads
 
-    def at(self, training: bool, x: np.ndarray) -> np.ndarray:
-        """``x`` in this store's dtype (``x`` itself when it already is), so
-        no product with the parameter views, read as they are, mixes dtypes
-        (NumPy runs those off BLAS).  Raises for a training forward on a
-        store that is not float64."""
-        if training and self.values.dtype != np.float64:
-            raise DomainError(f"a training forward needs float64 parameters, not {self.values.dtype}")
-        return x.astype(self.values.dtype, copy=False)
-
 
 class Dense:
     """y = activation(x @ W + b) applied to the last axis."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "none",
                  rng: np.random.Generator | None = None, store: ParamStore | None = None):
-        if activation not in ("none", "relu"):
-            raise DomainError(f"unknown activation {activation!r}")
         self.activation = activation
         shapes = {"W": (in_dim, out_dim), "b": (out_dim,)}
         self.store = store or ParamStore.fitting(shapes)
@@ -114,11 +101,6 @@ class Dense:
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.shape[-1] != self.params["W"].shape[0]:
-            raise DomainError(
-                f"dense expects {self.params['W'].shape[0]} input features, got {x.shape[-1]}"
-            )
-        x = self.store.at(training, x)
         z = x @ self.params["W"] + self.params["b"]
         self._cache = (x, z) if training else None
         return relu(z) if self.activation == "relu" else z
@@ -137,8 +119,6 @@ class Dropout:
     """Stateful inverted-dropout layer; draws a fresh mask per training call."""
 
     def __init__(self, ratio: float, rng: np.random.Generator | None = None):
-        if not 0.0 <= ratio < 1.0:
-            raise DomainError(f"dropout ratio must be in [0, 1), got {ratio}")
         self.ratio = ratio
         self.rng = rng or np.random.default_rng(0)
         self._mask = None
@@ -156,20 +136,14 @@ class Dropout:
 
 
 class AddPositional:
-    """Adds the fixed sinusoidal table to the first table-length timesteps."""
+    """Adds the first T rows of the fixed sinusoidal table to a (B, T, dim)
+    input, T at most the table's length."""
 
     def __init__(self, seq_len: int, dim: int):
         self.table = positional_encoding(seq_len, dim)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        t = x.shape[-2]
-        if t > self.table.shape[0]:
-            raise DomainError(f"sequence length {t} exceeds positional table {self.table.shape[0]}")
-        if x.shape[-1] != self.table.shape[1]:
-            raise DomainError(
-                f"feature dim {x.shape[-1]} does not match positional dim {self.table.shape[1]}"
-            )
-        return x + self.table[:t].astype(x.dtype, copy=False)
+        return x + self.table[: x.shape[1]].astype(x.dtype, copy=False)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy
@@ -178,13 +152,11 @@ class AddPositional:
 class WeightedSkipAdd:
     """y = w_pre * pre + w_skip * skip; fixed scalar weights."""
 
-    def __init__(self, w_pre: float = 0.7, w_skip: float = 0.3):
+    def __init__(self, w_pre: float, w_skip: float):
         self.w_pre = float(w_pre)
         self.w_skip = float(w_skip)
 
     def forward(self, pre: np.ndarray, skip: np.ndarray, training: bool = False) -> np.ndarray:
-        if pre.shape != skip.shape:
-            raise DomainError(f"skip-add shapes differ: {pre.shape} vs {skip.shape}")
         return self.w_pre * pre + self.w_skip * skip
 
     def backward(self, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,8 +191,6 @@ class MultiHeadSelfAttention:
 
     def __init__(self, model_dim: int, heads: int, key_dim: int,
                  rng: np.random.Generator | None = None, store: ParamStore | None = None):
-        if heads < 1 or key_dim < 1:
-            raise DomainError("heads and key_dim must be positive")
         self.model_dim = model_dim
         self.heads = heads
         self.key_dim = key_dim
@@ -235,12 +205,6 @@ class MultiHeadSelfAttention:
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.shape[-1] != self.model_dim:
-            raise DomainError(f"attention expects width {self.model_dim}, got {x.shape[-1]}")
-        squeezed = x.ndim == 2
-        if squeezed:
-            x = x[None]
-        x = self.store.at(training, x)
         Wq, Wk, Wv, Wf = (self.params[name] for name in ("Wq", "Wk", "Wv", "Wf"))
         scale = 1.0 / math.sqrt(self.key_dim)  # a Python float keeps a float32 product float32
         kept, heads_out = [], []
@@ -257,13 +221,11 @@ class MultiHeadSelfAttention:
             del a  # unless kept, free this head's scores before the next head's
         concat = np.concatenate(heads_out, axis=-1)
         y = concat @ Wf
-        self._cache = (x, kept, concat, squeezed) if training else None
-        return y[0] if squeezed else y
+        self._cache = (x, kept, concat) if training else None
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        (x, kept, concat, squeezed), self._cache = self._cache, None
-        if squeezed:
-            dy = dy[None]
+        (x, kept, concat), self._cache = self._cache, None
         scale = 1.0 / np.sqrt(self.key_dim)
         flat = lambda a: a.reshape(-1, a.shape[-1])
         self.grads["Wf"] += flat(concat).T @ flat(dy)
@@ -282,4 +244,4 @@ class MultiHeadSelfAttention:
             dx += dq @ self.params["Wq"][h].T
             dx += dk @ self.params["Wk"][h].T
             dx += dv @ self.params["Wv"][h].T
-        return dx[0] if squeezed else dx
+        return dx

@@ -4,25 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError
-
 _EPS = 1e-12
 
 
 def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     """Mean over rows of -sum(target * log(prob + 1e-12)).
 
-    ``probs`` rows must already be distributions (softmax output); ``targets``
-    are one-hot rows of the same shape.  Leading dims are flattened, so (T, C)
-    and (B, T, C) both work.
+    ``probs`` rows are distributions (softmax output) and ``targets`` one-hot
+    rows of the same shape.  Leading dims are flattened, so (T, C) and
+    (B, T, C) both work.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if probs.shape != targets.shape:
-        raise DomainError(f"probs shape {probs.shape} != targets shape {targets.shape}")
-    row_sums = probs.sum(axis=-1)
-    if not np.allclose(row_sums, 1.0, atol=1e-6):
-        raise DomainError("probs rows must sum to 1")
     per_row = -(targets * np.log(probs + _EPS)).sum(axis=-1)
     return float(per_row.mean())
 
@@ -30,9 +21,5 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
 def cross_entropy_logit_grad(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Gradient of :func:`cross_entropy` w.r.t. the pre-softmax logits:
     (probs - targets) / n_rows."""
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if probs.shape != targets.shape:
-        raise DomainError(f"probs shape {probs.shape} != targets shape {targets.shape}")
     n_rows = int(np.prod(probs.shape[:-1])) or 1
     return (probs - targets) / n_rows

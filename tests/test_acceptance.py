@@ -94,14 +94,14 @@ def test_c01_analytic_gradients_match_finite_differences():
     reports = {"dense": grad_check(Dense(4, 3, "relu", rng), [x])}
 
     rng = np.random.default_rng(37)
-    reports["gru"] = grad_check(Gru(4, 3, rng), [rng.standard_normal((5, 4))])
+    reports["gru"] = grad_check(Gru(4, 3, rng), [rng.standard_normal((1, 5, 4))])
 
     rng = np.random.default_rng(43)
-    reports["bigru"] = grad_check(BiGru(3, 2, rng), [rng.standard_normal((5, 3))])
+    reports["bigru"] = grad_check(BiGru(3, 2, rng), [rng.standard_normal((1, 5, 3))])
 
     rng = np.random.default_rng(13)
     layer = MultiHeadSelfAttention(6, 2, 3, rng)
-    reports["attention"] = grad_check(layer, [rng.standard_normal((5, 6))])
+    reports["attention"] = grad_check(layer, [rng.standard_normal((1, 5, 6))])
 
     rng = np.random.default_rng(19)
     reports["skip_add"] = grad_check(
@@ -110,7 +110,7 @@ def test_c01_analytic_gradients_match_finite_differences():
     )
 
     model = build(MICRO, seed=3)
-    x = np.random.default_rng(5).standard_normal((6, 4))
+    x = np.random.default_rng(5).standard_normal((1, 6, 4))
     reports["model"] = grad_check(_LogitView(model), [x])
 
     for name, report in reports.items():

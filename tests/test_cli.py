@@ -393,6 +393,19 @@ def test_train_rejects_unknown_dense_activation_before_reading_features(pipeline
     assert "no preprocessed features" not in err
 
 
+def test_train_rejects_a_negative_seed_before_writing_anything(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "train.ini"
+    cfg.write_text("[train]\nepochs = 1\nbatch = 4\nfolds = 2\nseed = -1\n")
+    out = tmp_path / "m"
+    rc = cli.main([
+        "train", "--features", str(pipeline["features"]), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(cfg), "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"error: {cfg}: [train] seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_features(pipeline, tmp_path, capsys):
     rc = cli.main([
         "train", "--features", str(tmp_path / "empty"), "--arch", str(pipeline["arch"]),

@@ -163,11 +163,16 @@ def test_normalize_no_steady_edge_pads_at_front():
     assert out.csi[0].flat[0] == 1 and out.csi[10].flat[0] == 1
 
 
-def test_normalize_errors():
-    with pytest.raises(DomainError):
-        normalize_length(_trial([0, 1]), 0)
-    with pytest.raises(DomainError):
-        normalize_length(_trial([]), 5)
+def test_normalize_smallest_inputs_its_callers_allow():
+    # the argument parser and validate_trial keep a target below 1 and an
+    # empty trial away; one packet and a target of 1 are the smallest left
+    one = normalize_length(_trial([5], t0=2.0), 4)
+    assert _labels(one) == [0, 0, 0, 5]
+    assert np.array_equal(one.timestamps, np.zeros(4))  # no inter-arrival to extrapolate
+    assert np.array_equal(one.csi[:, 0, 0, 0], np.ones(4))
+    last = normalize_length(_trial([1, 2, 3]), 1)
+    assert _labels(last) == [3] and np.array_equal(last.timestamps, [0.0])
+    assert last.csi[0].flat[0] == 3
 
 
 def test_packet_time_diffs():

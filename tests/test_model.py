@@ -139,23 +139,27 @@ def test_train_config_validation():
         TrainConfig(folds=1)
     with pytest.raises(DomainError):
         TrainConfig(lr=0.0)
+    with pytest.raises(DomainError, match="seed must be at least 0"):
+        TrainConfig(seed=-1)
 
 
 # ----------------------------------------------------------------- forward
 
 def test_forward_shapes_and_prob_rows():
     model = build(MICRO, seed=2)
-    x = np.random.default_rng(0).standard_normal((6, 4))
+    x = np.random.default_rng(0).standard_normal((1, 6, 4))
     p = model.forward(x)
-    assert p.shape == (6, 3)
+    assert p.shape == (1, 6, 3)
     assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-12)
     assert (p > 0).all()
-    batched = model.forward(np.stack([x, x + 1.0]))
+    batched = model.forward(np.concatenate([x, x + 1.0]))
     assert batched.shape == (2, 6, 3)
-    assert np.allclose(batched[0], p, atol=1e-12)
+    assert np.allclose(batched[:1], p, atol=1e-12)
     labels = model.predict(x)
-    assert labels.shape == (6,)
+    assert labels.shape == (1, 6)
     assert np.array_equal(labels, np.argmax(p, axis=-1))
+    short = model.forward(x[:, :4])  # a shorter sequence reuses the positional table's head
+    assert short.shape == (1, 4, 3)
 
 
 def test_inference_rows_bound_the_chunk():
@@ -174,8 +178,8 @@ def test_desk_batched_predict_equals_per_trial_predicts(batch, bundle):
     probs, labels = model.forward(x), model.predict(x)
     assert probs.dtype == model.store.values.dtype
     for i in range(batch):
-        assert np.array_equal(probs[i], model.forward(x[i]))
-        assert np.array_equal(labels[i], model.predict(x[i]))
+        assert np.array_equal(probs[i : i + 1], model.forward(x[i : i + 1]))
+        assert np.array_equal(labels[i : i + 1], model.predict(x[i : i + 1]))
 
 
 def test_batched_evaluate_equals_a_per_frame_loop():
@@ -184,7 +188,7 @@ def test_batched_evaluate_equals_a_per_frame_loop():
     frames = _frames(11, arch, seed=4)  # chunks of 8 and 3
     loss, conf = 0.0, np.zeros((13, 13), dtype=np.int64)
     for f in frames:
-        probs = model.forward(f.matrix)
+        probs = model.forward(f.matrix[None])[0]
         loss += cross_entropy(probs, one_hot(f.labels, 13))
         conf += confusion(f.labels, np.argmax(probs, axis=-1), 13)
     report = metrics(conf)
@@ -192,10 +196,19 @@ def test_batched_evaluate_equals_a_per_frame_loop():
     assert _evaluate(model, frames, 13) == want
 
 
-def test_forward_rejects_wrong_width():
+@pytest.mark.parametrize("shape", [(6, 4), (1, 7, 4), (1, 6, 5)], ids=["2-D", "too-long", "wrong-width"])
+@pytest.mark.parametrize("bundle", [False, True], ids=["float64", "bundle"])
+def test_forward_logits_rejects_bad_input(tmp_path, shape, bundle):
+    # the model's forward is the network's one input check: the layers run
+    # only on a (B, T <= seq_len, feature_dim) batch, and change nothing first
     model = build(MICRO, seed=0)
-    with pytest.raises(DomainError):
-        model.forward(np.zeros((6, 5)))
+    if bundle:
+        model = model_from_weights(load_weights(_bundle(tmp_path)[2]))
+    before = model.store.values.copy()
+    for training in (False, True):
+        with pytest.raises(DomainError):
+            model.forward_logits(np.zeros(shape), training=training)
+    assert np.array_equal(model.store.values, before)
 
 
 def test_build_determinism():
@@ -224,7 +237,7 @@ def test_desk_build_draws_frozen_bytes():
 
 def test_only_a_training_forward_keeps_caches_until_its_backward():
     model = build(MICRO, seed=0)
-    x = np.random.default_rng(1).standard_normal((6, 4))
+    x = np.random.default_rng(1).standard_normal((1, 6, 4))
     layers = [model.bigru1, model.bigru2, model.attention, model.dense1, model.out]
     probs = model.forward(x, training=True)
     assert all(layer._cache is not None for layer in layers)
@@ -277,7 +290,7 @@ def test_train_step_without_the_input_gradient_keeps_every_parameter_gradient():
 
 def test_micro_model_grad_check():
     model = build(MICRO, seed=3)
-    x = np.random.default_rng(5).standard_normal((6, 4))
+    x = np.random.default_rng(5).standard_normal((1, 6, 4))
     report = grad_check(_LogitView(model), [x])
     assert max(report.values()) <= 1e-6
 
@@ -315,7 +328,7 @@ def test_train_fold_history_and_best_restore():
     # the model is left at the best validation epoch
     correct = total = 0
     for f in frames[4:]:
-        pred = model.predict(f.matrix)
+        pred = model.predict(f.matrix[None])[0]
         correct += int((pred == f.labels).sum())
         total += f.labels.size
     assert abs(correct / total - max(r["acc"] for r in history)) < 1e-12
@@ -494,7 +507,7 @@ def test_weights_round_trip(tmp_path):
 def test_loaded_model_predict_writes_no_gradient(tmp_path):
     _, _, path = _bundle(tmp_path)
     model = model_from_weights(load_weights(path))
-    model.predict(np.random.default_rng(8).standard_normal((6, 4)))
+    model.predict(np.random.default_rng(8).standard_normal((1, 6, 4)))
     assert not model.store.grads.any()
 
 
@@ -514,7 +527,7 @@ def test_bundle_model_keeps_float32_weights_and_predicts_in_float32(tmp_path):
     probs, want = m32.forward(x), m64.forward(x)
     assert probs.dtype == np.float32 and want.dtype == np.float64
     assert np.array_equal(np.argmax(probs, axis=-1), np.argmax(want, axis=-1))
-    assert np.array_equal(m32.predict(x[1]), m64.predict(x[1]))
+    assert np.array_equal(m32.predict(x[1:2]), m64.predict(x[1:2]))
     # measured 1.3e-7 on this input: float32 rounding, not a changed network
     assert np.abs(probs - want).max() < 1e-6
 
@@ -544,9 +557,7 @@ def test_training_on_a_float32_store_raises(tmp_path):
     x = np.random.default_rng(10).standard_normal((2, 6, 4))
     with pytest.raises(DomainError, match="float64"):
         model.forward(x, training=True)
-    for layer, width in (("attention", 8), ("dense1", 8), ("out", 12)):
-        with pytest.raises(DomainError, match="float64"):
-            getattr(model, layer).forward(np.zeros((2, 6, width)), training=True)
+    assert all(layer._cache is None for layer in (model.bigru1, model.attention, model.out))
     assert np.array_equal(model.store.values, before)
     model.forward(x)  # inference still runs
 
