@@ -42,7 +42,7 @@ from . import dataio
 from .channel import PropagationConfig
 from .dataio import Manifest, ManifestEntry, _atomic_write_text, write_csv
 from .domain import LABELS, validate_trial
-from .errors import CsiSenseError, DomainError, TrainingDiverged
+from .errors import CsiSenseError, TrainingDiverged
 from .features import (
     kfold_assign,
     normalize_length,
@@ -135,9 +135,7 @@ def _read_frame(path: str, seq_len: int, scaler=None):
     featurized, and scaled by ``scaler`` when one is given.  Returns its
     trial id, labeled flag and frame."""
     trial = dataio.read_trial(path)
-    report = validate_trial(trial)
-    if not report.ok:
-        raise DomainError(f"invalid trial: {'; '.join(report.violations[:3])}")
+    validate_trial(trial)
     trial = normalize_length(trial, seq_len)
     frame = trial_features(trial)
     return trial.trial_id, trial.labeled, frame if scaler is None else robust_transform(frame, scaler)

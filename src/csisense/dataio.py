@@ -302,13 +302,11 @@ def _check_class_codes(path: str | Path, codes: np.ndarray, column: str, error=F
 
 def import_feature_csv(path: str | Path) -> FeatureFrame:
     """Parse a feature CSV back into a frame: each feature cell as ``float()``
-    rounds it, a label as an integer literal that must be a class code.
-    The file does not record whether the scaler ran; pipeline CSVs are always
-    scaled, so the frame comes back marked as scaled."""
+    rounds it, a label as an integer literal that must be a class code."""
     _, table = _read_table(path, "feature CSV", lambda w: [("features", "<f8", (w - 1,)), ("label", "<i8")])
     matrix, labels = np.ascontiguousarray(table["features"]), np.ascontiguousarray(table["label"])
     _check_class_codes(path, labels, "the label column")
-    return FeatureFrame(matrix=matrix, labels=labels, scaler_applied=True)
+    return FeatureFrame(matrix=matrix, labels=labels)
 
 
 def write_predictions(trace: PredictionTrace, path: str | Path) -> None:

@@ -13,7 +13,7 @@ of a trial file (FORMATS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,18 +81,13 @@ class Trial:
         return tuple(int(d) for d in self.csi.shape[1:])
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
-
-
-def validate_trial(trial: Trial) -> ValidationReport:
-    """Check the trial's arrays against each other and the packet invariants.
+def validate_trial(trial: Trial) -> None:
+    """Check the trial's arrays against each other and the packet invariants,
+    raising ``DomainError("invalid trial: ...")`` with the first three
+    violations.
 
     Per-packet violations name the offending packet index, array-wide ones
-    the offending field; an empty trial is itself a violation.  The report
-    never raises, so callers can batch-validate.
+    the offending field; an empty trial is itself a violation.
     """
     violations: list[str] = []
     dims = trial.dims
@@ -119,4 +114,5 @@ def validate_trial(trial: Trial) -> ValidationReport:
         bad = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))))
         if bad.size:
             violations.append(f"{name} is not finite at index {bad[0]}")
-    return ValidationReport(ok=not violations, violations=violations)
+    if violations:
+        raise DomainError(f"invalid trial: {'; '.join(violations[:3])}")

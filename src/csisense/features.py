@@ -29,7 +29,6 @@ class FeatureFrame:
 
     matrix: np.ndarray
     labels: np.ndarray
-    scaler_applied: bool = False
 
 
 @dataclass
@@ -165,7 +164,7 @@ def trial_features(trial: Trial) -> FeatureFrame:
         dtype=np.float64,
     )
     labels = trial.labels.astype(np.int64)
-    return FeatureFrame(matrix=matrix, labels=labels, scaler_applied=False)
+    return FeatureFrame(matrix=matrix, labels=labels)
 
 
 def robust_fit(matrix: np.ndarray) -> RobustScalerParams:
@@ -195,21 +194,19 @@ def robust_transform(frame: FeatureFrame, params: RobustScalerParams) -> Feature
     scaled = (matrix - params.median) / divisor
     if not np.all(np.isfinite(scaled)):
         raise DomainError("scaled features contain non-finite values")
-    return FeatureFrame(matrix=scaled, labels=frame.labels.copy(), scaler_applied=True)
+    return FeatureFrame(matrix=scaled, labels=frame.labels.copy())
 
 
 def one_hot(labels: np.ndarray, num_classes: int = 13) -> np.ndarray:
+    """Rows of ``num_classes`` zeros with a 1 at each label; the caller
+    keeps every label below ``num_classes``."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise DomainError("label out of range for one-hot encoding")
     out = np.zeros((labels.size, num_classes), dtype=np.float64)
     out[np.arange(labels.size), labels] = 1.0
     return out
 
 
 def _grouped(trial_ids: list[str], classes: list[str]) -> dict[str, list[str]]:
-    if len(classes) != len(trial_ids):
-        raise DomainError("classes list must parallel trial_ids")
     groups: dict[str, list[str]] = {}
     for tid, cls in sorted(zip(trial_ids, classes)):
         groups.setdefault(cls, []).append(tid)
@@ -241,9 +238,7 @@ def split_dataset(trial_ids: list[str], seed: int, classes: list[str]) -> SplitS
 def kfold_assign(trial_ids: list[str], k: int, seed: int, classes: list[str]) -> list[list[str]]:
     """Partition ids into ``k`` folds, stratified per class of the parallel
     ``classes`` list, deterministic under the seed.  Folds are near-equal in
-    size."""
-    if k < 2:
-        raise DomainError(f"fold count must be at least 2, got {k}")
+    size; ``k`` is at least 2 (``TrainConfig.folds``)."""
     if len(trial_ids) < k:
         raise DomainError(f"cannot build {k} folds from {len(trial_ids)} trials")
     folds: list[list[str]] = [[] for _ in range(k)]

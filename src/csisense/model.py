@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import read_ini, section_to
+from .domain import NUM_CLASSES
 from .errors import DomainError, TrainingDiverged
 from .features import FeatureFrame, one_hot
 from .nn import (
@@ -88,15 +89,21 @@ class ArchConfig:
     scale_factor: int = 1
 
     def __post_init__(self):
-        if min(self.seq_len, self.feature_dim, self.classes) < 1:
-            raise DomainError("seq_len, feature_dim and classes must be positive")
+        if min(self.seq_len, self.feature_dim) < 1:
+            raise DomainError("seq_len and feature_dim must be positive")
+        # so that every argmax of the network is a class code
+        if not 1 <= self.classes <= NUM_CLASSES:
+            raise DomainError(f"classes {self.classes} must lie in 1..{NUM_CLASSES}")
         if self.scale_factor < 1:
             raise DomainError("scale_factor must be at least 1")
+        # checked before scaling, which floors the head count at 1
+        if self.heads < 1:
+            raise DomainError(f"heads {self.heads} must be at least 1")
         scaled = self.scaled() if self.scale_factor > 1 else self
         if min(scaled.bigru1_units, scaled.bigru2_units, scaled.dense_units, scaled.key_dim) < 4:
             raise DomainError("scaled widths must stay at least 4")
-        if scaled.heads < 1:
-            raise DomainError("scaled head count must stay at least 1")
+        if not (math.isfinite(self.skip_pre) and math.isfinite(self.skip_att)):
+            raise DomainError(f"skip_pre {self.skip_pre} and skip_att {self.skip_att} must be finite")
         if self.dense_activation not in ("none", "relu"):
             raise DomainError(f"dense_activation {self.dense_activation!r} must be 'none' or 'relu'")
         for ratio in (self.dropout1, self.dropout2, self.dropout3):
@@ -308,15 +315,17 @@ def _frame_batch(frames: list[FeatureFrame], classes: int) -> tuple[np.ndarray, 
 
 
 def _validate_frames(frames: list[FeatureFrame], eff: ArchConfig, role: str) -> None:
-    if not frames:
-        raise DomainError(f"{role} set is empty")
+    """A fold's frames must fit the network: (seq_len, feature_dim) matrices
+    and labels below ``eff.classes``, which the batches' one-hot rows and
+    the validation confusion matrix rely on."""
     for f in frames:
         if f.matrix.shape != (eff.seq_len, eff.feature_dim):
             raise DomainError(
                 f"{role} frame shape {f.matrix.shape} does not match ({eff.seq_len}, {eff.feature_dim})"
             )
-        if not f.scaler_applied:
-            raise DomainError(f"{role} frames must be scaled before training")
+        top = f.labels.max()
+        if top >= eff.classes:
+            raise DomainError(f"{role} labels reach {top}, but the network has {eff.classes} classes")
 
 
 def _evaluate(model: SequenceClassifier, frames: list[FeatureFrame], classes: int) -> dict:
@@ -416,13 +425,9 @@ def train_kfold(
     """Cross-validation: fold i validates on folds[i] and trains on the rest.
 
     Returns one (model, history) pair per fold; models start from distinct
-    seed-mixed initializations of the same architecture.
+    seed-mixed initializations of the same architecture.  Every fold id
+    must be a key of ``frames_by_id``.
     """
-    if len(folds) != cfg.folds:
-        raise DomainError(f"expected {cfg.folds} folds, got {len(folds)}")
-    missing = sorted({tid for fold in folds for tid in fold} - set(frames_by_id))
-    if missing:
-        raise DomainError(f"fold trials missing from features: {missing}")
     results = []
     for fold_id, val_ids in enumerate(folds):
         train_ids = [tid for j, fold in enumerate(folds) if j != fold_id for tid in fold]

@@ -5,6 +5,12 @@ the per-position mode across folds; smoothing then repairs short glitches by
 comparing the local mode on both sides of each position.  Metrics aggregate a
 multi-class confusion matrix into accuracy and support-weighted precision,
 recall and F1.
+
+These functions rely on their callers and check nothing: every label series
+is a class code series (the network's argmax under ``ArchConfig``'s class
+bound, or a series that a reader checked), a fold matrix is (folds, T) with
+at least one fold, and a confusion matrix is square and counts at least one
+packet.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import NUM_CLASSES
-from .errors import DomainError
+
+# packets on each side of a position that smoothing compares (FORMATS.md)
+SMOOTH_WINDOW = 20
 
 
 @dataclass
@@ -37,10 +45,6 @@ def _mode(values: np.ndarray) -> int:
 def ensemble_mode(per_fold: np.ndarray) -> np.ndarray:
     """Per-position mode across fold predictions, shape (folds, T) -> (T,)."""
     per_fold = np.asarray(per_fold, dtype=np.int64)
-    if per_fold.ndim != 2 or per_fold.shape[0] < 1:
-        raise DomainError(f"per_fold must be (folds, T) with folds >= 1, got {per_fold.shape}")
-    if per_fold.size and (per_fold.min() < 0 or per_fold.max() >= NUM_CLASSES):
-        raise DomainError("fold predictions contain out-of-range labels")
     folds, t = per_fold.shape
     counts = np.zeros((t, NUM_CLASSES), dtype=np.int64)
     for f in range(folds):
@@ -48,27 +52,21 @@ def ensemble_mode(per_fold: np.ndarray) -> np.ndarray:
     return np.argmax(counts, axis=1)  # argmax takes the lowest index on ties
 
 
-def smooth(labels: np.ndarray, window: int = 20) -> np.ndarray:
+def smooth(labels: np.ndarray) -> np.ndarray:
     """Two-sided mode smoothing over a frozen copy of the input.
 
-    For each position with at least ``window`` packets on both sides, compute
-    the mode of the ``window`` preceding and the ``window`` succeeding labels
+    For each position with at least ``SMOOTH_WINDOW`` packets on both sides,
+    compute the mode of the ``SMOOTH_WINDOW`` preceding and succeeding labels
     (the position itself excluded, reading the original series throughout).
     When the two modes agree the position is overwritten with that mode;
     otherwise, and at the boundaries, the original label is kept.  One pass;
     never introduces a label absent from the input.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise DomainError("labels must be a 1-D sequence")
-    if window < 1:
-        raise DomainError("window must be at least 1")
-    if labels.size and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
-        raise DomainError("labels contain out-of-range values")
     out = labels.copy()
-    for i in range(window, labels.size - window):
-        before = _mode(labels[i - window : i])
-        after = _mode(labels[i + 1 : i + 1 + window])
+    for i in range(SMOOTH_WINDOW, labels.size - SMOOTH_WINDOW):
+        before = _mode(labels[i - SMOOTH_WINDOW : i])
+        after = _mode(labels[i + 1 : i + 1 + SMOOTH_WINDOW])
         if before == after:
             out[i] = before
     return out
@@ -78,11 +76,6 @@ def confusion(true_labels: np.ndarray, predicted: np.ndarray, classes: int = NUM
     """Row = true class, column = predicted class, entries are counts."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
     predicted = np.asarray(predicted, dtype=np.int64)
-    if true_labels.shape != predicted.shape:
-        raise DomainError("true and predicted label sequences differ in length")
-    for name, arr in (("true", true_labels), ("predicted", predicted)):
-        if arr.size and (arr.min() < 0 or arr.max() >= classes):
-            raise DomainError(f"{name} labels out of range for {classes} classes")
     conf = np.zeros((classes, classes), dtype=np.int64)
     np.add.at(conf, (true_labels, predicted), 1)
     return conf
@@ -106,11 +99,7 @@ def metrics(conf: np.ndarray) -> MetricsReport:
     matrix.  Zero-support or never-predicted classes score 0 in the affected
     ratio; zero-support classes carry zero weight in the averages."""
     conf = np.asarray(conf, dtype=np.int64)
-    if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:
-        raise DomainError(f"confusion matrix must be square, got {conf.shape}")
     total = conf.sum()
-    if total == 0:
-        raise DomainError("confusion matrix is empty")
     diag = np.diag(conf).astype(np.float64)
     support = conf.sum(axis=1)
     predicted = conf.sum(axis=0)

@@ -2,6 +2,10 @@
 
 The plots are built by direct string assembly (fixed coordinate formatting,
 run-collapsed step paths) so a rerun produces byte-identical files.
+
+The renderer relies on its caller and checks nothing: it is handed at least
+one series, each a non-empty class code series, all of one length, as
+``read_predictions`` returns them.
 """
 
 from __future__ import annotations
@@ -9,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import LABELS
-from .errors import DomainError
 from .postprocess import label_runs
 
 _SERIES_COLORS = {
@@ -34,8 +37,6 @@ def step_path(values: np.ndarray, x_left: float, x_step: float, y_of) -> str:
     """SVG path for a step plot; consecutive equal labels collapse into one
     horizontal segment so long trials stay small on disk."""
     values = np.asarray(values, dtype=np.int64)
-    if values.size == 0:
-        raise DomainError("cannot plot an empty label series")
     parts = []
     for label, start, length in label_runs(values):
         x0 = x_left + start * x_step
@@ -53,14 +54,7 @@ def render_label_plot(series: list[tuple[str, np.ndarray]], title: str) -> str:
     """One SVG document: packet index on x, class code on y, one step path
     per (name, labels) series plus a legend.  Each series name is one of
     ``true``, ``ensembled`` and ``smoothed``, and picks the series colour."""
-    if not series:
-        raise DomainError("no series to plot")
-    lengths = {len(np.asarray(v)) for _, v in series}
-    if len(lengths) != 1:
-        raise DomainError(f"series lengths differ: {sorted(lengths)}")
-    n = lengths.pop()
-    if n == 0:
-        raise DomainError("cannot plot an empty label series")
+    n = len(series[0][1])
     n_classes = len(LABELS)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT

@@ -372,7 +372,6 @@ def test_c10_formats_round_trip_and_reject_corruption(tmp_path):
     frame = FeatureFrame(
         matrix=rng.standard_normal((7, 8)) * 1e3,
         labels=rng.integers(0, 13, 7).astype(np.int64),
-        scaler_applied=True,
     )
     csv_a = tmp_path / "a.csv"
     export_feature_csv(frame, csv_a, dims=(1, 1, 2))

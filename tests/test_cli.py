@@ -406,6 +406,22 @@ def test_train_rejects_a_negative_seed_before_writing_anything(pipeline, tmp_pat
     assert not out.exists()
 
 
+def test_train_refuses_labels_beyond_the_arch_classes_before_any_epoch(pipeline, tmp_path, capsys):
+    # the fixture's features label pushing as 12, which a 3-class network cannot predict
+    arch = tmp_path / "arch.ini"
+    arch.write_text(MICRO_ARCH + "classes = 3\n")
+    out = tmp_path / "m"
+    rc = cli.main([
+        "train", "--features", str(pipeline["features"]), "--arch", str(arch),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: training labels reach 12, but the network has 3 classes" in err
+    assert "epoch" not in err
+    assert not list(out.glob("*.weights"))
+
+
 def test_train_missing_features(pipeline, tmp_path, capsys):
     rc = cli.main([
         "train", "--features", str(tmp_path / "empty"), "--arch", str(pipeline["arch"]),

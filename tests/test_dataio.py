@@ -213,12 +213,10 @@ def test_feature_csv_round_trip(tmp_path):
     frame = FeatureFrame(
         matrix=rng.standard_normal((40, 8)) * 50.0,
         labels=rng.integers(0, 13, 40),
-        scaler_applied=True,
     )
     path = tmp_path / "f.csv"
     export_feature_csv(frame, path, dims=(1, 1, 2))
     back = import_feature_csv(path)
-    assert back.scaler_applied is True
     assert np.array_equal(back.labels, frame.labels)
     # 9 significant digits: relative error comfortably under 1e-7
     rel = np.abs(back.matrix - frame.matrix) / np.maximum(np.abs(frame.matrix), 1e-12)
@@ -227,7 +225,7 @@ def test_feature_csv_round_trip(tmp_path):
 
 
 def test_feature_csv_fallback_names(tmp_path):
-    frame = FeatureFrame(np.zeros((2, 5)), np.zeros(2, dtype=np.int64), True)
+    frame = FeatureFrame(np.zeros((2, 5)), np.zeros(2, dtype=np.int64))
     path = tmp_path / "f.csv"
     export_feature_csv(frame, path, dims=(1, 1, 2))  # dims describe 8 columns, not 5
     assert path.read_text().splitlines()[0] == "f000,f001,f002,f003,f004,label"
@@ -261,7 +259,7 @@ def test_feature_csv_import_errors(tmp_path):
 
 def test_feature_csv_with_one_data_row_round_trips(tmp_path):
     path = tmp_path / "f.csv"
-    frame = FeatureFrame(np.array([[0.5, -2.0, 1e-300]]), np.array([7]), True)
+    frame = FeatureFrame(np.array([[0.5, -2.0, 1e-300]]), np.array([7]))
     export_feature_csv(frame, path)
     back = import_feature_csv(path)
     assert back.matrix.shape == (1, 3)
@@ -289,7 +287,7 @@ def _pinned_feature_frame(width):
             float("inf"), float("-inf"), float("nan"), 3.0, -7.0, 123456789.0, 1e16, 2.0**53]
     matrix = rng.standard_normal((5, width)) * 10.0 ** rng.integers(-8, 9, (5, width))
     matrix[0, : min(width, len(edge))] = edge[:width]
-    return FeatureFrame(matrix, np.array([0, 12, 11, 3, 7]), True)
+    return FeatureFrame(matrix, np.array([0, 12, 11, 3, 7]))
 
 
 @pytest.mark.parametrize(
@@ -439,7 +437,7 @@ def test_prediction_csv_bytes_are_frozen(tmp_path, with_true, digest):
 def test_writers_refuse_codes_outside_the_class_codes(tmp_path, label):
     # the writers hold class codes to the rule their readers enforce
     path = tmp_path / "f.csv"
-    frame = FeatureFrame(np.zeros((3, 2)), np.array([0, label, 12]), True)
+    frame = FeatureFrame(np.zeros((3, 2)), np.array([0, label, 12]))
     with pytest.raises(DomainError, match=re.escape(f"{path}: the label column holds {label}, not a class code")):
         export_feature_csv(frame, path)
     assert not path.exists()
@@ -585,7 +583,7 @@ def test_manifest_entry_fields_must_be_strings(tmp_path):
 
 def test_no_tmp_files_survive_writes(tmp_path):
     write_trial(_trial(), tmp_path / "t.trial")
-    frame = FeatureFrame(np.ones((2, 3)), np.zeros(2, dtype=np.int64), True)
+    frame = FeatureFrame(np.ones((2, 3)), np.zeros(2, dtype=np.int64))
     export_feature_csv(frame, tmp_path / "f.csv")
     write_predictions(_trace(t=2), tmp_path / "p.csv")
     save_scaler(

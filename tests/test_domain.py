@@ -64,38 +64,40 @@ def test_trial_dims_come_from_csi():
     assert _trial([], dims=(1, 2, 30), n_rx=2).dims == (1, 2, 30)
 
 
+def _violations(trial) -> str:
+    with pytest.raises(DomainError, match="^invalid trial: ") as exc:
+        validate_trial(trial)
+    return str(exc.value)
+
+
 def test_validate_ok():
-    report = validate_trial(_trial([0.0, 0.1, 0.1, 0.5], labels=[0, 0, 0, 12]))
-    assert report.ok and report.violations == []
+    validate_trial(_trial([0.0, 0.1, 0.1, 0.5], labels=[0, 0, 0, 12]))  # raises on any violation
 
 
 def test_validate_flags_each_problem():
     bad = _trial([0.0, 0.2, 0.1, 0.3, 0.4], labels=[0, 0, 0, 0, 55], n_rx=2)
     bad.noise[1] = np.nan
     bad.csi[3, 1, 0, 2] = complex(0.0, np.inf)
-    report = validate_trial(bad)
-    assert not report.ok
-    text = "\n".join(report.violations)
-    assert "non-monotone timestamp at index 2" in text
-    assert "noise is not finite at index 1" in text
-    assert "csi is not finite at index 3" in text
-    assert "rssi shape (5, 2) does not match n_rx 3" in text
-    assert "label 55 out of range at index 4" in text
-    assert "label -1 out of range at index 0" in "\n".join(
-        validate_trial(_trial([0.0], labels=[-1])).violations
+    # five violations; the message names the first three, in check order
+    assert _violations(bad) == (
+        "invalid trial: rssi shape (5, 2) does not match n_rx 3; "
+        "label 55 out of range at index 4; non-monotone timestamp at index 2"
     )
+    nonfinite = _trial([0.0, 0.1, 0.2, 0.3])
+    nonfinite.noise[1] = np.nan
+    nonfinite.csi[3, 1, 0, 2] = complex(0.0, np.inf)
+    assert _violations(nonfinite) == (
+        "invalid trial: noise is not finite at index 1; csi is not finite at index 3"
+    )
+    assert "label -1 out of range at index 0" in _violations(_trial([0.0], labels=[-1]))
 
 
 @pytest.mark.parametrize("field", ["noise", "agc", "rssi", "csi", "labels"])
 def test_validate_names_a_field_whose_length_disagrees(field):
     trial = _trial([0.0, 0.1, 0.2])
     short = dataclasses.replace(trial, **{field: getattr(trial, field)[:2]})
-    report = validate_trial(short)
-    assert not report.ok
-    assert f"{field} has 2 rows but timestamps has 3" in report.violations
+    assert f"{field} has 2 rows but timestamps has 3" in _violations(short)
 
 
 def test_validate_empty_trial():
-    report = validate_trial(_trial([]))
-    assert not report.ok
-    assert any("no packets" in v for v in report.violations)
+    assert "no packets" in _violations(_trial([]))

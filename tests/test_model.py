@@ -49,14 +49,14 @@ MICRO = ArchConfig(
 )
 
 
-def _frames(n, arch, seed, scaled=True):
+def _frames(n, arch, seed):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
         cls = i % arch.classes
         m = rng.standard_normal((arch.seq_len, arch.feature_dim)) + 0.8 * cls
         labels = np.full(arch.seq_len, cls, dtype=np.int64)
-        out.append(FeatureFrame(matrix=m, labels=labels, scaler_applied=scaled))
+        out.append(FeatureFrame(matrix=m, labels=labels))
     return out
 
 
@@ -128,6 +128,24 @@ def test_arch_validation():
         ArchConfig(dropout1=1.0)
     with pytest.raises(DomainError, match="dense_activation 'tanh'"):
         ArchConfig(dense_activation="tanh")
+
+
+@pytest.mark.parametrize("fields, message", [
+    # every argmax of the network must be a class code
+    ({"classes": 0}, "classes 0 must lie in 1..13"),
+    ({"classes": 14}, "classes 14 must lie in 1..13"),
+    # the head count is checked before scaling, which floors it at 1
+    ({"heads": 0}, "heads 0 must be at least 1"),
+    ({"heads": -3, "scale_factor": 4}, "heads -3 must be at least 1"),
+    ({"skip_pre": float("nan")}, "skip_pre nan and skip_att 0.3 must be finite"),
+    ({"skip_pre": float("inf")}, "skip_pre inf and skip_att 0.3 must be finite"),
+    ({"skip_att": float("-inf")}, "skip_pre 0.7 and skip_att -inf must be finite"),
+    ({"skip_att": float("nan")}, "skip_pre 0.7 and skip_att nan must be finite"),
+], ids=["classes-0", "classes-14", "heads-0", "heads-minus-3-scaled", "skip_pre-nan", "skip_pre-inf",
+        "skip_att-minus-inf", "skip_att-nan"])
+def test_arch_rejects_settings_outside_their_range(fields, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ArchConfig(**fields)
 
 
 def test_train_config_validation():
@@ -407,14 +425,16 @@ def test_train_fold_is_deterministic():
 def test_train_fold_rejects_bad_frames():
     frames = _frames(4, MICRO, seed=17)
     cfg = TrainConfig(epochs=1, batch=2, folds=2)
-    with pytest.raises(DomainError):
-        train_fold(build(MICRO), [], frames[2:], cfg)
-    unscaled = _frames(2, MICRO, seed=19, scaled=False)
-    with pytest.raises(DomainError):
-        train_fold(build(MICRO), unscaled, frames[2:], cfg)
-    short = [FeatureFrame(np.zeros((3, 4)), np.zeros(3, dtype=np.int64), True)]
-    with pytest.raises(DomainError):
+    short = [FeatureFrame(np.zeros((3, 4)), np.zeros(3, dtype=np.int64))]
+    with pytest.raises(DomainError, match="training frame shape"):
         train_fold(build(MICRO), short, frames[2:], cfg)
+    # MICRO has 3 classes, so label 3 has no one-hot column
+    beyond = [FeatureFrame(np.zeros((6, 4)), np.array([0, 1, 2, 3, 2, 0]))]
+    model = build(MICRO, seed=0)
+    before = model.store.values.copy()
+    with pytest.raises(DomainError, match="^validation labels reach 3, but the network has 3 classes$"):
+        train_fold(model, frames[:2], beyond, cfg)
+    assert np.array_equal(model.store.values, before)  # refused before any step
 
 
 def test_train_fold_divergence_names_the_fold():
@@ -440,11 +460,6 @@ def test_train_kfold_mechanics():
     p0 = results[0][0].params
     p1 = results[1][0].params
     assert any(not np.array_equal(p0[k], p1[k]) for k in p0)
-
-    with pytest.raises(DomainError):
-        train_kfold(by_id, [ids[:4]], MICRO, cfg)
-    with pytest.raises(DomainError):
-        train_kfold(by_id, [ids[:4], ids[4:7] + ["ghost"]], MICRO, cfg)
 
 
 def test_train_kfold_models_hold_no_caches():
@@ -709,6 +724,20 @@ def test_config_loader_errors(tmp_path):
 
     p.write_text("[arch]\nversion = 2\n")
     with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] version 2 is not supported"):
+        load_arch_config(str(p))
+
+    # scaling would floor the head count at 1, so it is checked as written
+    p.write_text("[arch]\nheads = -3\nscale_factor = 4\n")
+    with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] heads -3 must be at least 1"):
+        load_arch_config(str(p))
+
+    # 14 classes would let the network predict a code outside the labels
+    p.write_text("[arch]\nclasses = 14\n")
+    with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] classes 14 must lie in 1\\.\\.13"):
+        load_arch_config(str(p))
+
+    p.write_text("[arch]\nskip_pre = nan\n")
+    with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] skip_pre nan and skip_att 0.3 must be finite"):
         load_arch_config(str(p))
 
     t = tmp_path / "t.ini"

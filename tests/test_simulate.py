@@ -303,7 +303,7 @@ def test_synth_trial_segments_and_labels():
     labels = trial.labels.tolist()
     assert labels[:10] == [STEADY_STATE] * 10
     assert labels[10:] == [PUSHING.label] * 20
-    assert validate_trial(trial).ok
+    validate_trial(trial)  # raises on any violation
 
 
 def test_synth_trial_approaching_ends_steady():

@@ -3,11 +3,12 @@ the lines of the test modules under tests/ in total.
 
 Usage: python tools/src_lines.py
 
-For each module it prints two counts: its lines, as ``wc -l`` counts them,
-and its code lines.  A code line holds at least one token that is not a
-comment and not part of a module, class or function docstring, so blank,
-comment-only and docstring lines are not code.  Only the standard library
-is used.
+For each module it prints three counts: its lines, as ``wc -l`` counts
+them, its code lines, and its ``raise`` statements.  A code line holds at
+least one token that is not a comment and not part of a module, class or
+function docstring, so blank, comment-only and docstring lines are not code.
+The raises, found with ``ast``, show where the package checks its values.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -45,28 +46,32 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def count(source: str) -> tuple[int, int]:
-    """(lines, code lines) of one module's source text."""
-    docstrings = _docstring_lines(ast.parse(source))
+def count(source: str) -> tuple[int, int, int]:
+    """(lines, code lines, raise statements) of one module's source text."""
+    tree = ast.parse(source)
+    docstrings = _docstring_lines(tree)
     code: set[int] = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type in _NOT_CODE or (tok.type == tokenize.STRING and tok.start[0] in docstrings):
             continue
         code.update(range(tok.start[0], tok.end[0] + 1))
-    return source.count("\n"), len(code)
+    raises = sum(isinstance(node, ast.Raise) for node in ast.walk(tree))
+    return source.count("\n"), len(code), raises
+
+
+def _row(name: str, counts) -> str:
+    return f"{name:<28}" + "".join(f" {n:>6}" for n in counts)
 
 
 def main() -> None:
-    total_lines = total_code = 0
-    print(f"{'module':<28} {'lines':>6} {'code':>6}")
+    print(_row("module", ("lines", "code", "raises")))
+    modules = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        lines, code = count(path.read_text(encoding="utf-8"))
-        total_lines += lines
-        total_code += code
-        print(f"{path.relative_to(PACKAGE).as_posix():<28} {lines:>6} {code:>6}")
-    print(f"{'total':<28} {total_lines:>6} {total_code:>6}")
+        modules.append(count(path.read_text(encoding="utf-8")))
+        print(_row(path.relative_to(PACKAGE).as_posix(), modules[-1]))
+    print(_row("total", map(sum, zip(*modules))))
     tests = [count(path.read_text(encoding="utf-8")) for path in sorted(TESTS.rglob("*.py"))]
-    print(f"{'tests/ total':<28} {sum(n for n, _ in tests):>6} {sum(c for _, c in tests):>6}")
+    print(_row("tests/ total", list(map(sum, zip(*tests)))[:2]))
 
 
 if __name__ == "__main__":
