@@ -242,9 +242,6 @@ def cmd_train(args) -> int:
     class_names = [LABELS[_trial_class(frames[tid].labels)] for tid in pool_ids]
     folds = kfold_assign(pool_ids, cfg.folds, split.seed, classes=class_names)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     def on_epoch(fold_id: int, row: dict) -> None:
         _say(
             f"fold {fold_id} epoch {row['epoch']:>3}  "
@@ -252,6 +249,8 @@ def cmd_train(args) -> int:
         )
 
     results = train_kfold(frames, folds, arch, cfg, on_epoch=on_epoch)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for fold_id, (model, history) in enumerate(results):
         bundle = weights_from_model(model, fold_id, fold_seed(cfg.seed, fold_id), scaler=scaler)
         save_weights(bundle, out / f"fold{fold_id}.weights")
@@ -299,8 +298,6 @@ def _load_bundles(weight_paths: list[Path]) -> list[ModelWeights]:
     for path, bundle in zip(weight_paths, bundles):
         if bundle.arch != bundles[0].arch:
             raise CliError(f"{path}: weight bundles disagree on architecture")
-        if bundle.scaler is None:
-            raise CliError(f"{path}: bundle carries no scaler; cannot featurize raw trials")
         if bundle.scaler.to_dict() != bundles[0].scaler.to_dict():
             raise CliError(f"{path}: weight bundles disagree on the feature scaler")
     return bundles
@@ -327,11 +324,7 @@ def cmd_classify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     arch = bundles[0].arch
     read = partial(_read_frame, seq_len=arch.seq_len, scaler=bundles[0].scaler)
-    # each model holds its own float32 copy of its bundle's parameters, so a
-    # bundle is dropped as its model is built rather than kept through predicts
-    models = []
-    while bundles:
-        models.append(model_from_weights(bundles.pop(0)))
+    models = [model_from_weights(bundle) for bundle in bundles]
     rows = inference_rows(arch)
     failures = []
     with _job_map(args.jobs) as job_map:

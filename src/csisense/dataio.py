@@ -220,8 +220,15 @@ class _Cursor:
 
 def read_checked(path: str | Path, magic: bytes, what: str) -> _Cursor:
     """The CRC-verified body of a :func:`write_checked` file that starts with
-    ``magic``, as a cursor just past the magic."""
-    raw = memoryview(Path(path).read_bytes())
+    ``magic``, as a cursor just past the magic.  The body is read-only.  It
+    is read into a NumPy buffer, which NumPy backs with huge pages where the
+    system allows, so a float32 view of a weight bundle's parameters runs a
+    forward as fast as an array NumPy allocated itself."""
+    with open(path, "rb") as fh:
+        buffer = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+        buffer = buffer[: fh.readinto(buffer)]
+    buffer.flags.writeable = False
+    raw = memoryview(buffer)
     if len(raw) < 4:
         raise FormatError(f"{path}: file too short to carry a checksum")
     body, (stored,) = raw[:-4], struct.unpack("<I", raw[-4:])

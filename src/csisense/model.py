@@ -13,13 +13,16 @@ Data path per batch of B trials (T timesteps, F features):
       -> dense(classes) -> softmax  => per-timestep class distribution
 
 Every named parameter (``bigru1/fwd/W_in_z``, ``out/W``, ...) is a view into
-one flat ``store.values`` of ``param_count(arch)`` elements, and its gradient
-the view at the same offset into ``store.grads``.  The store is float64 for
-a model that trains and float32 for one that ``classify`` loads from a
-bundle, and the model computes in its store's dtype: the forward checks
-its input's shape and casts it once, and no layer checks or casts again.
-A bundle model's probabilities are therefore float32, within float32
-rounding of a float64 store holding the same values.
+one flat ``store.values`` of ``param_count(arch)`` elements, carved in the
+order above (bigru1, bigru2, attention, dense1, out), and its gradient the
+view at the same offset into ``store.grads``.  That flat block is also a
+weight bundle's parameter block, so the carve order is the one parameter
+layout, in memory and on disk.  The store is float64 for a model that
+trains; one that ``classify`` loads keeps its bundle's read-only float32
+block as its store.  The model computes in its store's dtype: the forward
+checks its input's shape and casts it once, and no layer checks or casts
+again.  A bundle model's probabilities are therefore float32, within
+float32 rounding of a float64 store holding the same values.
 
 Only a training forward keeps activations, each layer's cache for the
 backward that reads and clears it; an inference forward (``predict``,
@@ -203,19 +206,19 @@ def param_count(arch: ArchConfig) -> int:
 class SequenceClassifier:
     """The assembled network, over a (B, T, F) batch of sequences."""
 
-    def __init__(self, arch: ArchConfig, seed: int = 0, init_weights: bool = True,
-                 dtype=np.float64):
-        """``init_weights=False`` leaves every weight at zero and draws
-        nothing, for a model whose parameters are all loaded next.  ``dtype``
-        is the store's: float64 to train, or float32 for a model that only
-        runs inference on the weights of a bundle."""
+    def __init__(self, arch: ArchConfig, seed: int = 0, values: np.ndarray | None = None):
+        """Without ``values``, a float64 store of initial weights drawn from
+        ``seed``, to train.  ``values`` is a flat parameter block of
+        ``param_count(arch)`` elements in carve order (a loaded bundle's,
+        say), which becomes the store as it is: nothing is drawn or copied,
+        and the model computes in its dtype."""
         self.arch = arch
         eff = arch.scaled()
         self.eff = eff
         rng = np.random.default_rng(seed)
-        init = rng if init_weights else None
+        init = rng if values is None else None
         att_width = 2 * eff.bigru2_units
-        self.store = store = ParamStore(param_count(arch), dtype)
+        self.store = store = ParamStore(np.zeros(param_count(arch)) if values is None else values)
         self.posenc = AddPositional(eff.seq_len, eff.feature_dim)
         self.bigru1 = BiGru(eff.feature_dim, eff.bigru1_units, init, store)
         self.drop1 = Dropout(eff.dropout1, rng)
@@ -236,21 +239,6 @@ class SequenceClassifier:
         }
         self.params = {f"{p}/{k}": v for p, layer in self._named.items() for k, v in layer.params.items()}
         self.grads = {f"{p}/{k}": g for p, layer in self._named.items() for k, g in layer.grads.items()}
-
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        """Copy named arrays into the store, at the store's dtype (exactly, for
-        float32 arrays in a float32 store); names and shapes must match."""
-        missing = sorted(set(self.params) - set(values))
-        extra = sorted(set(values) - set(self.params))
-        if missing or extra:
-            raise DomainError(f"parameter names do not match: missing {missing}, extra {extra}")
-        for name, arr in values.items():
-            target = self.params[name]
-            if tuple(arr.shape) != tuple(target.shape):
-                raise DomainError(
-                    f"parameter {name} has shape {tuple(arr.shape)}, expected {tuple(target.shape)}"
-                )
-            target[...] = arr
 
     def forward_logits(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Pre-softmax scores; backward() is the exact adjoint of a training pass.

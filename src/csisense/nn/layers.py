@@ -55,25 +55,22 @@ class ParamStore:
     Each parameter is a view into ``values``, and its gradient is the view at
     the same offset into ``grads``, so whole-model work (an Adam step, zeroing
     the gradients, keeping the best weights) is one operation on a flat array.
-    Both arrays come from ``np.zeros``: pages that nothing writes, such as the
-    gradients of a model that only runs inference, are never touched.
-
-    ``dtype`` is float64 for a model that trains.  An inference-only model
-    may keep its weights at the precision it loaded them in (float32 from a
-    bundle), and its layers then compute at that precision: only a training
-    forward, whose backward and optimizer update the values in place, needs
-    a float64 store.
+    ``values`` is kept as given, so its dtype is the layers' precision: a
+    model that trains owns a float64 array, and one that only runs inference
+    may be handed a bundle's read-only float32 block, which is then never
+    copied.  ``grads`` comes from ``np.zeros``, so its pages stay untouched
+    until a backward writes them, which never happens at inference.
     """
 
-    def __init__(self, size: int, dtype=np.float64):
-        self.values = np.zeros(size, dtype)
-        self.grads = np.zeros(size, dtype)
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.grads = np.zeros(values.shape, values.dtype)
         self._used = 0
 
     @classmethod
     def fitting(cls, shapes: dict[str, tuple[int, ...]]) -> "ParamStore":
-        """A store exactly the size of ``shapes``, for a layer built on its own."""
-        return cls(sum(math.prod(shape) for shape in shapes.values()))
+        """A float64 store exactly the size of ``shapes``, for a layer built on its own."""
+        return cls(np.zeros(sum(math.prod(shape) for shape in shapes.values())))
 
     def carve(self, shapes: dict[str, tuple[int, ...]]) -> tuple[dict, dict]:
         """Value and gradient views for ``shapes``, in order, after the last carve."""

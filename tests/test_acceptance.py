@@ -413,13 +413,14 @@ def test_c10_formats_round_trip_and_reject_corruption(tmp_path):
 
     # weight bundle: save-load-save is byte-identical, corruption is detected
     model = build(MICRO, seed=1)
-    bundle = weights_from_model(model, fold_id=2, seed=1)
+    scaler = robust_fit(np.random.default_rng(1).standard_normal((20, MICRO.feature_dim)))
+    bundle = weights_from_model(model, fold_id=2, seed=1, scaler=scaler)
     w_a = tmp_path / "a.weights"
     save_weights(bundle, w_a)
     loaded = load_weights(w_a)
     assert loaded.fold_id == 2 and loaded.seed == 1
-    for name, arr in bundle.arrays.items():
-        assert np.array_equal(loaded.arrays[name], arr)
+    assert np.array_equal(loaded.values, bundle.values)
+    assert np.array_equal(loaded.scaler.median, scaler.median.astype(np.float32))
     w_b = tmp_path / "b.weights"
     save_weights(loaded, w_b)
     assert w_a.read_bytes() == w_b.read_bytes()

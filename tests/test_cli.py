@@ -31,7 +31,7 @@ from csisense.dataio import (
     write_predictions,
     write_trial,
 )
-from csisense.model import SequenceClassifier, build
+from csisense.model import build
 from csisense.postprocess import PredictionTrace
 from csisense.weights import load_weights, model_from_weights, save_weights
 
@@ -419,7 +419,7 @@ def test_train_refuses_labels_beyond_the_arch_classes_before_any_epoch(pipeline,
     err = capsys.readouterr().err
     assert "error: training labels reach 12, but the network has 3 classes" in err
     assert "epoch" not in err
-    assert not list(out.glob("*.weights"))
+    assert not out.exists()
 
 
 def test_train_missing_features(pipeline, tmp_path, capsys):
@@ -441,6 +441,7 @@ def test_train_divergence_exits_1(pipeline, tmp_path, capsys):
         ])
     assert rc == 1
     assert "fold 0" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_train_names_every_unreadable_feature_csv(pipeline, tmp_path, capsys):
@@ -670,32 +671,26 @@ def test_classify_opens_one_worker_pool_for_the_whole_command(pipeline, tmp_path
         assert (out / path.name).read_bytes() == path.read_bytes()
 
 
-def test_classify_frees_the_bundles_before_predicting_and_the_models_on_return(
-    pipeline, tmp_path, monkeypatch
-):
-    bundles, models, bundles_alive = [], [], []
+def test_classify_models_hold_their_bundles_bytes_and_are_freed_on_return(pipeline, tmp_path, monkeypatch):
+    # each model's store is its bundle's read-only block, not a second copy
+    # of the parameters, and no model or bundle outlives the command
+    bundles, models, views = [], [], []
 
     def tracking(bundle):
         model = model_from_weights(bundle)
         bundles.append(weakref.ref(bundle))
         models.append(weakref.ref(model))
+        views.append(model.store.values is bundle.values and not bundle.values.flags.writeable)
         return model
 
-    predict = SequenceClassifier.predict
-
-    def watched_predict(self, x):
-        bundles_alive.append([ref() is not None for ref in bundles])
-        return predict(self, x)
-
     monkeypatch.setattr(cli, "model_from_weights", tracking)
-    monkeypatch.setattr(SequenceClassifier, "predict", watched_predict)
     assert cli.main([
         "classify", "--weights", str(pipeline["models"]),
         "--input", str(pipeline["test_dir"]), "--out", str(tmp_path / "p"),
     ]) == 0
-    assert len(bundles) == 2
-    assert bundles_alive[0] == [False, False]  # the float32 arrays are not kept next to the models
+    assert views == [True, True]
     assert [ref() for ref in models] == [None, None]
+    assert [ref() for ref in bundles] == [None, None]
 
 
 def test_classify_parallel_matches_serial(pipeline, tmp_path, monkeypatch):

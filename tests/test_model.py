@@ -191,7 +191,7 @@ def test_inference_rows_bound_the_chunk():
 def test_desk_batched_predict_equals_per_trial_predicts(batch, bundle):
     model = build(load_arch_config("configs/arch-desk.ini"), seed=3)
     if bundle:  # a float32 store, as classify loads it, computes in float32
-        model = model_from_weights(weights_from_model(model, fold_id=0, seed=3))
+        model = model_from_weights(weights_from_model(model, fold_id=0, seed=3, scaler=_scaler(366)))
     x = np.random.default_rng(batch).standard_normal((batch, 156, 366))
     probs, labels = model.forward(x), model.predict(x)
     assert probs.dtype == model.store.values.dtype
@@ -311,23 +311,6 @@ def test_micro_model_grad_check():
     x = np.random.default_rng(5).standard_normal((1, 6, 4))
     report = grad_check(_LogitView(model), [x])
     assert max(report.values()) <= 1e-6
-
-
-def test_set_params_rejects_mismatches():
-    model = build(MICRO, seed=0)
-    good = {k: v.copy() for k, v in model.params.items()}
-    incomplete = dict(good)
-    incomplete.pop("out/b")
-    with pytest.raises(DomainError):
-        model.set_params(incomplete)
-    renamed = dict(good)
-    renamed["out/bogus"] = renamed.pop("out/b")
-    with pytest.raises(DomainError):
-        model.set_params(renamed)
-    reshaped = dict(good)
-    reshaped["out/b"] = np.zeros(99)
-    with pytest.raises(DomainError):
-        model.set_params(reshaped)
 
 
 # ---------------------------------------------------------------- training
@@ -488,15 +471,21 @@ def test_train_kfold_epoch_callback():
 
 # ---------------------------------------------------------- weight bundles
 
-def _bundle(tmp_path, scaler=True, fname="m.weights"):
+def _scaler(width):
+    return RobustScalerParams(
+        median=np.linspace(-1.0, 1.0, width),
+        iqr=np.linspace(0.5, 2.0, width),
+        degenerate=np.arange(width) % 7 == 0,
+    )
+
+
+def _bundle(tmp_path, fname="m.weights"):
     model = build(MICRO, seed=4)
-    sc = None
-    if scaler:
-        sc = RobustScalerParams(
-            median=np.arange(4, dtype=np.float64),
-            iqr=np.array([1.0, 2.0, 0.0, 4.0]),
-            degenerate=np.array([False, False, True, False]),
-        )
+    sc = RobustScalerParams(
+        median=np.arange(4, dtype=np.float64),
+        iqr=np.array([1.0, 2.0, 0.0, 4.0]),
+        degenerate=np.array([False, False, True, False]),
+    )
     w = weights_from_model(model, fold_id=2, seed=4, scaler=sc)
     path = tmp_path / fname
     save_weights(w, path)
@@ -508,9 +497,8 @@ def test_weights_round_trip(tmp_path):
     back = load_weights(path)
     assert back.arch == model.arch
     assert (back.fold_id, back.seed) == (2, 4)
-    assert set(back.arrays) == set(w.arrays)
-    for k in w.arrays:
-        assert np.array_equal(back.arrays[k], w.arrays[k])
+    assert np.array_equal(back.values, w.values)
+    assert back.values.dtype == np.float32 and back.values.size == param_count(MICRO)
     assert np.array_equal(back.scaler.median, w.scaler.median.astype(np.float32))
     assert np.array_equal(back.scaler.degenerate, w.scaler.degenerate)
 
@@ -529,14 +517,13 @@ def test_loaded_model_predict_writes_no_gradient(tmp_path):
 def test_bundle_model_keeps_float32_weights_and_predicts_in_float32(tmp_path):
     arch = load_arch_config("configs/arch-desk.ini")
     path = tmp_path / "desk.weights"
-    save_weights(weights_from_model(build(arch, seed=3), fold_id=0, seed=3), path)
+    save_weights(weights_from_model(build(arch, seed=3), fold_id=0, seed=3, scaler=_scaler(366)), path)
     loaded = load_weights(path)
     m32 = model_from_weights(loaded)
-    m64 = SequenceClassifier(arch, seed=3, init_weights=False)
-    m64.set_params(loaded.arrays)
+    m64 = SequenceClassifier(arch, seed=3, values=loaded.values.astype(np.float64))
     assert m32.store.values.dtype == np.float32 and m64.store.values.dtype == np.float64
     assert m32.store.values.nbytes * 2 == m64.store.values.nbytes
-    for name, arr in loaded.arrays.items():
+    for name, arr in m64.params.items():
         assert np.array_equal(m32.params[name], arr)
     x = np.random.default_rng(9).standard_normal((3, 156, 366))
     probs, want = m32.forward(x), m64.forward(x)
@@ -549,7 +536,7 @@ def test_bundle_model_keeps_float32_weights_and_predicts_in_float32(tmp_path):
 
 def test_bundle_forward_keeps_every_layer_in_float32(monkeypatch):
     arch = load_arch_config("configs/arch-desk.ini")
-    model = model_from_weights(weights_from_model(build(arch, seed=3), fold_id=0, seed=3))
+    model = model_from_weights(weights_from_model(build(arch, seed=3), fold_id=0, seed=3, scaler=_scaler(366)))
     names, seen = ("posenc", "bigru1", "bigru2", "attention", "dense1", "out"), {}
     for name in names:
         layer = getattr(model, name)
@@ -585,11 +572,6 @@ def test_weights_save_load_save_is_byte_identical(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_weights_without_scaler(tmp_path):
-    _, _, path = _bundle(tmp_path, scaler=False)
-    assert load_weights(path).scaler is None
-
-
 def test_weights_checksum_detects_corruption(tmp_path):
     _, _, path = _bundle(tmp_path)
     raw = bytearray(path.read_bytes())
@@ -619,11 +601,12 @@ def test_weights_truncation_and_magic(tmp_path):
     with pytest.raises(FormatError):
         load_weights(path)
 
-    body = bytearray(raw[:-4])
-    body[4] = 9
-    path.write_bytes(bytes(body) + _z.crc32(bytes(body)).to_bytes(4, "little"))
-    with pytest.raises(VersionError):
-        load_weights(path)
+    for version in (1, 9):  # version 1 (named, shaped arrays) is refused like any other
+        body = bytearray(raw[:-4])
+        body[4] = version
+        path.write_bytes(bytes(body) + _z.crc32(bytes(body)).to_bytes(4, "little"))
+        with pytest.raises(VersionError, match=f"m.weights: weight bundle version {version} not supported"):
+            load_weights(path)
 
 
 def _rechecked(path, body):
@@ -638,16 +621,31 @@ def test_weights_short_header_is_a_format_error(tmp_path):
 
 
 def test_weights_array_overrunning_the_file_is_a_format_error(tmp_path):
-    _, _, path = _bundle(tmp_path)
-    body = bytearray(path.read_bytes()[:-4])
-    (meta_len,) = struct.unpack_from("<I", body, 5)
-    offset = 9 + meta_len + 4  # the first array record
-    (name_len,) = struct.unpack_from("<H", body, offset)
-    offset += 2 + name_len + 1  # its first dim, after the name and ndim
-    struct.pack_into("<I", body, offset, 10**6)
-    _rechecked(path, body)
-    with pytest.raises(FormatError, match="m.weights: truncated"):
+    # metadata whose architecture needs more parameters than the file holds
+    _, w, path = _bundle(tmp_path)
+    wider = dataclasses.replace(MICRO, dense_units=MICRO.dense_units + 1)
+    save_weights(dataclasses.replace(w, arch=wider), path)
+    with pytest.raises(FormatError, match=f"m.weights: {param_count(wider)} parameters and a scaler"):
         load_weights(path)
+
+
+@pytest.mark.parametrize("change", [-4, 4], ids=["one-value-short", "one-value-long"])
+def test_weights_block_of_another_length_is_a_format_error(tmp_path, change):
+    _, _, path = _bundle(tmp_path)
+    body = path.read_bytes()[:-4]
+    body = body[:change] if change < 0 else body + bytes(change)
+    _rechecked(path, body)
+    with pytest.raises(FormatError, match=f"m.weights: .* found {len(body)}$"):
+        load_weights(path)
+
+
+def test_loaded_model_weights_are_a_read_only_view_of_the_bundle(tmp_path):
+    _, _, path = _bundle(tmp_path)
+    bundle = load_weights(path)
+    values = model_from_weights(bundle).store.values
+    assert values.flags.aligned and not values.flags.writeable
+    assert values.dtype == np.float32
+    assert np.shares_memory(values, bundle.values)
 
 
 # metadata text -> what the error says after the file name
@@ -664,7 +662,7 @@ _BAD_META = {
 def test_weights_bad_metadata_is_a_format_error(tmp_path, meta):
     path = tmp_path / "m.weights"
     raw = meta.encode()
-    _rechecked(path, b"CSWB\x01" + struct.pack("<I", len(raw)) + raw + struct.pack("<I", 0))
+    _rechecked(path, b"CSWB\x02" + struct.pack("<I", len(raw)) + raw)
     with pytest.raises(FormatError, match=f"m.weights: {_BAD_META[meta]}"):
         load_weights(path)
 
@@ -674,16 +672,8 @@ def test_weights_scaler_arrays_of_unequal_length_are_a_format_error(tmp_path):
     scaler.iqr = scaler.iqr[:2]  # past the constructor's check, as a foreign writer could
     path = tmp_path / "m.weights"
     save_weights(weights_from_model(build(MICRO, seed=0), fold_id=0, seed=0, scaler=scaler), path)
-    with pytest.raises(FormatError, match=r"m.weights: bad scaler arrays: .*1-D of one length"):
+    with pytest.raises(FormatError, match=r"m.weights: .* a scaler of width 4 need"):
         load_weights(path)
-
-
-def test_weights_reserved_scaler_names(tmp_path):
-    model = build(MICRO, seed=0)
-    w = weights_from_model(model, fold_id=0, seed=0)
-    w.arrays["scaler/median"] = np.zeros(3, dtype=np.float32)
-    with pytest.raises(DomainError):
-        save_weights(w, tmp_path / "bad.weights")
 
 
 # ----------------------------------------------------------- config loaders
@@ -793,18 +783,17 @@ def test_train_config_loads_every_field(tmp_path):
 
 
 # SHA-256 of the desk bundle below; the bytes pin the metadata block (the
-# architecture's keys and values), the array layout and the embedded scaler.
-DESK_BUNDLE_SHA256 = "d23a236d692360bd1cd5af1874aeff68f2f1028ee7d6c12039ab571fa4a7a19f"
+# architecture's keys and values), the parameter block and the embedded scaler.
+DESK_BUNDLE_SHA256 = "b6da05a45f34d0e75a25a931cc4d05cbeec7bbbdcbcd4820d4e7bff1e535c5b5"
+# SHA-256 of that bundle's parameter block alone: the float32 values of
+# build(arch-desk, seed=3) in carve order, so a change to the carve order or
+# to the draws changes it.
+DESK_BLOCK_SHA256 = "cd33f4e4e9c4597e9211349b980188245db55d1680b0dcf5a19a5e56afa5de72"
 
 
 def test_desk_bundle_bytes_are_frozen(tmp_path):
     arch = load_arch_config("configs/arch-desk.ini")
-    n = arch.feature_dim
-    scaler = RobustScalerParams(
-        median=np.linspace(-1.0, 1.0, n),
-        iqr=np.linspace(0.5, 2.0, n),
-        degenerate=np.arange(n) % 7 == 0,
-    )
     path = tmp_path / "desk.weights"
-    save_weights(weights_from_model(build(arch, seed=3), fold_id=1, seed=3, scaler=scaler), path)
+    save_weights(weights_from_model(build(arch, seed=3), fold_id=1, seed=3, scaler=_scaler(arch.feature_dim)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_BUNDLE_SHA256
+    assert hashlib.sha256(load_weights(path).values).hexdigest() == DESK_BLOCK_SHA256

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from csisense.errors import DomainError
-from csisense.model import ArchConfig, SequenceClassifier, build
+from csisense.features import RobustScalerParams
+from csisense.model import ArchConfig, build
 from csisense.nn import (
     AddPositional,
     Adam,
@@ -367,9 +368,7 @@ def _bigru_in(in_dim, units, rng, dtype):
     drawn = BiGru(in_dim, units, rng)
     if dtype == np.float64:
         return drawn
-    bi = BiGru(in_dim, units, store=ParamStore(drawn.store.values.size, dtype))
-    bi.store.values[...] = drawn.store.values
-    return bi
+    return BiGru(in_dim, units, store=ParamStore(drawn.store.values.astype(dtype)))
 
 
 def _force_block(monkeypatch, units, steps):
@@ -496,25 +495,26 @@ def test_layers_built_alone_own_a_fitting_store():
 def test_model_params_and_bundles_write_through_to_packed_arrays(tmp_path):
     model = build(MICRO_ARCH, seed=5)
     values = {k: np.random.default_rng(6).standard_normal(v.shape) for k, v in model.params.items()}
-    model.set_params(values)
+    for name, value in values.items():
+        model.params[name][...] = value
     for layer in ("bigru1", "bigru2"):
         bi = getattr(model, layer)
         for name in bi.params:
             assert np.array_equal(_packed_slot(bi, name), values[f"{layer}/{name}"])
 
     path = tmp_path / "m.weights"
-    save_weights(weights_from_model(model, fold_id=0, seed=5), path)
-    stored = load_weights(path).arrays
-    assert set(stored) == set(model.params)
-    assert {"bigru1/fwd/W_in_z", "bigru2/bwd/W_rec_c", "bigru2/bwd/b_r"} <= set(stored)
-    # loading draws no initial weights: a model built without them is all zero
-    blank = SequenceClassifier(MICRO_ARCH, seed=5, init_weights=False)
-    assert not any(v.any() for v in blank.params.values())
-    rebuilt = model_from_weights(load_weights(path))
+    width = MICRO_ARCH.feature_dim
+    scaler = RobustScalerParams(np.zeros(width), np.ones(width), np.zeros(width, dtype=bool))
+    save_weights(weights_from_model(model, fold_id=0, seed=5, scaler=scaler), path)
+    bundle = load_weights(path)
+    # loading draws and copies nothing: the store is the bundle's block
+    rebuilt = model_from_weights(bundle)
+    assert rebuilt.store.values is bundle.values
     for layer in ("bigru1", "bigru2"):
         bi = getattr(rebuilt, layer)
         for name in bi.params:
-            assert np.array_equal(_packed_slot(bi, name), stored[f"{layer}/{name}"].astype(np.float64))
+            want = values[f"{layer}/{name}"].astype(np.float32)
+            assert np.array_equal(_packed_slot(bi, name), want)
 
 
 # -------------------------------------------------------------- optimizer
