@@ -11,7 +11,9 @@ every missing or unreadable feature CSV and stops.  A file that is not UTF-8
 or not of its format's shape (a JSON top level that is no object, say) is
 unreadable too.  ``preprocess`` and ``classify`` accept the same trials
 (:func:`_read_frame`); ``preprocess`` also needs them labeled and of the
-manifest's feature width.
+manifest's feature width.  ``preprocess`` holds one trial at a time: until the
+scaler is fitted, the unscaled features wait in an unnamed temporary file
+under ``--out`` (8 bytes per feature cell), gone when the command ends.
 
 ``simulate``, ``preprocess`` and ``classify`` take --jobs (default 1), a
 number of worker processes for per-trial work; one pool serves the whole
@@ -31,6 +33,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
@@ -44,6 +47,8 @@ from .dataio import Manifest, ManifestEntry, _atomic_write_text, write_csv
 from .domain import LABELS, validate_trial
 from .errors import CsiSenseError, TrainingDiverged
 from .features import (
+    FeatureFrame,
+    RobustScalerParams,
     kfold_assign,
     normalize_length,
     robust_fit,
@@ -119,14 +124,17 @@ def _guarded(reader, path):
         return str(path), False, str(exc)
 
 
-def _per_file(reader, paths, job_map=map):
+def _per_file(reader, paths, failures: list, job_map=map):
     """``reader(path)`` for every path, mapped through ``job_map`` (see
-    :func:`_job_map`): ``(path, value)`` for each file it read and
-    ``(path, reason)`` for each it could not, both in input order."""
-    outcomes = list(job_map(partial(_guarded, reader), paths))
-    read = [(path, value) for path, ok, value in outcomes if ok]
-    failures = [(path, reason) for path, ok, reason in outcomes if not ok]
-    return read, failures
+    :func:`_job_map`), in input order and one at a time: yields ``(path,
+    value)`` for each file it read and appends ``(path, reason)`` to
+    ``failures`` for each it could not.  Consume it inside ``job_map``'s
+    pool."""
+    for path, ok, value in job_map(partial(_guarded, reader), paths):
+        if ok:
+            yield path, value
+        else:
+            failures.append((path, value))
 
 
 def _read_frame(path: str, seq_len: int, scaler=None):
@@ -180,6 +188,29 @@ def _trial_class(labels: np.ndarray) -> int:
     return int(np.bincount(active).argmax()) if active.size else 0
 
 
+FIT_BLOCK_BYTES = 8 << 20
+"""Bytes of pool rows that ``preprocess`` reads per block of columns when it
+fits the scaler; a block is one column wide when a column alone is larger."""
+
+
+def _fit_spilled(spill, pool: list[int], rows: int, width: int) -> RobustScalerParams:
+    """``robust_fit`` over the rows of the ``pool`` trials in ``spill``, a
+    block of columns at a time.  ``spill`` holds each trial's ``(rows,
+    width)`` float64 matrix transposed, in trial order, so one trial's part
+    of a block is one contiguous read; ``pool`` lists trial places in it."""
+    step = max(1, FIT_BLOCK_BYTES // (8 * rows * len(pool)))
+    parts = []
+    for start in range(0, width, step):
+        cols = min(step, width - start)
+        block, piece = np.empty((rows * len(pool), cols)), np.empty((cols, rows))
+        for k, place in enumerate(pool):
+            spill.seek(8 * rows * (place * width + start))
+            spill.readinto(piece)
+            block[k * rows : (k + 1) * rows] = piece.T
+        parts.append(robust_fit(block))
+    return RobustScalerParams.concat(parts)
+
+
 def cmd_preprocess(args) -> int:
     if not Path(args.manifest).exists():
         raise CliError(f"manifest not found: {args.manifest}")
@@ -189,31 +220,42 @@ def cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     paths = [str(base / e.path) for e in manifest.entries]
-    with _job_map(args.jobs) as job_map:
-        read, failures = _per_file(partial(_read_frame, seq_len=args.target_len), paths, job_map)
+    rows, width = args.target_len, len(dataio.feature_column_names(manifest.dims))
     # the scaler, the split and the outputs come from the labeled trials that
-    # read and have the manifest's feature width
-    width = len(dataio.feature_column_names(manifest.dims))
-    frames = []
-    for path, (tid, labeled, frame) in read:
-        if not labeled:
-            failures.append((path, "unlabeled trial; preprocess needs labels"))
-        elif frame.matrix.shape[1] != width:
-            found = frame.matrix.shape[1]
-            failures.append((path, f"{found} feature columns, not the {width} of dims {manifest.dims}"))
-        else:
-            frames.append((tid, frame))
-    if not frames:
-        raise _failed("could not read", "trial", failures)
+    # read and have the manifest's feature width.  Their unscaled matrices
+    # wait in an unnamed file under --out, so memory holds one trial at a time
+    failures, kept = [], []  # kept: (trial id, labels), in spill order
+    with tempfile.TemporaryFile(dir=out) as spill:
+        with _job_map(args.jobs) as job_map:
+            for path, (tid, labeled, frame) in _per_file(
+                partial(_read_frame, seq_len=rows), paths, failures, job_map
+            ):
+                if not labeled:
+                    failures.append((path, "unlabeled trial; preprocess needs labels"))
+                elif frame.matrix.shape[1] != width:
+                    found = frame.matrix.shape[1]
+                    failures.append((path, f"{found} feature columns, not the {width} of dims {manifest.dims}"))
+                else:
+                    spill.write(frame.matrix.T.tobytes())
+                    # one byte per class code: an int64 copy per trial, left
+                    # between the freed frame buffers, fragments the heap
+                    kept.append((tid, frame.labels.astype(np.uint8)))
+                del frame  # freed before the next read, not beside it
+        if not kept:
+            raise _failed("could not read", "trial", failures)
 
-    ids = [tid for tid, _ in frames]
-    class_names = [LABELS[_trial_class(frame.labels)] for _, frame in frames]
-    split = split_dataset(ids, seed=manifest.seed, classes=class_names)
-    pool = set(split.train) | set(split.val)
-    scaler = robust_fit(np.vstack([frame.matrix for tid, frame in frames if tid in pool]))
+        ids = [tid for tid, _ in kept]
+        class_names = [LABELS[_trial_class(labels)] for _, labels in kept]
+        split = split_dataset(ids, seed=manifest.seed, classes=class_names)
+        pool = set(split.train) | set(split.val)
+        scaler = _fit_spilled(spill, [k for k, tid in enumerate(ids) if tid in pool], rows, width)
 
-    for tid, frame in frames:
-        dataio.export_feature_csv(robust_transform(frame, scaler), out / f"{tid}.csv", dims=manifest.dims)
+        spill.seek(0)
+        matrix = np.empty((width, rows))
+        for tid, labels in kept:
+            spill.readinto(matrix)
+            frame = FeatureFrame(matrix.T, labels)
+            dataio.export_feature_csv(robust_transform(frame, scaler), out / f"{tid}.csv", dims=manifest.dims)
     dataio.save_scaler(scaler, out / "scaler.json")
     dataio.save_split(split, out / "splits.json")
     _say(f"wrote {len(ids)} feature files, scaler.json and splits.json under {out}")
@@ -235,7 +277,8 @@ def cmd_train(args) -> int:
     split = dataio.load_split(fdir / "splits.json")
 
     pool_ids = sorted(split.train + split.val)
-    read, failures = _per_file(dataio.import_feature_csv, [fdir / f"{tid}.csv" for tid in pool_ids])
+    failures = []
+    read = list(_per_file(dataio.import_feature_csv, [fdir / f"{tid}.csv" for tid in pool_ids], failures))
     if failures:
         raise _failed("could not read", "feature", failures)
     frames = {tid: frame for tid, (_, frame) in zip(pool_ids, read)}
@@ -248,9 +291,18 @@ def cmd_train(args) -> int:
             f"loss {row['loss']:.4f}  acc {row['acc']:.4f}  lr {row['lr']:.2e}"
         )
 
-    results = train_kfold(frames, folds, arch, cfg, on_epoch=on_epoch)
+    # --out is made before any fold trains, so one that cannot be made costs
+    # no epoch; a run refused for its data or stopped by divergence removes
+    # the directory it made, while it is still empty
     out = Path(args.out)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        results = train_kfold(frames, folds, arch, cfg, on_epoch=on_epoch)
+    except CsiSenseError:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
     for fold_id, (model, history) in enumerate(results):
         bundle = weights_from_model(model, fold_id, fold_seed(cfg.seed, fold_id), scaler=scaler)
         save_weights(bundle, out / f"fold{fold_id}.weights")
@@ -274,7 +326,8 @@ def _classify_chunk(models, read, paths: list[Path], out: Path, job_map) -> list
     trial that cannot be read or fails validation is left out and returned as
     (path, reason).  A function of its own, so that a chunk's frames and
     batch are freed before the next chunk is read."""
-    ready, failures = _per_file(read, paths, job_map)
+    failures = []
+    ready = list(_per_file(read, paths, failures, job_map))
     if not ready:
         return failures
     batch = np.stack([frame.matrix for _, (_, _, frame) in ready])
@@ -345,7 +398,8 @@ def _load_traces(predictions_dir: str, reader) -> tuple[list[PredictionTrace], l
     files = sorted(pdir.glob("*.csv"))
     if not files:
         raise CliError(f"no prediction files in {pdir}")
-    read, failures = _per_file(reader, files)
+    failures = []
+    read = list(_per_file(reader, files, failures))
     if not read:
         raise _failed("could not read", "prediction", failures)
     return [trace for _, trace in read], failures

@@ -14,6 +14,7 @@ import struct
 import warnings
 import zlib
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,10 @@ TRIAL_VERSION = 1
 _FLAG_LABELED = 0x01
 
 
-def _atomic_write_bytes(path: str | Path, *chunks: bytes) -> None:
-    """Write through a temp file named for this process in the target's
-    directory, synced to disk before the rename and removed on any failure."""
+def _atomic_write_bytes(path: str | Path, chunks) -> None:
+    """Write an iterable of byte chunks, consumed one at a time, through a
+    temp file named for this process in the target's directory, synced to
+    disk before the rename and removed on any failure."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -46,7 +48,7 @@ def _atomic_write_bytes(path: str | Path, *chunks: bytes) -> None:
 
 
 def _atomic_write_text(path: str | Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def write_checked(path: str | Path, *chunks: bytes) -> None:
@@ -55,15 +57,26 @@ def write_checked(path: str | Path, *chunks: bytes) -> None:
     crc = 0
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
-    _atomic_write_bytes(path, *chunks, struct.pack("<I", crc))
+    _atomic_write_bytes(path, [*chunks, struct.pack("<I", crc)])
+
+
+_CSV_CHUNK_ROWS = 256  # rows formatted per write, so a file is never held whole
 
 
 def write_csv(path: str | Path, header: list[str], row_format: str, rows) -> None:
     """Write the header line, then one ``row_format % tuple(row)`` line per
-    row, through the atomic write."""
-    lines = [",".join(header)]
-    lines += [row_format % tuple(row) for row in rows]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    row, through the atomic write.  ``rows`` is consumed lazily, a chunk of
+    ``_CSV_CHUNK_ROWS`` rows per write."""
+
+    line = row_format + "\n"
+
+    def chunks():
+        yield (",".join(header) + "\n").encode("utf-8")
+        rest = iter(rows)
+        while text := "".join([line % tuple(row) for row in islice(rest, _CSV_CHUNK_ROWS)]):
+            yield text.encode("utf-8")
+
+    _atomic_write_bytes(path, chunks())
 
 
 def _read_text(path: str | Path) -> str:
@@ -295,7 +308,7 @@ def export_feature_csv(frame: FeatureFrame, path: str | Path, dims: tuple[int, i
     names = feature_column_names(dims)
     if len(names) != f:
         names = [f"f{i:03d}" for i in range(f)]  # dims do not describe this width
-    rows = (row + [label] for row, label in zip(frame.matrix.tolist(), frame.labels.tolist()))
+    rows = (row.tolist() + [label] for row, label in zip(frame.matrix, frame.labels.tolist()))
     write_csv(path, names + ["label"], ",".join(["%.9g"] * f + ["%d"]), rows)
 
 

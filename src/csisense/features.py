@@ -51,6 +51,17 @@ class RobustScalerParams:
         }
 
     @classmethod
+    def concat(cls, parts: list["RobustScalerParams"]) -> "RobustScalerParams":
+        """The scaler of a matrix from those of its column blocks, left to
+        right.  Each column's statistics read that column alone, so a fit by
+        blocks equals one fit of the whole matrix bit for bit."""
+        return cls(
+            median=np.concatenate([p.median for p in parts]),
+            iqr=np.concatenate([p.iqr for p in parts]),
+            degenerate=np.concatenate([p.degenerate for p in parts]),
+        )
+
+    @classmethod
     def from_dict(cls, d: dict) -> "RobustScalerParams":
         return cls(
             median=np.asarray(d["median"], dtype=np.float64),

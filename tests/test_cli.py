@@ -14,6 +14,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import weakref
 import zlib
 from pathlib import Path
@@ -31,6 +33,7 @@ from csisense.dataio import (
     write_predictions,
     write_trial,
 )
+from csisense.features import robust_fit
 from csisense.model import build
 from csisense.postprocess import PredictionTrace
 from csisense.weights import load_weights, model_from_weights, save_weights
@@ -334,6 +337,83 @@ def test_preprocess_parallel_matches_serial(pipeline, tmp_path):
     assert sorted(p.name for p in par.iterdir()) == sorted(p.name for p in first.iterdir())
     for path in sorted(first.iterdir()):
         assert (par / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [40, 41])
+@pytest.mark.parametrize("width", [1, 7, 23])
+def test_the_scaler_fit_by_column_blocks_equals_one_fit_of_the_pool(monkeypatch, rows, width):
+    # preprocess spills each trial's matrix transposed and fits a block of
+    # columns at a time; the scaler must be that of the stacked pool rows
+    rng = np.random.default_rng(rows)
+    trials = [rng.integers(0, 4, (rows, 23)) * 0.25 for _ in range(5)]  # ties everywhere
+    for m in trials:
+        m[:, 5] = rng.standard_normal(rows)
+        m[:, 9] = 7.5  # zero IQR
+        m[: 3 * rows // 4 + 2, 16] = -1.0  # zero IQR, a few other values
+    pool = [0, 2, 3]  # an odd row count at 41 rows, even at 40
+    monkeypatch.setattr(cli, "FIT_BLOCK_BYTES", 8 * rows * len(pool) * width)
+    blocks = []
+    monkeypatch.setattr(cli, "robust_fit", lambda m: blocks.append(m.shape) or robust_fit(m))
+    with tempfile.TemporaryFile() as spill:
+        for m in trials:
+            spill.write(m.T.tobytes())
+        fitted = cli._fit_spilled(spill, pool, rows, 23)
+    whole = robust_fit(np.vstack([trials[k] for k in pool]))
+    assert blocks == [(rows * len(pool), min(width, 23 - start)) for start in range(0, 23, width)]
+    assert whole.degenerate[[9, 16]].all()
+    for name in ("median", "iqr", "degenerate"):
+        assert getattr(fitted, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def _manifest_of(pipeline, tmp_path, name, keep, missing=lambda tid: False):
+    """A manifest in ``tmp_path`` over the fixture's trials whose id ``keep``
+    accepts, with those ``missing`` accepts pointing at no file."""
+    manifest = json.loads((pipeline["dataset"] / "manifest.json").read_text())
+    manifest["trials"] = [e for e in manifest["trials"] if keep(e["trial_id"])]
+    for entry in manifest["trials"]:
+        if missing(entry["trial_id"]):
+            entry["path"] = f"trials/gone-{entry['trial_id']}.trial"
+    (tmp_path / "trials").symlink_to(pipeline["dataset"] / "trials")
+    path = tmp_path / name
+    path.write_text(json.dumps(manifest))
+    return path, [e["trial_id"] for e in manifest["trials"]]
+
+
+def test_preprocess_memory_does_not_grow_with_the_corpus(pipeline, tmp_path, monkeypatch):
+    # preprocess holds one trial's frame and one column block of the fit at a
+    # time, so 4x the trials may add less than one more frame and block
+    frame_bytes = 40 * 366 * 8  # a trial's unscaled (target_len, F) float64 matrix
+    monkeypatch.setattr(cli, "FIT_BLOCK_BYTES", frame_bytes)
+    peaks = {}
+    for per_class in (1, 1, 4):  # the first run warms lazy first-call state
+        run = tmp_path / f"run{len(peaks)}-{per_class}"
+        run.mkdir()
+        manifest, ids = _manifest_of(pipeline, run, "m.json", lambda t: int(t[-2:]) < per_class)
+        assert len(ids) == 3 * per_class
+        tracemalloc.start()
+        try:
+            assert cli.main([
+                "preprocess", "--manifest", str(manifest), "--target-len", "40",
+                "--out", str(run / "f"),
+            ]) == 0
+            peaks[per_class] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] - peaks[1] < frame_bytes + cli.FIT_BLOCK_BYTES, peaks
+
+
+@pytest.mark.parametrize("bad", ["none", "one", "all"])
+def test_preprocess_leaves_only_its_artifacts_in_out(pipeline, tmp_path, bad):
+    # the unscaled matrices wait in an unnamed file, gone however the run ends
+    missing = {"none": lambda t: False, "one": lambda t: t == "pair00-pushing-02", "all": lambda t: True}[bad]
+    manifest, ids = _manifest_of(pipeline, tmp_path, "m.json", lambda t: True, missing)
+    out = tmp_path / "f"
+    rc = cli.main(["preprocess", "--manifest", str(manifest), "--target-len", "40", "--out", str(out)])
+    assert rc == (0 if bad == "none" else 2)
+    written = {f"{tid}.csv" for tid in ids if not missing(tid)}
+    assert len(written) == {"none": 15, "one": 14, "all": 0}[bad]
+    expected = written | {"scaler.json", "splits.json"} if written else set()
+    assert {p.name for p in out.iterdir()} == expected
 
 
 # ------------------------------------------------------------------- train
@@ -943,6 +1023,8 @@ def test_an_out_that_cannot_be_made_exits_2(pipeline, tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert f"error: [Errno 20] Not a directory: '{out}" in err  # simulate names its trials/ under out
     assert "Traceback" not in err
+    if command == "train":
+        assert "epoch" not in err
 
 
 def test_jobs_flag_rejects_zero(pipeline, tmp_path, capsys):
