@@ -274,6 +274,8 @@ def cmd_train(args) -> int:
         if not (fdir / required).exists():
             raise CliError(f"no preprocessed features found: {fdir / required} is missing")
     scaler = dataio.load_scaler(fdir / "scaler.json")
+    if scaler.median.size != arch.feature_dim:
+        raise CliError(f"{fdir / 'scaler.json'}: width {scaler.median.size}, not the feature_dim {arch.feature_dim}")
     split = dataio.load_split(fdir / "splits.json")
 
     pool_ids = sorted(split.train + split.val)
@@ -346,23 +348,20 @@ def _classify_chunk(models, read, paths: list[Path], out: Path, job_map) -> list
 
 
 def _load_bundles(weight_paths: list[Path]) -> list[ModelWeights]:
-    """Load every bundle once; all must carry the same scaler and architecture."""
-    bundles = [load_weights(p) for p in weight_paths]
-    for path, bundle in zip(weight_paths, bundles):
-        if bundle.arch != bundles[0].arch:
+    """Load every bundle once, ordered by ``(fold_id, path)`` so that the
+    prediction CSV's fold columns follow the fold ids; all must carry the
+    same scaler and architecture."""
+    loaded = sorted(((load_weights(p), p) for p in weight_paths), key=lambda bp: (bp[0].fold_id, bp[1]))
+    first = loaded[0][0]
+    for bundle, path in loaded:
+        if bundle.arch != first.arch:
             raise CliError(f"{path}: weight bundles disagree on architecture")
-        if bundle.scaler.to_dict() != bundles[0].scaler.to_dict():
+        if bundle.scaler.to_dict() != first.scaler.to_dict():
             raise CliError(f"{path}: weight bundles disagree on the feature scaler")
-    return bundles
+    return [bundle for bundle, _ in loaded]
 
 
 def cmd_classify(args) -> int:
-    wdir = Path(args.weights)
-    weight_paths = sorted(wdir.glob("*.weights"))
-    if not weight_paths:
-        raise CliError("no trained models found")
-    bundles = _load_bundles(weight_paths)
-
     inp = Path(args.input)
     if inp.is_dir():
         trial_paths = sorted(inp.glob("*.trial"))
@@ -372,6 +371,11 @@ def cmd_classify(args) -> int:
         trial_paths = [inp]
     else:
         raise CliError(f"input not found: {inp}")
+
+    weight_paths = sorted(Path(args.weights).glob("*.weights"))
+    if not weight_paths:
+        raise CliError("no trained models found")
+    bundles = _load_bundles(weight_paths)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,7 @@ interquartile-range) scaler fitted on training rows only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,13 +99,19 @@ class SplitSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplitSpec":
-        return cls(
+        """The split of a JSON record; a trial id listed twice across train,
+        val and test is a ValueError, so no test trial trains."""
+        spec = cls(
             train=_ids(d["train"]),
             val=_ids(d["val"]),
             test=_ids(d["test"]),
             folds=[_ids(f) for f in d.get("folds", [])],
             seed=int(d.get("seed", 0)),
         )
+        twice = sorted(tid for tid, n in Counter(spec.train + spec.val + spec.test).items() if n > 1)
+        if twice:
+            raise ValueError(f"trial ids listed more than once across train, val and test: {twice}")
+        return spec
 
 
 def normalize_length(trial: Trial, target_len: int) -> Trial:

@@ -1,12 +1,13 @@
 """Synthetic class profiles: interaction envelopes as data, not code.
 
 Every class is described by a small parameter set in an ini file (see
-configs/profiles.ini): segment durations, an envelope shape applied to the
-multipath rays while the interaction happens, modulation depths for the
-line-of-sight and scattered rays, a carrier-phase drift, and a left/right
-asymmetry weighting across the receive antennas that distinguishes the
-left/right class variants.  The generator interprets these parameters; it has
-no per-class code.
+configs/profiles.ini): an envelope shape applied to the multipath rays while
+the interaction happens, modulation depths for the line-of-sight and
+scattered rays, a carrier-phase drift, and a left/right asymmetry weighting
+across the receive antennas that distinguishes the left/right class variants.
+A class's timing (its steady dwell, its interaction segment and which comes
+first) is fixed by ``CLASS_TIMING`` and ``ENDS_IN_DWELL``, not by the file.
+The generator interprets these parameters; it has no per-class code.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .config import read_ini, section_to
 from .domain import LABELS, label_to_index
 from .errors import DomainError
 
-# steady dwell and interaction seconds per class; the recordings always hold
-# the dwell at the start except approaching, which ends in it
+# steady dwell and interaction seconds per class; the recordings hold the
+# dwell at the start of a trial, except for the classes of ENDS_IN_DWELL
 CLASS_TIMING: dict[str, tuple[float, float]] = {
     "steady-state": (2.0, 3.0),
     "approaching": (2.0, 3.5),
@@ -37,6 +38,7 @@ CLASS_TIMING: dict[str, tuple[float, float]] = {
     "punching-right": (2.0, 3.0),
     "pushing": (2.0, 4.0),
 }
+ENDS_IN_DWELL = frozenset({"approaching"})
 
 ENVELOPE_SHAPES = ("flat", "ramp", "bump", "double_bump", "oscillation")
 
@@ -45,17 +47,14 @@ ENVELOPE_SHAPES = ("flat", "ramp", "bump", "double_bump", "oscillation")
 class SyntheticClassProfile:
     """Envelope parameters for one interaction class.
 
-    duration / steady_duration are seconds; depth_* are signed modulation
-    fractions; phase_drift is carrier-phase radians accumulated across the
-    segment; center/width/cycles shape the envelope on normalized segment
-    time; asymmetry in [-1, 1] weights the scattered rays across the receive
-    array (negative = left-heavy).
+    depth_* are signed modulation fractions; phase_drift is carrier-phase
+    radians accumulated across the segment; center/width/cycles shape the
+    envelope on normalized segment time; asymmetry in [-1, 1] weights the
+    scattered rays across the receive array (negative = left-heavy).
+    ``timing`` reads the class's timing from ``CLASS_TIMING``.
     """
 
     label: int
-    duration: float
-    steady_position: str
-    steady_duration: float
     shape: str
     depth_los: float = 0.0
     depth_scatter: float = 0.0
@@ -65,20 +64,15 @@ class SyntheticClassProfile:
     cycles: float = 2.0
     asymmetry: float = 0.0
 
+    @property
+    def timing(self) -> tuple[float, float, bool]:
+        """The class's seconds of steady dwell and of interaction, and whether
+        the dwell opens the trial (it ends the trials of ENDS_IN_DWELL)."""
+        name = LABELS[self.label]
+        return (*CLASS_TIMING[name], name not in ENDS_IN_DWELL)
+
     def __post_init__(self):
         name = LABELS[self.label]
-        expected = CLASS_TIMING[name]
-        if abs(self.steady_duration - expected[0]) > 1e-9 or abs(self.duration - expected[1]) > 1e-9:
-            raise DomainError(
-                f"profile {name}: segment durations ({self.steady_duration}, {self.duration}) "
-                f"must match the class timing table {expected}"
-            )
-        if self.steady_position not in ("begin", "end"):
-            raise DomainError(f"profile {name}: steady_position must be 'begin' or 'end'")
-        if (self.steady_position == "end") != (name == "approaching"):
-            raise DomainError(
-                f"profile {name}: only approaching trials end in the steady dwell"
-            )
         if self.shape not in ENVELOPE_SHAPES:
             raise DomainError(f"profile {name}: unknown envelope shape {self.shape!r}")
         if not -1.0 <= self.asymmetry <= 1.0:
@@ -102,10 +96,9 @@ def amp_envelope(profile: SyntheticClassProfile, u: float) -> float:
         return float(
             np.exp(-((u - lo) ** 2) / (2.0 * w**2)) + np.exp(-((u - hi) ** 2) / (2.0 * w**2))
         )
-    if profile.shape == "oscillation":
-        window = np.sin(np.pi * u) ** 2  # smooth rise and fall at the segment edges
-        return float(np.sin(2.0 * np.pi * profile.cycles * u) * window)
-    raise DomainError(f"unknown envelope shape {profile.shape!r}")
+    # oscillation, the one shape left: __post_init__ refuses any other
+    window = np.sin(np.pi * u) ** 2  # smooth rise and fall at the segment edges
+    return float(np.sin(2.0 * np.pi * profile.cycles * u) * window)
 
 
 def phase_envelope(profile: SyntheticClassProfile, u: float) -> float:
@@ -136,8 +129,9 @@ class SimMeta:
 def load_profiles(path: str | Path) -> tuple[list[SyntheticClassProfile], SimMeta]:
     """Parse a profile ini file: a [meta] section plus one section per class.
 
-    Unknown sections, unknown keys, or a missing required key are schema
-    errors; profiles come back in class-code order.
+    Unknown sections, unknown keys (the timing keys among them, which
+    ``CLASS_TIMING`` fixes), or a missing required key are schema errors;
+    profiles come back in class-code order.
     """
     parser = read_ini(path)
     meta = section_to(SimMeta, parser, "meta", path)

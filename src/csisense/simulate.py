@@ -125,19 +125,19 @@ def synth_trial(
 
     The packet rate, timestamp jitter and CSI noise come from ``meta``, the
     propagation config from ``geometry``.  Packet count comes from the
-    profile durations and the packet rate; the steady dwell sits at the trial
-    start except for profiles that declare it at the end.  With the same
-    arguments the result is bit-identical.
+    class timing (``SyntheticClassProfile.timing``) and the packet rate; the
+    steady dwell sits at the trial start unless the class ends in it.  With the
+    same arguments the result is bit-identical.
     """
     config = geometry.config
     profile = _scaled_profile(profile, envelope_scale)
 
-    n_steady = int(round(profile.steady_duration * meta.packet_rate))
-    n_active = int(round(profile.duration * meta.packet_rate))
+    steady_s, active_s, steady_first = profile.timing
+    n_steady = int(round(steady_s * meta.packet_rate))
+    n_active = int(round(active_s * meta.packet_rate))
     n_total = n_steady + n_active
     if n_total < 1:
-        raise DomainError("profile durations and packet_rate give an empty trial")
-    steady_first = profile.steady_position != "end"
+        raise DomainError("class timing and packet_rate give an empty trial")
 
     rng = CounterRng(seed, "trial")
     jitter_rng = rng.spawn("jitter")

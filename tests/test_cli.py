@@ -27,9 +27,11 @@ import csisense
 from csisense import cli
 from csisense.dataio import (
     load_manifest,
+    load_scaler,
     load_split,
     read_predictions,
     read_trial,
+    save_scaler,
     write_predictions,
     write_trial,
 )
@@ -46,24 +48,15 @@ jitter = 0.08
 csi_noise = 0.01
 
 [steady-state]
-duration = 3.0
-steady_duration = 2.0
-steady_position = begin
 shape = flat
 
 [approaching]
-duration = 3.5
-steady_duration = 2.0
-steady_position = end
 shape = ramp
 depth_los = 0.9
 depth_scatter = 0.35
 phase_drift = -28.0
 
 [pushing]
-duration = 4.0
-steady_duration = 2.0
-steady_position = begin
 shape = bump
 depth_los = 0.65
 depth_scatter = 0.55
@@ -162,7 +155,7 @@ def test_simulate_outputs(pipeline):
     assert {k: len(v) for k, v in by_class.items()} == {
         "steady-state": 5, "approaching": 5, "pushing": 5,
     }
-    # 8 packets/s: 16 steady + duration * 8 active
+    # 8 packets/s: 16 steady + CLASS_TIMING interaction seconds * 8 active
     assert all(e.length == 40 for e in by_class["steady-state"])
     assert all(e.length == 44 for e in by_class["approaching"])
     assert all(e.length == 48 for e in by_class["pushing"])
@@ -502,6 +495,47 @@ def test_train_refuses_labels_beyond_the_arch_classes_before_any_epoch(pipeline,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("damage", ["repeated", "shared"])
+def test_train_refuses_a_split_that_lists_a_trial_twice(pipeline, tmp_path, capsys, monkeypatch, damage):
+    # a test trial added to train would be trained on; the split is refused
+    # before any feature CSV is read or --out is made
+    features = tmp_path / "features"
+    shutil.copytree(pipeline["features"], features)
+    record = json.loads((features / "splits.json").read_text())
+    record["train"].append(record["train"][0] if damage == "repeated" else record["test"][0])
+    (features / "splits.json").write_text(json.dumps(record))
+    read = []
+    monkeypatch.setattr(cli.dataio, "import_feature_csv", read.append)
+    out = tmp_path / "m"
+    rc = cli.main([
+        "train", "--features", str(features), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{features / 'splits.json'}: bad split spec file" in err
+    assert "more than once across train, val and test" in err
+    assert read == []
+    assert not out.exists()
+
+
+def test_train_refuses_a_scaler_of_another_width_before_any_epoch(pipeline, tmp_path, capsys):
+    features = tmp_path / "features"
+    shutil.copytree(pipeline["features"], features)
+    width = load_scaler(features / "scaler.json").median.size
+    save_scaler(robust_fit(np.ones((4, width + 1))), features / "scaler.json")
+    out = tmp_path / "m"
+    rc = cli.main([
+        "train", "--features", str(features), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{features / 'scaler.json'}: width {width + 1}, not the feature_dim {width}" in err
+    assert "epoch" not in err
+    assert not out.exists()
+
+
 def test_train_missing_features(pipeline, tmp_path, capsys):
     rc = cli.main([
         "train", "--features", str(tmp_path / "empty"), "--arch", str(pipeline["arch"]),
@@ -646,13 +680,46 @@ def test_classify_without_models(pipeline, tmp_path, capsys):
     assert "no trained models found" in capsys.readouterr().err
 
 
-def test_classify_missing_input(pipeline, tmp_path, capsys):
+def test_classify_missing_input(pipeline, tmp_path, capsys, monkeypatch):
+    # --input is resolved before any bundle is loaded
+    loaded = []
+    monkeypatch.setattr(cli, "load_weights", loaded.append)
     rc = cli.main([
         "classify", "--weights", str(pipeline["models"]),
         "--input", str(tmp_path / "ghost.trial"), "--out", str(tmp_path / "p"),
     ])
     assert rc == 2
     assert "input not found" in capsys.readouterr().err
+    assert loaded == []
+
+
+class _FoldIdModel:
+    """Stands in for a bundle's model: predicts its fold id at every packet."""
+
+    def __init__(self, bundle):
+        self.fold_id = bundle.fold_id
+
+    def predict(self, batch):
+        return np.full(batch.shape[:2], self.fold_id, dtype=np.int64)
+
+
+def test_classify_orders_fold_columns_by_fold_id(pipeline, tmp_path, monkeypatch):
+    # with 11 folds, fold10.weights sorts before fold2.weights by name
+    bundle = load_weights(pipeline["models"] / "fold0.weights")
+    models = tmp_path / "models"
+    models.mkdir()
+    for fold_id in range(11):
+        save_weights(dataclasses.replace(bundle, fold_id=fold_id), models / f"fold{fold_id}.weights")
+    monkeypatch.setattr(cli, "model_from_weights", _FoldIdModel)
+    tid = pipeline["split"].test[0]
+    out = tmp_path / "p"
+    assert cli.main([
+        "classify", "--weights", str(models),
+        "--input", str(pipeline["test_dir"] / f"{tid}.trial"), "--out", str(out),
+    ]) == 0
+    per_fold = read_predictions(out / f"{tid}.csv").per_fold
+    assert per_fold.shape == (11, 40)
+    assert np.array_equal(per_fold, np.repeat(np.arange(11)[:, None], 40, axis=1))
 
 
 def test_classify_unlabeled_trial(pipeline, tmp_path):

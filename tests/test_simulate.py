@@ -1,6 +1,7 @@
 """Profile parsing, envelope shapes, and the trial generator."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from csisense.domain import LABELS, STEADY_STATE, label_to_index, validate_trial
 from csisense.errors import DomainError
 from csisense.profiles import (
     CLASS_TIMING,
+    ENDS_IN_DWELL,
     SimMeta,
     SyntheticClassProfile,
     amp_envelope,
@@ -31,9 +33,6 @@ from csisense.simulate import (
 
 PUSHING = SyntheticClassProfile(
     label=label_to_index("pushing"),
-    duration=4.0,
-    steady_position="begin",
-    steady_duration=2.0,
     shape="bump",
     depth_los=0.65,
     depth_scatter=0.55,
@@ -42,9 +41,6 @@ PUSHING = SyntheticClassProfile(
 
 APPROACHING = SyntheticClassProfile(
     label=label_to_index("approaching"),
-    duration=3.5,
-    steady_position="end",
-    steady_duration=2.0,
     shape="ramp",
     depth_los=0.9,
     depth_scatter=0.35,
@@ -53,9 +49,6 @@ APPROACHING = SyntheticClassProfile(
 
 PUNCHING = SyntheticClassProfile(
     label=label_to_index("punching-left"),
-    duration=3.0,
-    steady_position="begin",
-    steady_duration=2.0,
     shape="double_bump",
     depth_los=0.4,
     depth_scatter=0.65,
@@ -66,9 +59,6 @@ PUNCHING = SyntheticClassProfile(
 
 HANDSHAKING = SyntheticClassProfile(
     label=label_to_index("handshaking"),
-    duration=4.0,
-    steady_position="begin",
-    steady_duration=2.0,
     shape="oscillation",
     depth_los=0.35,
     depth_scatter=0.45,
@@ -79,9 +69,6 @@ HANDSHAKING = SyntheticClassProfile(
 
 HUGGING = SyntheticClassProfile(
     label=label_to_index("hugging"),
-    duration=3.0,
-    steady_position="begin",
-    steady_duration=2.0,
     shape="bump",
     depth_los=-0.75,
     depth_scatter=0.6,
@@ -98,8 +85,8 @@ def test_shipped_profile_file():
     assert [p.label for p in profiles] == list(range(len(LABELS)))
     assert (meta.packet_rate, meta.jitter, meta.csi_noise) == (260.0, 0.08, 0.01)
     for p in profiles:
-        steady, active = CLASS_TIMING[LABELS[p.label]]
-        assert p.steady_duration == steady and p.duration == active
+        assert p.timing[:2] == CLASS_TIMING[LABELS[p.label]]
+    assert [LABELS[p.label] for p in profiles if not p.timing[2]] == ["approaching"]
 
 
 def test_shipped_three_class_file():
@@ -115,11 +102,11 @@ def test_load_profiles_missing_file(tmp_path):
 
 def test_load_profiles_schema_errors(tmp_path):
     path = tmp_path / "p.ini"
-    path.write_text("[pushing]\nduration = 4.0\n")
+    path.write_text("[pushing]\nshape = bump\n")
     with pytest.raises(DomainError, match="p\\.ini: no \\[meta\\] section"):
         load_profiles(path)
 
-    pushing = "[pushing]\nduration = 4.0\nsteady_duration = 2.0\nsteady_position = begin\nshape = bump\n"
+    pushing = "[pushing]\nshape = bump\n"
     path.write_text("[meta]\npacket_rte = 100\n" + pushing)
     with pytest.raises(DomainError, match="p\\.ini: \\[meta\\] has unknown key 'packet_rte'"):
         load_profiles(path)
@@ -128,33 +115,24 @@ def test_load_profiles_schema_errors(tmp_path):
     with pytest.raises(DomainError, match="p\\.ini: \\[meta\\] version 2 is not supported"):
         load_profiles(path)
 
-    path.write_text("[meta]\n[moonwalking]\nduration = 4.0\n")
+    path.write_text("[meta]\n[moonwalking]\nshape = bump\n")
     with pytest.raises(DomainError, match="p\\.ini: \\[moonwalking\\] is not a known interaction label"):
         load_profiles(path)
 
-    path.write_text(
-        "[meta]\n[pushing]\nduration = 4.0\nsteady_duration = 2.0\n"
-        "steady_position = begin\nshape = bump\nglow = 3\n"
-    )
+    path.write_text("[meta]\n" + pushing + "glow = 3\n")
     with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] has unknown key 'glow'"):
         load_profiles(path)
 
-    path.write_text(
-        "[meta]\n[pushing]\nlabel = 3\nduration = 4.0\nsteady_duration = 2.0\n"
-        "steady_position = begin\nshape = bump\n"
-    )
+    path.write_text("[meta]\n[pushing]\nlabel = 3\nshape = bump\n")
     with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] has unknown key 'label'"):
         load_profiles(path)
 
-    path.write_text(
-        "[meta]\n[pushing]\nduration = long\nsteady_duration = 2.0\n"
-        "steady_position = begin\nshape = bump\n"
-    )
-    with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] duration = 'long' is not a valid float"):
+    path.write_text("[meta]\n" + pushing + "width = narrow\n")
+    with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] width = 'narrow' is not a valid float"):
         load_profiles(path)
 
-    path.write_text("[meta]\n[pushing]\nduration = 4.0\nsteady_duration = 2.0\n")
-    with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] is missing required key 'steady_position'"):
+    path.write_text("[meta]\n[pushing]\nwidth = 0.2\n")
+    with pytest.raises(DomainError, match="p\\.ini: \\[pushing\\] is missing required key 'shape'"):
         load_profiles(path)
 
     path.write_text("[meta]\n")
@@ -168,38 +146,28 @@ def test_load_profiles_schema_errors(tmp_path):
 
 
 def test_profile_timing_table_is_enforced():
-    with pytest.raises(DomainError, match="timing table"):
-        SyntheticClassProfile(
-            label=label_to_index("pushing"),
-            duration=5.0,
-            steady_position="begin",
-            steady_duration=2.0,
-            shape="bump",
-        )
-    with pytest.raises(DomainError, match="steady dwell"):
-        SyntheticClassProfile(
-            label=label_to_index("pushing"),
-            duration=4.0,
-            steady_position="end",
-            steady_duration=2.0,
-            shape="bump",
-        )
-    with pytest.raises(DomainError, match="steady dwell"):
-        SyntheticClassProfile(
-            label=label_to_index("approaching"),
-            duration=3.5,
-            steady_position="begin",
-            steady_duration=2.0,
-            shape="ramp",
-        )
+    # the timing is the table's: a profile takes no timing of its own
+    for key, value in (("duration", 5.0), ("steady_duration", 2.0), ("steady_position", "end")):
+        with pytest.raises(TypeError, match=key):
+            SyntheticClassProfile(label=label_to_index("pushing"), shape="bump", **{key: value})
+    for code, name in enumerate(LABELS):
+        profile = SyntheticClassProfile(label=code, shape="flat")
+        assert profile.timing == (*CLASS_TIMING[name], name not in ENDS_IN_DWELL)
     with pytest.raises(DomainError, match="shape"):
-        SyntheticClassProfile(
-            label=label_to_index("pushing"),
-            duration=4.0,
-            steady_position="begin",
-            steady_duration=2.0,
-            shape="spiral",
-        )
+        SyntheticClassProfile(label=label_to_index("pushing"), shape="spiral")
+
+
+@pytest.mark.parametrize(
+    "key, value", [("duration", "4.0"), ("steady_duration", "2.0"), ("steady_position", "begin")]
+)
+def test_simulate_refuses_a_profile_file_with_a_timing_key(tmp_path, capsys, key, value):
+    text = Path("configs/profiles-3class.ini").read_text()
+    profiles = tmp_path / "p.ini"
+    profiles.write_text(text.replace("[pushing]\n", f"[pushing]\n{key} = {value}\n"))
+    out = tmp_path / "dataset"
+    assert cli.main(["simulate", "--profiles", str(profiles), "--out", str(out)]) == 2
+    assert f"[pushing] has unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sim_meta_validation():
@@ -219,18 +187,12 @@ def test_envelope_shapes():
     assert amp_envelope(APPROACHING, 0.25) == 0.25  # ramp is linear
     flat = SyntheticClassProfile(
         label=label_to_index("steady-state"),
-        duration=3.0,
-        steady_position="begin",
-        steady_duration=2.0,
         shape="flat",
     )
     assert amp_envelope(flat, 0.7) == 0.0
 
     osc = SyntheticClassProfile(
         label=label_to_index("handshaking"),
-        duration=4.0,
-        steady_position="begin",
-        steady_duration=2.0,
         shape="oscillation",
         cycles=7.0,
     )
@@ -240,9 +202,6 @@ def test_envelope_shapes():
 
     dbl = SyntheticClassProfile(
         label=label_to_index("punching-left"),
-        duration=3.0,
-        steady_position="begin",
-        steady_duration=2.0,
         shape="double_bump",
         center=0.5,
         width=0.2,
@@ -411,6 +370,21 @@ def test_synth_trial_steady_packets_are_identical_without_noise():
     assert not np.array_equal(mid_active, steady[0])
 
 
+@pytest.mark.parametrize("rate", [7.0, 26.0])
+def test_every_class_trial_follows_the_timing_table(rate):
+    # round(steady * rate) dwell packets and round(active * rate) interaction
+    # packets; the dwell opens every trial except approaching's, which ends in it
+    for code, name in enumerate(LABELS):
+        trial = _trial(SyntheticClassProfile(label=code, shape="flat"), packet_rate=rate)
+        steady, active = CLASS_TIMING[name]
+        n_steady, n_active = round(steady * rate), round(active * rate)
+        assert len(trial.labels) == n_steady + n_active
+        dwell = trial.labels[-n_steady:] if name == "approaching" else trial.labels[:n_steady]
+        segment = trial.labels[:n_active] if name == "approaching" else trial.labels[n_steady:]
+        assert np.all(dwell == STEADY_STATE)
+        assert np.all(segment == code)
+
+
 def test_synth_trial_validation():
     # SimMeta checks the packet rate, jitter and noise (test_sim_meta_validation);
     # a rate positive but too low for one packet still gives no trial
@@ -423,9 +397,6 @@ def test_synth_trial_rejects_a_drift_that_makes_a_delay_negative():
     # pulls it ~660 ns earlier at the envelope peak
     extreme = SyntheticClassProfile(
         label=PUSHING.label,
-        duration=PUSHING.duration,
-        steady_position=PUSHING.steady_position,
-        steady_duration=PUSHING.steady_duration,
         shape=PUSHING.shape,
         phase_drift=-1e4,
     )
@@ -436,9 +407,6 @@ def test_synth_trial_rejects_a_drift_that_makes_a_delay_negative():
 
 STEADY = SyntheticClassProfile(
     label=STEADY_STATE,
-    duration=3.0,
-    steady_position="begin",
-    steady_duration=2.0,
     shape="flat",
 )
 
