@@ -28,6 +28,7 @@ CSISENSE_VERBOSE=0 silences progress chatter on standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -274,8 +275,6 @@ def cmd_train(args) -> int:
         if not (fdir / required).exists():
             raise CliError(f"no preprocessed features found: {fdir / required} is missing")
     scaler = dataio.load_scaler(fdir / "scaler.json")
-    if scaler.median.size != arch.feature_dim:
-        raise CliError(f"{fdir / 'scaler.json'}: width {scaler.median.size}, not the feature_dim {arch.feature_dim}")
     split = dataio.load_split(fdir / "splits.json")
 
     pool_ids = sorted(split.train + split.val)
@@ -286,6 +285,10 @@ def cmd_train(args) -> int:
     frames = {tid: frame for tid, (_, frame) in zip(pool_ids, read)}
     class_names = [LABELS[_trial_class(frames[tid].labels)] for tid in pool_ids]
     folds = kfold_assign(pool_ids, cfg.folds, split.seed, classes=class_names)
+    # the input shape is the features': a CSV's rows and the scaler's width.
+    # train_kfold refuses any frame of another shape
+    rows = frames[pool_ids[0]].matrix.shape[0]
+    arch = dataclasses.replace(arch, seq_len=rows, feature_dim=scaler.median.size)
 
     def on_epoch(fold_id: int, row: dict) -> None:
         _say(

@@ -2,9 +2,9 @@
 
 Each section maps onto one dataclass: its keys are the field names, each value
 is converted by the field's declared type (int, float or str), and an optional
-``version`` key must be 1.  Unknown keys, unparsable values, missing
-required fields and values the dataclass rejects are DomainErrors naming the
-file and the section.
+``version`` key must be 1.  Unknown keys, unparsable values, non-finite
+floats (``nan``, ``inf``), missing required fields and values the dataclass
+rejects are DomainErrors naming the file and the section.
 See FORMATS.md.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 from pathlib import Path
 
@@ -47,6 +48,8 @@ def section_to(cls, parser: configparser.ConfigParser, section: str, path: str |
             raise DomainError(
                 f"{path}: [{section}] {key} = {raw!r} is not a valid {convert.__name__}"
             ) from None
+        if convert is float and not math.isfinite(value):
+            raise DomainError(f"{path}: [{section}] {key} = {raw!r} is not a finite number")
         if key != "version":
             kwargs[key] = value
         elif value != 1:

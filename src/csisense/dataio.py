@@ -288,7 +288,7 @@ def _csi_column_names(dims: tuple[int, int, int], kind: str) -> list[str]:
     ]
 
 
-def feature_column_names(dims: tuple[int, int, int] = (2, 3, 30)) -> list[str]:
+def feature_column_names(dims: tuple[int, int, int]) -> list[str]:
     """Column names matching the feature-row layout for the given dims."""
     n_rx = dims[1]
     rssi = [f"rssi_{chr(ord('a') + i)}" if i < 26 else f"rssi_{i}" for i in range(n_rx)]
@@ -300,16 +300,14 @@ def feature_column_names(dims: tuple[int, int, int] = (2, 3, 30)) -> list[str]:
     )
 
 
-def export_feature_csv(frame: FeatureFrame, path: str | Path, dims: tuple[int, int, int] = (2, 3, 30)) -> None:
-    """One row per packet, 9-significant-digit decimals, label as last column.
+def export_feature_csv(frame: FeatureFrame, path: str | Path, dims: tuple[int, int, int]) -> None:
+    """One row per packet, 9-significant-digit decimals, label as last column;
+    the columns are named for ``dims``, which must describe the frame's width.
     A label outside the class codes is refused before anything is written."""
     _check_class_codes(path, frame.labels, "the label column", DomainError)
-    t, f = frame.matrix.shape
-    names = feature_column_names(dims)
-    if len(names) != f:
-        names = [f"f{i:03d}" for i in range(f)]  # dims do not describe this width
+    f = frame.matrix.shape[1]
     rows = (row.tolist() + [label] for row, label in zip(frame.matrix, frame.labels.tolist()))
-    write_csv(path, names + ["label"], ",".join(["%.9g"] * f + ["%d"]), rows)
+    write_csv(path, feature_column_names(dims) + ["label"], ",".join(["%.9g"] * f + ["%d"]), rows)
 
 
 def _check_class_codes(path: str | Path, codes: np.ndarray, column: str, error=FormatError) -> None:

@@ -7,7 +7,7 @@ Data path per batch of B trials (T timesteps, F features):
       -> BiGRU 1 (out 2 * bigru1_units) -> dropout1
       -> BiGRU 2 (out 2 * bigru2_units) -> dropout2
       -> multi-head self-attention over the BiGRU 2 output width
-      -> weighted skip add: skip_pre * pre-attention + skip_att * attention
+      -> weighted skip add: SKIP_PRE * pre-attention + SKIP_ATT * attention
       -> dense(dense_units, relu) -> dropout3
       -> concat with the pre-attention tensor
       -> dense(classes) -> softmax  => per-timestep class distribution
@@ -35,7 +35,8 @@ forward of that row alone bit for bit, so validation and ``classify`` run
 their sequences in chunks of :func:`inference_rows` without moving a bit.
 
 Training minimizes per-timestep categorical cross-entropy with Adam, reduces
-the learning rate on validation-accuracy plateaus, and stops early once the
+the learning rate on validation-accuracy plateaus (by ``LR_FACTOR``, down to
+``MIN_LR``), and stops early once the
 validation accuracy has not improved for a configured number of epochs,
 restoring the best epoch's weights.  The Adam step, the gradient reset and
 the best-weights copy each act on the whole flat store at once.
@@ -68,12 +69,20 @@ from .nn import (
 )
 from .postprocess import confusion, metrics
 
+# the fixed mix of the pre-attention tensor and the attention output
+SKIP_PRE, SKIP_ATT = 0.7, 0.3
+# a validation plateau multiplies the learning rate by LR_FACTOR, never
+# taking it below MIN_LR
+LR_FACTOR, MIN_LR = 0.5, 1e-6
+
 
 @dataclass(frozen=True)
 class ArchConfig:
     """Architecture knobs.  ``scale_factor`` divides the unit-like widths and
     its integer square root divides heads and key_dim, so desk-scale runs keep
-    the full wiring at a fraction of the cost."""
+    the full wiring at a fraction of the cost.  ``seq_len`` and
+    ``feature_dim`` are the input shape: ``train`` takes them from its
+    features, so an arch file does not state them (``load_arch_config``)."""
 
     seq_len: int = 1560
     feature_dim: int = 366
@@ -86,9 +95,6 @@ class ArchConfig:
     dropout1: float = 0.3
     dropout2: float = 0.3
     dropout3: float = 0.2
-    skip_pre: float = 0.7
-    skip_att: float = 0.3
-    dense_activation: str = "relu"
     scale_factor: int = 1
 
     def __post_init__(self):
@@ -105,10 +111,6 @@ class ArchConfig:
         scaled = self.scaled() if self.scale_factor > 1 else self
         if min(scaled.bigru1_units, scaled.bigru2_units, scaled.dense_units, scaled.key_dim) < 4:
             raise DomainError("scaled widths must stay at least 4")
-        if not (math.isfinite(self.skip_pre) and math.isfinite(self.skip_att)):
-            raise DomainError(f"skip_pre {self.skip_pre} and skip_att {self.skip_att} must be finite")
-        if self.dense_activation not in ("none", "relu"):
-            raise DomainError(f"dense_activation {self.dense_activation!r} must be 'none' or 'relu'")
         for ratio in (self.dropout1, self.dropout2, self.dropout3):
             if not 0.0 <= ratio < 1.0:
                 raise DomainError(f"dropout ratio {ratio} must be in [0, 1)")
@@ -147,9 +149,7 @@ class TrainConfig:
     lr: float = 1e-3
     folds: int = 4
     seed: int = 0
-    lr_factor: float = 0.5
     lr_patience: int = 10
-    min_lr: float = 1e-6
     early_stop_patience: int = 30
 
     def __post_init__(self):
@@ -161,12 +161,9 @@ class TrainConfig:
             raise DomainError("batch size must be at least 1")
         if self.folds < 2:
             raise DomainError("fold count must be at least 2")
-        if self.lr <= 0:
-            raise DomainError("learning rate must be positive")
-        if not 0.0 <= self.min_lr <= self.lr:
-            raise DomainError(f"min_lr {self.min_lr} must lie in [0, lr = {self.lr}]")
-        if not 0.0 < self.lr_factor < 1.0:
-            raise DomainError("lr_factor must lie in (0, 1)")
+        # a rate below the floor would rise at its first plateau
+        if not self.lr >= MIN_LR:
+            raise DomainError(f"learning rate {self.lr} must be at least MIN_LR = {MIN_LR}")
         if self.lr_patience < 1:
             raise DomainError("lr_patience must be at least 1")
         if self.early_stop_patience < 1:
@@ -225,8 +222,8 @@ class SequenceClassifier:
         self.bigru2 = BiGru(2 * eff.bigru1_units, eff.bigru2_units, init, store)
         self.drop2 = Dropout(eff.dropout2, rng)
         self.attention = MultiHeadSelfAttention(att_width, eff.heads, eff.key_dim, init, store)
-        self.skip = WeightedSkipAdd(eff.skip_pre, eff.skip_att)
-        self.dense1 = Dense(att_width, eff.dense_units, eff.dense_activation, init, store)
+        self.skip = WeightedSkipAdd(SKIP_PRE, SKIP_ATT)
+        self.dense1 = Dense(att_width, eff.dense_units, "relu", init, store)
         self.drop3 = Dropout(eff.dropout3, rng)
         self.concat = Concat()
         self.out = Dense(eff.dense_units + att_width, eff.classes, "none", init, store)
@@ -351,7 +348,7 @@ def train_fold(
     series worth exporting.  After each epoch, a strictly higher accuracy
     becomes the best epoch and resets the plateau wait; any other epoch adds
     one to the wait, and a wait of ``cfg.lr_patience`` epochs cuts the rate
-    to ``max(cfg.min_lr, lr * cfg.lr_factor)`` and starts the wait again.
+    to ``max(MIN_LR, lr * LR_FACTOR)`` and starts the wait again.
     Training stops once ``cfg.early_stop_patience`` epochs have passed since
     the best one.  Raises TrainingDiverged if the network output goes
     non-finite (a finite softmax always gives a finite loss).  A
@@ -388,7 +385,7 @@ def train_fold(
         else:
             wait += 1
             if wait == cfg.lr_patience:
-                lr, wait = max(cfg.min_lr, lr * cfg.lr_factor), 0
+                lr, wait = max(MIN_LR, lr * LR_FACTOR), 0
         if on_epoch is not None:
             on_epoch(fold_id, row)
         if epoch - best_epoch >= cfg.early_stop_patience:
@@ -433,8 +430,11 @@ def train_kfold(
 
 
 def load_arch_config(path: str) -> ArchConfig:
-    """Read the [arch] section of an ini file (see FORMATS.md)."""
-    return section_to(ArchConfig, read_ini(path), "arch", path)
+    """Read the [arch] section of an ini file (see FORMATS.md).  The section
+    may not state ``seq_len`` or ``feature_dim``, which keep their defaults
+    here until ``train`` sets them from its features."""
+    shape = {"seq_len": ArchConfig.seq_len, "feature_dim": ArchConfig.feature_dim}
+    return section_to(ArchConfig, read_ini(path), "arch", path, **shape)
 
 
 def load_train_config(path: str) -> TrainConfig:

@@ -114,14 +114,11 @@ class SimMeta:
     """Generator-wide knobs stored in the profile file's [meta] section."""
 
     packet_rate: float = 260.0
-    jitter: float = 0.08
     csi_noise: float = 0.01
 
     def __post_init__(self):
         if self.packet_rate <= 0:
             raise DomainError("packet_rate must be positive")
-        if not 0.0 <= self.jitter < 1.0:
-            raise DomainError("jitter must lie in [0, 1)")
         if self.csi_noise < 0:
             raise DomainError("csi_noise must be non-negative")
 

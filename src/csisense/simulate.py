@@ -44,6 +44,8 @@ AGC_SETPOINT_DB = 70.0
 NOISE_FLOOR_DB = -92.0
 _NOISE_WOBBLE_DB = 0.4
 _RSSI_MAX = 99.0
+# packet inter-arrival times spread uniformly over (1 +- JITTER) / packet_rate
+JITTER = 0.08
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def synth_trial(
 ) -> Trial:
     """Generate one trial: steady dwell plus interaction segment.
 
-    The packet rate, timestamp jitter and CSI noise come from ``meta``, the
+    The packet rate and CSI noise come from ``meta``, the
     propagation config from ``geometry``.  Packet count comes from the
     class timing (``SyntheticClassProfile.timing``) and the packet rate; the
     steady dwell sits at the trial start unless the class ends in it.  With the
@@ -145,7 +147,7 @@ def synth_trial(
     floor_rng = rng.spawn("floor")
 
     # jittered inter-arrival times; mean spacing is 1/packet_rate
-    spacing = (1.0 / meta.packet_rate) * (1.0 + meta.jitter * (2.0 * jitter_rng.uniform(n_total) - 1.0))
+    spacing = (1.0 / meta.packet_rate) * (1.0 + JITTER * (2.0 * jitter_rng.uniform(n_total) - 1.0))
     timestamps = np.concatenate([[0.0], np.cumsum(spacing[:-1])])
 
     n_tx, n_rx, n_sc = config.dims

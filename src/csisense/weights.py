@@ -15,7 +15,9 @@ sufficient to classify raw trials on its own.  See FORMATS.md.
 from __future__ import annotations
 
 import json
+import math
 import struct
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +29,8 @@ from .features import RobustScalerParams
 from .model import ArchConfig, SequenceClassifier, param_count
 
 WEIGHTS_MAGIC = b"CSWB"
-WEIGHTS_VERSION = 2
+WEIGHTS_VERSION = 3
+_ARCH_TYPES = typing.get_type_hints(ArchConfig)
 
 
 @dataclass
@@ -67,7 +70,16 @@ def save_weights(w: ModelWeights, path: str | Path) -> None:
 
 
 def _read_meta(meta: dict) -> tuple[ArchConfig, int, int]:
-    return ArchConfig(**meta["arch"]), int(meta["fold_id"]), int(meta["seed"])
+    """The metadata's architecture, fold id and seed.  Each architecture
+    value must have its field's JSON type (a bool is no int) and be finite."""
+    arch = meta["arch"]
+    # dict() only lets the loop run; ArchConfig(**arch) refuses a non-object
+    # and unknown keys with a TypeError
+    for key, value in dict(arch).items():
+        kind = _ARCH_TYPES.get(key)
+        if kind is not None and (type(value) is not kind or (kind is float and not math.isfinite(value))):
+            raise ValueError(f"arch {key} = {value!r} is not a finite {kind.__name__}")
+    return ArchConfig(**arch), int(meta["fold_id"]), int(meta["seed"])
 
 
 def load_weights(path: str | Path) -> ModelWeights:

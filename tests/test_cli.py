@@ -6,6 +6,7 @@ preprocesses them to 40-packet feature files, trains a 2-fold stack of
 Individual tests assert on the artifacts each stage leaves behind.
 """
 
+import configparser
 import dataclasses
 import hashlib
 import json
@@ -44,7 +45,6 @@ MICRO_PROFILES = """\
 [meta]
 version = 1
 packet_rate = 8.0
-jitter = 0.08
 csi_noise = 0.01
 
 [steady-state]
@@ -68,7 +68,6 @@ width = 0.16
 MICRO_ARCH = """\
 [arch]
 version = 1
-seq_len = 40
 scale_factor = 64
 """
 
@@ -437,9 +436,9 @@ def test_train_missing_arch_file(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, content", [
-    ("--arch", b"seq_len = 40\n"),
+    ("--arch", b"scale_factor = 64\n"),
     ("--train-cfg", b"[train]\nepochs = 2\nepochs = 3\n"),
-    ("--arch", b"[arch]\nseq_len = \xff\n"),
+    ("--arch", b"[arch]\nscale_factor = \xff\n"),
 ], ids=["arch-no-section-header", "train-duplicate-key", "arch-not-utf8"])
 def test_train_malformed_config_exits_2(pipeline, tmp_path, capsys, flag, content):
     bad = tmp_path / "bad.ini"
@@ -462,8 +461,96 @@ def test_train_rejects_unknown_dense_activation_before_reading_features(pipeline
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"error: {arch}: [arch] dense_activation 'tanh' must be 'none' or 'relu'" in err
+    assert f"error: {arch}: [arch] has unknown key 'dense_activation'" in err
     assert "no preprocessed features" not in err
+
+
+def _run_with_key(pipeline, tmp_path, name, section, key, value):
+    """Run the command that reads the shipped config ``name`` (simulate for a
+    profile file, train for an arch or train file) with ``key = value`` set in
+    its ``[section]``.  Returns the exit status, that config and --out."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(Path("configs", name))
+    parser[section][key] = value
+    config = tmp_path / name
+    with open(config, "w") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    if name.startswith("profiles"):
+        return cli.main(["simulate", "--profiles", str(config), "--out", str(out)]), config, out
+    arch = config if name.startswith("arch") else "configs/arch-desk.ini"
+    train = config if name.startswith("train") else "configs/train-desk.ini"
+    rc = cli.main([
+        "train", "--features", str(pipeline["features"]), "--arch", str(arch), "--train-cfg", str(train),
+        "--out", str(out),
+    ])
+    return rc, config, out
+
+
+# each retired key with the value the shipped files gave it
+RETIRED_KEYS = [
+    ("arch-desk.ini", "arch", "seq_len", "156"),
+    ("arch-full.ini", "arch", "feature_dim", "366"),
+    ("arch-desk.ini", "arch", "skip_pre", "0.7"),
+    ("arch-desk.ini", "arch", "skip_att", "0.3"),
+    ("arch-full.ini", "arch", "dense_activation", "relu"),
+    ("train-desk.ini", "train", "lr_factor", "0.5"),
+    ("train-full.ini", "train", "min_lr", "1e-6"),
+    ("profiles.ini", "meta", "jitter", "0.08"),
+]
+
+
+@pytest.mark.parametrize("name, section, key, value", RETIRED_KEYS, ids=[row[2] for row in RETIRED_KEYS])
+def test_a_retired_key_exits_2_before_anything_is_written(
+    pipeline, tmp_path, capsys, monkeypatch, name, section, key, value
+):
+    read = []
+    monkeypatch.setattr(cli.dataio, "import_feature_csv", read.append)
+    rc, config, out = _run_with_key(pipeline, tmp_path, name, section, key, value)
+    assert rc == 2
+    assert f"error: {config}: [{section}] has unknown key '{key}'" in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize("name, section, key, value", [
+    ("profiles-3class.ini", "meta", "packet_rate", "nan"),
+    ("profiles-3class.ini", "meta", "packet_rate", "inf"),
+    ("profiles-3class.ini", "meta", "csi_noise", "nan"),
+    ("profiles-3class.ini", "meta", "csi_noise", "inf"),
+    ("profiles-3class.ini", "pushing", "phase_drift", "nan"),
+    ("train-desk.ini", "train", "lr", "nan"),
+    ("arch-desk.ini", "arch", "dropout1", "-inf"),
+], ids=["packet_rate-nan", "packet_rate-inf", "csi_noise-nan", "csi_noise-inf", "phase_drift-nan", "lr-nan",
+        "dropout1-minus-inf"])
+def test_a_non_finite_config_float_exits_2_before_anything_is_written(
+    pipeline, tmp_path, capsys, monkeypatch, name, section, key, value
+):
+    # float() reads nan and inf, which no range check then refuses
+    read = []
+    monkeypatch.setattr(cli.dataio, "import_feature_csv", read.append)
+    rc, config, out = _run_with_key(pipeline, tmp_path, name, section, key, value)
+    assert rc == 2
+    assert f"error: {config}: [{section}] {key} = '{value}' is not a finite number" in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+def test_train_takes_the_input_shape_from_the_features(pipeline, tmp_path):
+    # the fixture's 40-packet features and the shipped desk arch, which
+    # states no sequence length: 40-packet bundles and 40-row predictions
+    models, predictions = tmp_path / "models", tmp_path / "predictions"
+    assert cli.main([
+        "train", "--features", str(pipeline["features"]), "--arch", "configs/arch-desk.ini",
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(models),
+    ]) == 0
+    arch = load_weights(models / "fold0.weights").arch
+    assert (arch.seq_len, arch.feature_dim, arch.scale_factor) == (40, 366, 16)
+    assert cli.main([
+        "classify", "--weights", str(models), "--input", str(pipeline["test_dir"]), "--out", str(predictions),
+    ]) == 0
+    files = sorted(predictions.glob("*.csv"))
+    assert [f.stem for f in files] == sorted(pipeline["split"].test)
+    for f in files:
+        assert read_predictions(f).per_fold.shape == (2, 40)
 
 
 def test_train_rejects_a_negative_seed_before_writing_anything(pipeline, tmp_path, capsys):
@@ -531,7 +618,7 @@ def test_train_refuses_a_scaler_of_another_width_before_any_epoch(pipeline, tmp_
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"{features / 'scaler.json'}: width {width + 1}, not the feature_dim {width}" in err
+    assert f"training frame shape (40, {width}) does not match (40, {width + 1})" in err
     assert "epoch" not in err
     assert not out.exists()
 

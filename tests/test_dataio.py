@@ -224,13 +224,6 @@ def test_feature_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0].startswith("time_diff,noise,agc,rssi_a,")
 
 
-def test_feature_csv_fallback_names(tmp_path):
-    frame = FeatureFrame(np.zeros((2, 5)), np.zeros(2, dtype=np.int64))
-    path = tmp_path / "f.csv"
-    export_feature_csv(frame, path, dims=(1, 1, 2))  # dims describe 8 columns, not 5
-    assert path.read_text().splitlines()[0] == "f000,f001,f002,f003,f004,label"
-
-
 def test_feature_csv_import_errors(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("a,b,label\n")
@@ -259,10 +252,10 @@ def test_feature_csv_import_errors(tmp_path):
 
 def test_feature_csv_with_one_data_row_round_trips(tmp_path):
     path = tmp_path / "f.csv"
-    frame = FeatureFrame(np.array([[0.5, -2.0, 1e-300]]), np.array([7]))
-    export_feature_csv(frame, path)
+    frame = FeatureFrame(np.array([[0.5, -2.0, 1e-300, -0.0, 1e300, 3.0]]), np.array([7]))
+    export_feature_csv(frame, path, dims=(1, 1, 1))
     back = import_feature_csv(path)
-    assert back.matrix.shape == (1, 3)
+    assert back.matrix.shape == (1, 6)
     assert back.matrix.tobytes() == frame.matrix.tobytes()
     assert back.labels.tolist() == [7]
 
@@ -292,11 +285,8 @@ def _pinned_feature_frame(width):
 
 @pytest.mark.parametrize(
     "width, digest",
-    [
-        (366, "60ba0441fbf71eb46e1b4233de1ffc8c133dcc3493d1c51ba695f5b884d889fc"),
-        (20, "fcb0c065bf3fd71938c46cfe46ee1693b75caa306c36f2e71430d20c6a9d549b"),
-    ],
-    ids=["named-columns", "fallback-names"],
+    [(366, "60ba0441fbf71eb46e1b4233de1ffc8c133dcc3493d1c51ba695f5b884d889fc")],
+    ids=["named-columns"],
 )
 def test_feature_csv_bytes_are_frozen(tmp_path, width, digest):
     path = tmp_path / "f.csv"
@@ -307,9 +297,12 @@ def test_feature_csv_bytes_are_frozen(tmp_path, width, digest):
 @pytest.mark.parametrize("width", [366, 20, 1])
 def test_feature_csv_bulk_parse_equals_per_cell_parse(tmp_path, monkeypatch, width):
     # the bulk parse rounds every cell as float() does, signed zeros,
-    # subnormals and non-finite values included
+    # subnormals and non-finite values included.  The file is written in
+    # export_feature_csv's number format, under names of any width
     path = tmp_path / "f.csv"
-    export_feature_csv(_pinned_feature_frame(width), path, dims=(2, 3, 30))
+    frame = _pinned_feature_frame(width)
+    rows = (row.tolist() + [label] for row, label in zip(frame.matrix, frame.labels.tolist()))
+    dataio.write_csv(path, [f"c{i}" for i in range(width)] + ["label"], ",".join(["%.9g"] * width + ["%d"]), rows)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     per_cell = np.asarray([[float(cell) for cell in row[:-1]] for row in rows], dtype=np.float64)
     calls = []
@@ -437,9 +430,9 @@ def test_prediction_csv_bytes_are_frozen(tmp_path, with_true, digest):
 def test_writers_refuse_codes_outside_the_class_codes(tmp_path, label):
     # the writers hold class codes to the rule their readers enforce
     path = tmp_path / "f.csv"
-    frame = FeatureFrame(np.zeros((3, 2)), np.array([0, label, 12]))
+    frame = FeatureFrame(np.zeros((3, 6)), np.array([0, label, 12]))
     with pytest.raises(DomainError, match=re.escape(f"{path}: the label column holds {label}, not a class code")):
-        export_feature_csv(frame, path)
+        export_feature_csv(frame, path, dims=(1, 1, 1))
     assert not path.exists()
     path = tmp_path / "p.csv"
     trace = _trace()
@@ -583,8 +576,8 @@ def test_manifest_entry_fields_must_be_strings(tmp_path):
 
 def test_no_tmp_files_survive_writes(tmp_path):
     write_trial(_trial(), tmp_path / "t.trial")
-    frame = FeatureFrame(np.ones((2, 3)), np.zeros(2, dtype=np.int64))
-    export_feature_csv(frame, tmp_path / "f.csv")
+    frame = FeatureFrame(np.ones((2, 6)), np.zeros(2, dtype=np.int64))
+    export_feature_csv(frame, tmp_path / "f.csv", dims=(1, 1, 1))
     write_predictions(_trace(t=2), tmp_path / "p.csv")
     save_scaler(
         RobustScalerParams(np.zeros(1), np.ones(1), np.array([False])),

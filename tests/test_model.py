@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import json
+import re
 import struct
 import zlib
 
@@ -47,6 +49,8 @@ MICRO = ArchConfig(
     dropout2=0.0,
     dropout3=0.0,
 )
+# the desk architecture as train builds it from 156-packet features
+DESK = dataclasses.replace(load_arch_config("configs/arch-desk.ini"), seq_len=156)
 
 
 def _frames(n, arch, seed):
@@ -96,7 +100,7 @@ def test_param_count_matches_built_model():
 
 
 def test_param_store_views_tile_the_store_at_desk_arch():
-    arch = load_arch_config("configs/arch-desk.ini")
+    arch = DESK
     model = build(arch, seed=0)
     store = model.store
     assert store.values.size == store.grads.size == param_count(arch)
@@ -126,8 +130,6 @@ def test_arch_validation():
         ArchConfig(bigru1_units=16, scale_factor=16)  # scales down to 1
     with pytest.raises(DomainError):
         ArchConfig(dropout1=1.0)
-    with pytest.raises(DomainError, match="dense_activation 'tanh'"):
-        ArchConfig(dense_activation="tanh")
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -137,12 +139,7 @@ def test_arch_validation():
     # the head count is checked before scaling, which floors it at 1
     ({"heads": 0}, "heads 0 must be at least 1"),
     ({"heads": -3, "scale_factor": 4}, "heads -3 must be at least 1"),
-    ({"skip_pre": float("nan")}, "skip_pre nan and skip_att 0.3 must be finite"),
-    ({"skip_pre": float("inf")}, "skip_pre inf and skip_att 0.3 must be finite"),
-    ({"skip_att": float("-inf")}, "skip_pre 0.7 and skip_att -inf must be finite"),
-    ({"skip_att": float("nan")}, "skip_pre 0.7 and skip_att nan must be finite"),
-], ids=["classes-0", "classes-14", "heads-0", "heads-minus-3-scaled", "skip_pre-nan", "skip_pre-inf",
-        "skip_att-minus-inf", "skip_att-nan"])
+], ids=["classes-0", "classes-14", "heads-0", "heads-minus-3-scaled"])
 def test_arch_rejects_settings_outside_their_range(fields, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         ArchConfig(**fields)
@@ -181,7 +178,7 @@ def test_forward_shapes_and_prob_rows():
 
 
 def test_inference_rows_bound_the_chunk():
-    assert inference_rows(load_arch_config("configs/arch-desk.ini")) == 8
+    assert inference_rows(DESK) == 8
     assert inference_rows(load_arch_config("configs/arch-full.ini")) == 1
     assert inference_rows(MICRO) > 100
 
@@ -189,7 +186,7 @@ def test_inference_rows_bound_the_chunk():
 @pytest.mark.parametrize("batch, bundle", [(2, False), (3, False), (5, False), (3, True)],
                          ids=["2", "3", "5", "bundle-3"])
 def test_desk_batched_predict_equals_per_trial_predicts(batch, bundle):
-    model = build(load_arch_config("configs/arch-desk.ini"), seed=3)
+    model = build(DESK, seed=3)
     if bundle:  # a float32 store, as classify loads it, computes in float32
         model = model_from_weights(weights_from_model(model, fold_id=0, seed=3, scaler=_scaler(366)))
     x = np.random.default_rng(batch).standard_normal((batch, 156, 366))
@@ -201,7 +198,7 @@ def test_desk_batched_predict_equals_per_trial_predicts(batch, bundle):
 
 
 def test_batched_evaluate_equals_a_per_frame_loop():
-    arch = load_arch_config("configs/arch-desk.ini")
+    arch = DESK
     model = build(arch, seed=3)
     frames = _frames(11, arch, seed=4)  # chunks of 8 and 3
     loss, conf = 0.0, np.zeros((13, 13), dtype=np.int64)
@@ -245,7 +242,7 @@ DESK_BUILD_SHA256 = "ce512709a02d65893ee9e0946993e23fe5cbd00bfe43f6eb61a15741985
 
 
 def test_desk_build_draws_frozen_bytes():
-    params = build(load_arch_config("configs/arch-desk.ini"), seed=3).params
+    params = build(DESK, seed=3).params
     h = hashlib.sha256()
     for name in sorted(params):
         h.update(name.encode())
@@ -292,7 +289,7 @@ class _LogitView:
 def test_train_step_without_the_input_gradient_keeps_every_parameter_gradient():
     # train_fold asks for no input gradient; the parameter gradients of the
     # step must be those of a full backward, bit for bit
-    arch = load_arch_config("configs/arch-desk.ini")
+    arch = DESK
     frames = _frames(3, arch.scaled(), 5)
     x = np.stack([f.matrix for f in frames])
     y = np.stack([one_hot(f.labels, arch.classes) for f in frames])
@@ -363,13 +360,13 @@ def _scripted_fold(monkeypatch, accs, cfg):
     ([1.0] + [0.5] * 10, 10, [1e-3] * 11 + [5e-4]),
     # nine flat, a new best, nine flat: the wait never reaches patience
     ([1.0] + [0.5] * 9 + [2.0] + [0.5] * 9, 10, [1e-3] * 21),
-    # repeated plateaus floor at min_lr (1e-6): the tenth halving would pass it
+    # repeated plateaus floor at MIN_LR (1e-6): the tenth halving would pass it
     ([1.0] + [0.0] * 300, 10, [1e-3] + [1e-3 * 0.5 ** (k // 10) for k in range(100)] + [1e-6] * 201),
 ], ids=["improving", "one-plateau", "reset-by-new-best", "floor"])
 def test_train_fold_lr_plateau_schedule(monkeypatch, accs, patience, lrs):
     # one epoch past the series shows the rate the whole series leaves
-    cfg = TrainConfig(epochs=len(accs) + 1, batch=2, lr=1e-3, folds=2, lr_factor=0.5,
-                      lr_patience=patience, min_lr=1e-6, early_stop_patience=len(accs) + 1)
+    cfg = TrainConfig(epochs=len(accs) + 1, batch=2, lr=1e-3, folds=2, lr_patience=patience,
+                      early_stop_patience=len(accs) + 1)
     history, _, _ = _scripted_fold(monkeypatch, [*accs, 0.0], cfg)
     assert len(history) == len(accs) + 1
     assert [row["lr"] for row in history] == lrs
@@ -515,7 +512,7 @@ def test_loaded_model_predict_writes_no_gradient(tmp_path):
 
 
 def test_bundle_model_keeps_float32_weights_and_predicts_in_float32(tmp_path):
-    arch = load_arch_config("configs/arch-desk.ini")
+    arch = DESK
     path = tmp_path / "desk.weights"
     save_weights(weights_from_model(build(arch, seed=3), fold_id=0, seed=3, scaler=_scaler(366)), path)
     loaded = load_weights(path)
@@ -535,7 +532,7 @@ def test_bundle_model_keeps_float32_weights_and_predicts_in_float32(tmp_path):
 
 
 def test_bundle_forward_keeps_every_layer_in_float32(monkeypatch):
-    arch = load_arch_config("configs/arch-desk.ini")
+    arch = DESK
     model = model_from_weights(weights_from_model(build(arch, seed=3), fold_id=0, seed=3, scaler=_scaler(366)))
     names, seen = ("posenc", "bigru1", "bigru2", "attention", "dense1", "out"), {}
     for name in names:
@@ -601,7 +598,8 @@ def test_weights_truncation_and_magic(tmp_path):
     with pytest.raises(FormatError):
         load_weights(path)
 
-    for version in (1, 9):  # version 1 (named, shaped arrays) is refused like any other
+    # versions 1 (named, shaped arrays) and 2 (three more arch keys) are refused like any other
+    for version in (1, 2, 9):
         body = bytearray(raw[:-4])
         body[4] = version
         path.write_bytes(bytes(body) + _z.crc32(bytes(body)).to_bytes(4, "little"))
@@ -662,8 +660,27 @@ _BAD_META = {
 def test_weights_bad_metadata_is_a_format_error(tmp_path, meta):
     path = tmp_path / "m.weights"
     raw = meta.encode()
-    _rechecked(path, b"CSWB\x02" + struct.pack("<I", len(raw)) + raw)
+    _rechecked(path, b"CSWB\x03" + struct.pack("<I", len(raw)) + raw)
     with pytest.raises(FormatError, match=f"m.weights: {_BAD_META[meta]}"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("heads", 1.0), ("bigru1_units", 4.5), ("classes", True), ("dropout1", float("nan")),
+    ("dropout3", float("-inf")), ("dropout2", 0), ("scale_factor", "1"),
+], ids=["int-as-float", "fraction", "bool", "nan", "minus-inf", "float-as-int", "string"])
+def test_weights_arch_value_of_another_type_is_a_format_error(tmp_path, key, value):
+    # a CRC-valid bundle whose metadata gives an arch value of another JSON
+    # type, or a non-finite one, is refused before a model is built from it
+    _, _, path = _bundle(tmp_path)
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 5)
+    meta = json.loads(raw[9 : 9 + length])
+    meta["arch"][key] = value
+    text = json.dumps(meta).encode()
+    header = raw[:5] + struct.pack("<I", len(text)) + text
+    _rechecked(path, header + bytes(-len(header) % 4) + raw[9 + length + (-(9 + length) % 4) : -4])
+    with pytest.raises(FormatError, match=re.escape(f"m.weights: bad metadata block: ValueError(") + f".arch {key} = "):
         load_weights(path)
 
 
@@ -684,7 +701,9 @@ def test_shipped_arch_configs():
     assert full.widths()["concat"] == 1536
     assert param_count(full) == 19_055_629
     desk = load_arch_config("configs/arch-desk.ini")
-    assert (desk.seq_len, desk.scale_factor) == (156, 16)
+    assert desk.scale_factor == 16
+    # the input shape keeps its defaults until train reads the features
+    assert (desk.seq_len, desk.feature_dim) == (full.seq_len, full.feature_dim) == (1560, 366)
     assert desk.widths()["concat"] == 96
 
 
@@ -708,8 +727,8 @@ def test_config_loader_errors(tmp_path):
     with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] has unknown key 'bogus_key'"):
         load_arch_config(str(p))
 
-    p.write_text("[arch]\nseq_len = twelve\n")
-    with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] seq_len = 'twelve' is not a valid int"):
+    p.write_text("[arch]\nheads = twelve\n")
+    with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] heads = 'twelve' is not a valid int"):
         load_arch_config(str(p))
 
     p.write_text("[arch]\nversion = 2\n")
@@ -726,9 +745,6 @@ def test_config_loader_errors(tmp_path):
     with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] classes 14 must lie in 1\\.\\.13"):
         load_arch_config(str(p))
 
-    p.write_text("[arch]\nskip_pre = nan\n")
-    with pytest.raises(DomainError, match="a\\.ini: \\[arch\\] skip_pre nan and skip_att 0.3 must be finite"):
-        load_arch_config(str(p))
 
     t = tmp_path / "t.ini"
     t.write_text("[train]\nlearning = fast\n")
@@ -741,21 +757,20 @@ def test_config_loader_errors(tmp_path):
 
     # the schedule fields are checked at load, before train reads a feature file
     for key, value, message in [
-        ("lr_factor", "1.5", "lr_factor must lie in \\(0, 1\\)"),
         ("lr_patience", "0", "lr_patience must be at least 1"),
         ("early_stop_patience", "0", "early_stop_patience must be at least 1"),
-        # a floor above the rate would raise it at the first plateau
-        ("min_lr", "0.01", "min_lr 0.01 must lie in \\[0, lr = 0.001\\]"),
-        ("min_lr", "-1e-06", "min_lr -1e-06 must lie in \\[0, lr = 0.001\\]"),
+        # a rate below the plateau floor would rise at the first plateau
+        ("lr", "5e-07", "learning rate 5e-07 must be at least MIN_LR = 1e-06"),
     ]:
         t.write_text(f"[train]\n{key} = {value}\n")
         with pytest.raises(DomainError, match=f"t\\.ini: \\[train\\] {message}"):
             load_train_config(str(t))
 
 
-def _assert_loads_every_field(tmp_path, loader, cls, section, values):
+def _assert_loads_every_field(tmp_path, loader, cls, section, values, unread=()):
+    # every field but the ``unread`` ones, which keep their defaults
     defaults = cls()
-    assert sorted(values) == sorted(f.name for f in dataclasses.fields(cls))
+    assert sorted(values) == sorted(f.name for f in dataclasses.fields(cls) if f.name not in unread)
     for name, value in values.items():
         assert value != getattr(defaults, name), name
     path = tmp_path / f"{section}.ini"
@@ -768,23 +783,21 @@ def _assert_loads_every_field(tmp_path, loader, cls, section, values):
 
 def test_arch_config_loads_every_field(tmp_path):
     _assert_loads_every_field(tmp_path, load_arch_config, ArchConfig, "arch", {
-        "seq_len": 7, "feature_dim": 11, "bigru1_units": 40, "bigru2_units": 24, "heads": 3,
-        "key_dim": 12, "dense_units": 20, "classes": 5, "dropout1": 0.1, "dropout2": 0.15,
-        "dropout3": 0.25, "skip_pre": 0.6, "skip_att": 0.4, "dense_activation": "none",
-        "scale_factor": 2,
-    })
+        "bigru1_units": 40, "bigru2_units": 24, "heads": 3, "key_dim": 12, "dense_units": 20,
+        "classes": 5, "dropout1": 0.1, "dropout2": 0.15, "dropout3": 0.25, "scale_factor": 2,
+    }, unread=("seq_len", "feature_dim"))
 
 
 def test_train_config_loads_every_field(tmp_path):
     _assert_loads_every_field(tmp_path, load_train_config, TrainConfig, "train", {
-        "epochs": 7, "batch": 3, "lr": 0.002, "folds": 5, "seed": 11, "lr_factor": 0.25,
-        "lr_patience": 4, "min_lr": 1e-5, "early_stop_patience": 9,
+        "epochs": 7, "batch": 3, "lr": 0.002, "folds": 5, "seed": 11, "lr_patience": 4,
+        "early_stop_patience": 9,
     })
 
 
 # SHA-256 of the desk bundle below; the bytes pin the metadata block (the
 # architecture's keys and values), the parameter block and the embedded scaler.
-DESK_BUNDLE_SHA256 = "b6da05a45f34d0e75a25a931cc4d05cbeec7bbbdcbcd4820d4e7bff1e535c5b5"
+DESK_BUNDLE_SHA256 = "31403b0002492f5c3dfa21743089f44dad38b7d4335924839550c2982c8385a8"
 # SHA-256 of that bundle's parameter block alone: the float32 values of
 # build(arch-desk, seed=3) in carve order, so a change to the carve order or
 # to the draws changes it.
@@ -792,7 +805,7 @@ DESK_BLOCK_SHA256 = "cd33f4e4e9c4597e9211349b980188245db55d1680b0dcf5a19a5e56afa
 
 
 def test_desk_bundle_bytes_are_frozen(tmp_path):
-    arch = load_arch_config("configs/arch-desk.ini")
+    arch = DESK
     path = tmp_path / "desk.weights"
     save_weights(weights_from_model(build(arch, seed=3), fold_id=1, seed=3, scaler=_scaler(arch.feature_dim)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_BUNDLE_SHA256

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csisense import cli
+from csisense import cli, simulate
 from csisense.channel import PropagationConfig
 from csisense.dataio import load_manifest, write_trial
 from csisense.domain import LABELS, STEADY_STATE, label_to_index, validate_trial
@@ -23,6 +23,7 @@ from csisense.profiles import (
 from csisense.rng import CounterRng
 from csisense.simulate import (
     _RAY_SENSITIVITY,
+    JITTER,
     EnvelopeScale,
     build_geometry,
     dataset_trials,
@@ -83,7 +84,7 @@ def test_shipped_profile_file():
     profiles, meta = load_profiles("configs/profiles.ini")
     assert len(profiles) == len(LABELS)
     assert [p.label for p in profiles] == list(range(len(LABELS)))
-    assert (meta.packet_rate, meta.jitter, meta.csi_noise) == (260.0, 0.08, 0.01)
+    assert (meta.packet_rate, meta.csi_noise) == (260.0, 0.01)
     for p in profiles:
         assert p.timing[:2] == CLASS_TIMING[LABELS[p.label]]
     assert [LABELS[p.label] for p in profiles if not p.timing[2]] == ["approaching"]
@@ -174,8 +175,6 @@ def test_sim_meta_validation():
     with pytest.raises(DomainError):
         SimMeta(packet_rate=0.0)
     with pytest.raises(DomainError):
-        SimMeta(jitter=1.0)
-    with pytest.raises(DomainError):
         SimMeta(csi_noise=-0.1)
 
 
@@ -257,7 +256,7 @@ def _trial(profile, seed=0, *, config=PropagationConfig(), geometry_seed=None, p
 
 
 def test_synth_trial_segments_and_labels():
-    trial = _trial(PUSHING, packet_rate=5.0, jitter=0.0, seed=1)
+    trial = _trial(PUSHING, packet_rate=5.0, seed=1)
     assert len(trial.timestamps) == 10 + 20
     labels = trial.labels.tolist()
     assert labels[:10] == [STEADY_STATE] * 10
@@ -266,7 +265,7 @@ def test_synth_trial_segments_and_labels():
 
 
 def test_synth_trial_approaching_ends_steady():
-    trial = _trial(APPROACHING, packet_rate=4.0, jitter=0.0, seed=1)
+    trial = _trial(APPROACHING, packet_rate=4.0, seed=1)
     assert len(trial.timestamps) == 14 + 8
     labels = trial.labels.tolist()
     assert labels[:14] == [APPROACHING.label] * 14
@@ -342,13 +341,15 @@ def test_synth_trial_bytes_are_frozen(case, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_synth_trial_timestamp_jitter_bounds():
-    trial = _trial(PUSHING, packet_rate=10.0, jitter=0.25, seed=7)
+def test_synth_trial_timestamp_jitter_bounds(monkeypatch):
+    trial = _trial(PUSHING, packet_rate=10.0, seed=7)
     t = trial.timestamps
     diffs = np.diff(t)
     assert t[0] == 0.0
-    assert (diffs >= 0.1 * 0.75 - 1e-12).all() and (diffs <= 0.1 * 1.25 + 1e-12).all()
-    exact = _trial(PUSHING, packet_rate=10.0, jitter=0.0, seed=7)
+    assert (diffs >= 0.1 * (1 - JITTER) - 1e-12).all() and (diffs <= 0.1 * (1 + JITTER) + 1e-12).all()
+    assert diffs.std() > 0.0
+    monkeypatch.setattr(simulate, "JITTER", 0.0)
+    exact = _trial(PUSHING, packet_rate=10.0, seed=7)
     te = exact.timestamps
     assert np.allclose(np.diff(te), 0.1, atol=1e-12)
 
@@ -362,7 +363,7 @@ def test_synth_trial_receiver_side_values():
 
 
 def test_synth_trial_steady_packets_are_identical_without_noise():
-    trial = _trial(PUSHING, packet_rate=5.0, jitter=0.0, seed=2, csi_noise=0.0)
+    trial = _trial(PUSHING, packet_rate=5.0, seed=2, csi_noise=0.0)
     steady = trial.csi[:10]
     for h in steady[1:]:
         assert np.array_equal(h, steady[0])
@@ -386,7 +387,7 @@ def test_every_class_trial_follows_the_timing_table(rate):
 
 
 def test_synth_trial_validation():
-    # SimMeta checks the packet rate, jitter and noise (test_sim_meta_validation);
+    # SimMeta checks the packet rate and noise (test_sim_meta_validation);
     # a rate positive but too low for one packet still gives no trial
     with pytest.raises(DomainError, match="empty trial"):
         _trial(PUSHING, packet_rate=0.01)
@@ -439,7 +440,7 @@ def _synth_dataset(profiles, pairs, trials_per_class, pair_variation=0.0, seed=0
 
 def test_synth_dataset_counts_and_ordering():
     profiles = [APPROACHING, PUSHING]
-    meta = SimMeta(packet_rate=5.0, jitter=0.0, csi_noise=0.0)
+    meta = SimMeta(packet_rate=5.0, csi_noise=0.0)
     trials = _synth_dataset(profiles, pairs=2, trials_per_class=2, seed=1, meta=meta)
     assert len(trials) == 2 * 2 * 2
     ids = [t.trial_id for t in trials]
@@ -478,9 +479,9 @@ def test_synth_dataset_matches_the_simulate_command(tmp_path):
 
 
 def test_synth_dataset_shares_geometry_across_pairs():
-    # with no pair variation, no jitter, and no noise the channel response is
-    # a pure function of the shared geometry, so pairs produce identical CSI
-    meta = SimMeta(packet_rate=5.0, jitter=0.0, csi_noise=0.0)
+    # with no pair variation and no noise the channel response is a pure
+    # function of the shared geometry, so pairs produce identical CSI
+    meta = SimMeta(packet_rate=5.0, csi_noise=0.0)
     trials = _synth_dataset([PUSHING], pairs=2, trials_per_class=1, seed=4, meta=meta)
     a, b = trials
     assert np.array_equal(a.csi, b.csi)
