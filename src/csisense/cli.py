@@ -7,7 +7,7 @@ file-system problem (an ``--out`` that cannot be created, say), 1 an aborted
 run (for example training divergence).  ``preprocess``,
 ``classify``, ``evaluate`` and ``report`` name each input file they cannot
 use, still write the artifacts of every other, and exit 2; ``train`` names
-every missing or unreadable feature CSV and stops.  A file that is not UTF-8
+every feature CSV it cannot read or pool and stops.  A file that is not UTF-8
 or not of its format's shape (a JSON top level that is no object, say) is
 unreadable too.  ``preprocess`` and ``classify`` accept the same trials
 (:func:`_read_frame`); ``preprocess`` also needs them labeled and of the
@@ -277,18 +277,32 @@ def cmd_train(args) -> int:
     scaler = dataio.load_scaler(fdir / "scaler.json")
     split = dataio.load_split(fdir / "splits.json")
 
+    # the pool: row k of x and labels holds trial pool_ids[k] (any failure
+    # refuses the pool), of the first CSV's rows by the scaler's width.  Each
+    # CSV is checked as it is read, against that shape and the arch's classes
     pool_ids = sorted(split.train + split.val)
-    failures = []
-    read = list(_per_file(dataio.import_feature_csv, [fdir / f"{tid}.csv" for tid in pool_ids], failures))
+    paths = [fdir / f"{tid}.csv" for tid in pool_ids]
+    width, failures = scaler.median.size, []
+    x = labels = None
+    for k, (path, frame) in enumerate(_per_file(dataio.import_feature_csv, paths, failures)):
+        if x is None:
+            x = np.empty((len(pool_ids), len(frame.labels), width))
+            labels = np.empty(x.shape[:2], dtype=np.int64)
+            expected = f"{x.shape[1:]}, the rows of {Path(path).name} by the scaler's width"
+        if frame.matrix.shape != x.shape[1:]:
+            failures.append((path, f"feature shape {frame.matrix.shape} does not match {expected}"))
+        elif (top := frame.labels.max()) >= arch.classes:
+            failures.append((path, f"labels reach {top}, but the network has {arch.classes} classes"))
+        else:
+            x[k], labels[k] = frame.matrix, frame.labels
     if failures:
         raise _failed("could not read", "feature", failures)
-    frames = {tid: frame for tid, (_, frame) in zip(pool_ids, read)}
-    class_names = [LABELS[_trial_class(frames[tid].labels)] for tid in pool_ids]
+    # an empty pool reads no CSV, and kfold_assign refuses it
+    class_names = [] if labels is None else [LABELS[_trial_class(row)] for row in labels]
     folds = kfold_assign(pool_ids, cfg.folds, split.seed, classes=class_names)
-    # the input shape is the features': a CSV's rows and the scaler's width.
-    # train_kfold refuses any frame of another shape
-    rows = frames[pool_ids[0]].matrix.shape[0]
-    arch = dataclasses.replace(arch, seq_len=rows, feature_dim=scaler.median.size)
+    row_of = {tid: k for k, tid in enumerate(pool_ids)}
+    fold_rows = [[row_of[tid] for tid in fold] for fold in folds]
+    arch = dataclasses.replace(arch, seq_len=x.shape[1], feature_dim=width)
 
     def on_epoch(fold_id: int, row: dict) -> None:
         _say(
@@ -303,7 +317,7 @@ def cmd_train(args) -> int:
     made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     try:
-        results = train_kfold(frames, folds, arch, cfg, on_epoch=on_epoch)
+        results = train_kfold(x, labels, fold_rows, arch, cfg, on_epoch=on_epoch)
     except CsiSenseError:
         if made and not any(out.iterdir()):
             out.rmdir()

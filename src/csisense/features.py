@@ -216,12 +216,10 @@ def robust_transform(frame: FeatureFrame, params: RobustScalerParams) -> Feature
 
 
 def one_hot(labels: np.ndarray, num_classes: int = 13) -> np.ndarray:
-    """Rows of ``num_classes`` zeros with a 1 at each label; the caller
-    keeps every label below ``num_classes``."""
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.size, num_classes), dtype=np.float64)
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    """``labels`` with an axis of ``num_classes`` appended: zeros with a 1 at
+    each label, for a (T,) trial or a (B, T) batch alike.  The caller keeps
+    every label below ``num_classes``."""
+    return np.eye(num_classes)[np.asarray(labels, dtype=np.int64)]
 
 
 def _grouped(trial_ids: list[str], classes: list[str]) -> dict[str, list[str]]:

@@ -52,7 +52,7 @@ import numpy as np
 from .config import read_ini, section_to
 from .domain import NUM_CLASSES
 from .errors import DomainError, TrainingDiverged
-from .features import FeatureFrame, one_hot
+from .features import one_hot
 from .nn import (
     Adam,
     AddPositional,
@@ -293,39 +293,19 @@ def build(arch: ArchConfig, seed: int = 0) -> SequenceClassifier:
     return SequenceClassifier(arch, seed)
 
 
-def _frame_batch(frames: list[FeatureFrame], classes: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([f.matrix for f in frames])
-    y = np.stack([one_hot(f.labels, classes) for f in frames])
-    return x, y
-
-
-def _validate_frames(frames: list[FeatureFrame], eff: ArchConfig, role: str) -> None:
-    """A fold's frames must fit the network: (seq_len, feature_dim) matrices
-    and labels below ``eff.classes``, which the batches' one-hot rows and
-    the validation confusion matrix rely on."""
-    for f in frames:
-        if f.matrix.shape != (eff.seq_len, eff.feature_dim):
-            raise DomainError(
-                f"{role} frame shape {f.matrix.shape} does not match ({eff.seq_len}, {eff.feature_dim})"
-            )
-        top = f.labels.max()
-        if top >= eff.classes:
-            raise DomainError(f"{role} labels reach {top}, but the network has {eff.classes} classes")
-
-
-def _evaluate(model: SequenceClassifier, frames: list[FeatureFrame], classes: int) -> dict:
+def _evaluate(model: SequenceClassifier, x: np.ndarray, labels: np.ndarray, rows, classes: int) -> dict:
+    """Validation loss and metrics over the pool rows ``rows``."""
     total_loss = 0.0
     conf = np.zeros((classes, classes), dtype=np.int64)
-    rows = inference_rows(model.eff)
-    for start in range(0, len(frames), rows):
-        chunk = frames[start : start + rows]
-        batch_probs = model.forward(np.stack([f.matrix for f in chunk]), training=False)
-        for f, probs in zip(chunk, batch_probs):
-            total_loss += cross_entropy(probs, one_hot(f.labels, classes))
-            conf += confusion(f.labels, np.argmax(probs, axis=-1), classes)
+    step = inference_rows(model.eff)
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        for probs, truth in zip(model.forward(x[chunk], training=False), labels[chunk]):
+            total_loss += cross_entropy(probs, one_hot(truth, classes))
+            conf += confusion(truth, np.argmax(probs, axis=-1), classes)
     report = metrics(conf)
     return {
-        "loss": total_loss / len(frames),
+        "loss": total_loss / len(rows),
         "acc": report.accuracy,
         "precision": report.precision,
         "recall": report.recall,
@@ -334,14 +314,19 @@ def _evaluate(model: SequenceClassifier, frames: list[FeatureFrame], classes: in
 
 def train_fold(
     model: SequenceClassifier,
-    train_frames: list[FeatureFrame],
-    val_frames: list[FeatureFrame],
+    x: np.ndarray,
+    labels: np.ndarray,
+    train_rows,
+    val_rows,
     cfg: TrainConfig,
     fold_id: int = 0,
     on_epoch=None,
 ) -> list[dict]:
-    """Train one fold; returns the per-epoch history and leaves the model at
-    the best-validation-accuracy epoch's weights, holding no forward caches.
+    """Train one fold on rows ``train_rows`` of the pool ``x`` (trials, T, F)
+    and its ``labels`` (trials, T), validating on ``val_rows``; returns the
+    per-epoch history and leaves the model at the best-validation-accuracy
+    epoch's weights, holding no forward caches.  The caller keeps every label
+    below ``model.eff.classes``.
 
     History rows carry validation-set values (epoch, loss, acc, precision,
     recall, lr): the schedule keys on validation accuracy, so that is the
@@ -354,9 +339,8 @@ def train_fold(
     non-finite (a finite softmax always gives a finite loss).  A
     fixed (cfg.seed, fold_id) pair reproduces the history exactly.
     """
-    eff = model.eff
-    _validate_frames(train_frames, eff, "training")
-    _validate_frames(val_frames, eff, "validation")
+    classes = model.eff.classes
+    train_rows = np.asarray(train_rows, dtype=np.int64)
     rng = np.random.default_rng([cfg.seed, fold_id])
     optimizer = Adam()
     history: list[dict] = []
@@ -366,17 +350,16 @@ def train_fold(
     wait = best_epoch = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train_frames))
+        order = rng.permutation(len(train_rows))
         for start in range(0, len(order), cfg.batch):
-            chunk = [train_frames[i] for i in order[start : start + cfg.batch]]
-            x, y = _frame_batch(chunk, eff.classes)
-            probs = model.forward(x, training=True)
+            rows = train_rows[order[start : start + cfg.batch]]
+            probs = model.forward(x[rows], training=True)
             if not np.isfinite(probs).all():
                 raise TrainingDiverged(f"network output became non-finite in fold {fold_id}, epoch {epoch}")
             model.store.grads.fill(0.0)
-            model.backward(cross_entropy_logit_grad(probs, y), input_grad=False)
+            model.backward(cross_entropy_logit_grad(probs, one_hot(labels[rows], classes)), input_grad=False)
             optimizer.step(model.store.values, model.store.grads, lr)
-        row = _evaluate(model, val_frames, eff.classes)
+        row = _evaluate(model, x, labels, val_rows, classes)
         row.update(epoch=epoch, lr=lr)
         history.append(row)
         if row["acc"] > best_acc:
@@ -401,29 +384,26 @@ def fold_seed(seed: int, fold_id: int) -> int:
 
 
 def train_kfold(
-    frames_by_id: dict[str, FeatureFrame],
-    folds: list[list[str]],
+    x: np.ndarray,
+    labels: np.ndarray,
+    folds: list[list[int]],
     arch: ArchConfig,
     cfg: TrainConfig,
     on_epoch=None,
 ) -> list[tuple[SequenceClassifier, list[dict]]]:
-    """Cross-validation: fold i validates on folds[i] and trains on the rest.
+    """Cross-validation over the pool ``x`` (trials, T, F) and its int64
+    ``labels`` (trials, T): fold i validates on the rows folds[i] and trains
+    on the rest, each in ascending row order (see :func:`train_fold`).
 
     Returns one (model, history) pair per fold; models start from distinct
-    seed-mixed initializations of the same architecture.  Every fold id
-    must be a key of ``frames_by_id``.
+    seed-mixed initializations of the same architecture.
     """
     results = []
-    for fold_id, val_ids in enumerate(folds):
-        train_ids = [tid for j, fold in enumerate(folds) if j != fold_id for tid in fold]
+    for fold_id, val_rows in enumerate(folds):
+        train_rows = sorted(r for j, fold in enumerate(folds) if j != fold_id for r in fold)
         model = build(arch, seed=fold_seed(cfg.seed, fold_id))
         history = train_fold(
-            model,
-            [frames_by_id[tid] for tid in sorted(train_ids)],
-            [frames_by_id[tid] for tid in sorted(val_ids)],
-            cfg,
-            fold_id=fold_id,
-            on_epoch=on_epoch,
+            model, x, labels, train_rows, sorted(val_rows), cfg, fold_id=fold_id, on_epoch=on_epoch
         )
         results.append((model, history))
     return results

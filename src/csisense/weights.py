@@ -70,16 +70,19 @@ def save_weights(w: ModelWeights, path: str | Path) -> None:
 
 
 def _read_meta(meta: dict) -> tuple[ArchConfig, int, int]:
-    """The metadata's architecture, fold id and seed.  Each architecture
-    value must have its field's JSON type (a bool is no int) and be finite."""
-    arch = meta["arch"]
+    """The metadata's architecture, fold id and seed.  Each value must have
+    its field's JSON type (a bool is no int) and be finite; the fold id and
+    seed are ints of at least 0."""
+    arch, fold_id, seed = meta["arch"], meta["fold_id"], meta["seed"]
     # dict() only lets the loop run; ArchConfig(**arch) refuses a non-object
     # and unknown keys with a TypeError
-    for key, value in dict(arch).items():
-        kind = _ARCH_TYPES.get(key)
+    fields = [(f"arch {key}", value, _ARCH_TYPES.get(key)) for key, value in dict(arch).items()]
+    for name, value, kind in fields + [("fold_id", fold_id, int), ("seed", seed, int)]:
         if kind is not None and (type(value) is not kind or (kind is float and not math.isfinite(value))):
-            raise ValueError(f"arch {key} = {value!r} is not a finite {kind.__name__}")
-    return ArchConfig(**arch), int(meta["fold_id"]), int(meta["seed"])
+            raise ValueError(f"{name} = {value!r} is not a finite {kind.__name__}")
+    if min(fold_id, seed) < 0:
+        raise ValueError(f"fold_id = {fold_id}, seed = {seed}: both must be at least 0")
+    return ArchConfig(**arch), fold_id, seed
 
 
 def load_weights(path: str | Path) -> ModelWeights:

@@ -577,7 +577,11 @@ def test_train_refuses_labels_beyond_the_arch_classes_before_any_epoch(pipeline,
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "error: training labels reach 12, but the network has 3 classes" in err
+    pool = sorted(pipeline["split"].train + pipeline["split"].val)
+    pushing = [pipeline["features"] / f"{tid}.csv" for tid in pool if _class_of(tid) == "pushing"]
+    assert f"error: could not read {len(pushing)} feature file(s)" in err
+    for path in pushing:
+        assert f"  {path}: labels reach 12, but the network has 3 classes" in err
     assert "epoch" not in err
     assert not out.exists()
 
@@ -618,8 +622,60 @@ def test_train_refuses_a_scaler_of_another_width_before_any_epoch(pipeline, tmp_
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"training frame shape (40, {width}) does not match (40, {width + 1})" in err
+    pool = [features / f"{tid}.csv" for tid in sorted(pipeline["split"].train + pipeline["split"].val)]
+    assert f"error: could not read {len(pool)} feature file(s)" in err
+    for path in pool:
+        assert (
+            f"  {path}: feature shape (40, {width}) does not match (40, {width + 1}), "
+            f"the rows of {pool[0].name} by the scaler's width\n"
+        ) in err
     assert "epoch" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cut", [0, 5], ids=["first", "later"])
+def test_train_names_a_feature_csv_cut_by_a_row(pipeline, tmp_path, capsys, cut):
+    # the pool's shape is the first CSV's rows by the scaler's width: a later
+    # CSV a row short is named, and a first one is named as the one that set it
+    features = tmp_path / "features"
+    shutil.copytree(pipeline["features"], features)
+    pool = [features / f"{tid}.csv" for tid in sorted(pipeline["split"].train + pipeline["split"].val)]
+    victim = pool[cut]
+    victim.write_text("".join(victim.read_text().splitlines(keepends=True)[:-1]))
+    width = load_scaler(features / "scaler.json").median.size
+    out = tmp_path / "m"
+    rc = cli.main([
+        "train", "--features", str(features), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    if cut:
+        assert (
+            f"error: could not read 1 feature file(s):\n  {victim}: feature shape (39, {width}) does not match "
+            f"(40, {width}), the rows of {pool[0].name} by the scaler's width\n"
+        ) in err
+    else:
+        assert f"error: could not read {len(pool) - 1} feature file(s)" in err
+        assert f"  {pool[1]}: feature shape (40, {width}) does not match (39, {width}), the rows of {victim.name} by" in err
+    assert not re.search(r"^fold \d+ epoch", err, re.M)
+    assert not out.exists()
+
+
+def test_train_refuses_a_split_with_an_empty_pool(pipeline, tmp_path, capsys):
+    # no feature CSV to read: kfold_assign refuses the pool before --out is made
+    features = tmp_path / "features"
+    shutil.copytree(pipeline["features"], features)
+    record = json.loads((features / "splits.json").read_text())
+    record["train"], record["val"] = [], []
+    (features / "splits.json").write_text(json.dumps(record))
+    out = tmp_path / "m"
+    rc = cli.main([
+        "train", "--features", str(features), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cannot build 2 folds from 0 trials\n"
     assert not out.exists()
 
 
@@ -717,7 +773,7 @@ FROZEN_HISTORY = [
 
 
 def test_train_history_bytes_are_frozen(pipeline, tmp_path, monkeypatch):
-    def fixed_kfold(frames, folds, arch, cfg, on_epoch=None):
+    def fixed_kfold(x, labels, folds, arch, cfg, on_epoch=None):
         return [(build(arch, seed=k), FROZEN_HISTORY) for k in range(len(folds))]
 
     monkeypatch.setattr(cli, "train_kfold", fixed_kfold)

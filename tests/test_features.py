@@ -298,6 +298,9 @@ def test_one_hot():
     out = one_hot(np.array([0, 2, 1]), num_classes=3)
     assert np.array_equal(out, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     assert one_hot(np.array([], dtype=int), 3).shape == (0, 3)
+    # a (B, T) batch is one (T, C) block per row
+    batch = np.array([[0, 2, 1], [1, 1, 0]])
+    assert np.array_equal(one_hot(batch, 3), np.stack([one_hot(row, 3) for row in batch]))
 
 
 def test_split_dataset_counts_and_stratification():

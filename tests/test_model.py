@@ -12,7 +12,7 @@ import pytest
 
 import csisense.model as model_module
 from csisense.errors import ChecksumError, DomainError, FormatError, TrainingDiverged, VersionError
-from csisense.features import FeatureFrame, RobustScalerParams, one_hot
+from csisense.features import RobustScalerParams, one_hot
 from csisense.model import (
     ArchConfig,
     SequenceClassifier,
@@ -53,15 +53,13 @@ MICRO = ArchConfig(
 DESK = dataclasses.replace(load_arch_config("configs/arch-desk.ini"), seq_len=156)
 
 
-def _frames(n, arch, seed):
+def _pool(n, arch, seed):
+    """A pool of ``n`` trials as train holds it: x (n, T, F) and int64 labels
+    (n, T), trial i all of class i % classes."""
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        cls = i % arch.classes
-        m = rng.standard_normal((arch.seq_len, arch.feature_dim)) + 0.8 * cls
-        labels = np.full(arch.seq_len, cls, dtype=np.int64)
-        out.append(FeatureFrame(matrix=m, labels=labels))
-    return out
+    cls = np.arange(n) % arch.classes
+    x = rng.standard_normal((n, arch.seq_len, arch.feature_dim)) + 0.8 * cls[:, None, None]
+    return x, np.repeat(cls[:, None], arch.seq_len, axis=1)
 
 
 # ------------------------------------------------------------ architecture
@@ -200,15 +198,16 @@ def test_desk_batched_predict_equals_per_trial_predicts(batch, bundle):
 def test_batched_evaluate_equals_a_per_frame_loop():
     arch = DESK
     model = build(arch, seed=3)
-    frames = _frames(11, arch, seed=4)  # chunks of 8 and 3
+    x, labels = _pool(12, arch, seed=4)
+    rows = [3, 10, 0, 7, 1, 9, 4, 8, 2, 6, 5]  # chunks of 8 and 3; row 11 is left out
     loss, conf = 0.0, np.zeros((13, 13), dtype=np.int64)
-    for f in frames:
-        probs = model.forward(f.matrix[None])[0]
-        loss += cross_entropy(probs, one_hot(f.labels, 13))
-        conf += confusion(f.labels, np.argmax(probs, axis=-1), 13)
+    for r in rows:
+        probs = model.forward(x[r][None])[0]
+        loss += cross_entropy(probs, one_hot(labels[r], 13))
+        conf += confusion(labels[r], np.argmax(probs, axis=-1), 13)
     report = metrics(conf)
     want = {"loss": loss / 11, "acc": report.accuracy, "precision": report.precision, "recall": report.recall}
-    assert _evaluate(model, frames, 13) == want
+    assert _evaluate(model, x, labels, rows, 13) == want
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (1, 7, 4), (1, 6, 5)], ids=["2-D", "too-long", "wrong-width"])
@@ -290,9 +289,8 @@ def test_train_step_without_the_input_gradient_keeps_every_parameter_gradient():
     # train_fold asks for no input gradient; the parameter gradients of the
     # step must be those of a full backward, bit for bit
     arch = DESK
-    frames = _frames(3, arch.scaled(), 5)
-    x = np.stack([f.matrix for f in frames])
-    y = np.stack([one_hot(f.labels, arch.classes) for f in frames])
+    x, labels = _pool(3, arch.scaled(), 5)
+    y = one_hot(labels, arch.classes)
     grads = []
     for input_grad in (True, False):
         model = build(arch, seed=3)
@@ -313,10 +311,10 @@ def test_micro_model_grad_check():
 # ---------------------------------------------------------------- training
 
 def test_train_fold_history_and_best_restore():
-    frames = _frames(6, MICRO, seed=11)
+    x, labels = _pool(6, MICRO, seed=11)
     cfg = TrainConfig(epochs=4, batch=2, lr=3e-3, folds=2, seed=5)
     model = build(MICRO, seed=cfg.seed)
-    history = train_fold(model, frames[:4], frames[4:], cfg, fold_id=0)
+    history = train_fold(model, x, labels, [0, 1, 2, 3], [4, 5], cfg, fold_id=0)
     assert 1 <= len(history) <= 4
     assert [row["epoch"] for row in history] == list(range(1, len(history) + 1))
     for row in history:
@@ -325,10 +323,10 @@ def test_train_fold_history_and_best_restore():
 
     # the model is left at the best validation epoch
     correct = total = 0
-    for f in frames[4:]:
-        pred = model.predict(f.matrix[None])[0]
-        correct += int((pred == f.labels).sum())
-        total += f.labels.size
+    for r in (4, 5):
+        pred = model.predict(x[r][None])[0]
+        correct += int((pred == labels[r]).sum())
+        total += labels[r].size
     assert abs(correct / total - max(r["acc"] for r in history)) < 1e-12
 
 
@@ -339,13 +337,13 @@ def _scripted_fold(monkeypatch, accs, cfg):
     script = iter(accs)
     monkeypatch.setattr(
         model_module, "_evaluate",
-        lambda model, frames, classes: {"loss": 0.0, "acc": next(script), "precision": 0.0, "recall": 0.0},
+        lambda model, x, labels, rows, classes: {"loss": 0.0, "acc": next(script), "precision": 0.0, "recall": 0.0},
     )
-    frames = _frames(4, MICRO, seed=41)
+    x, labels = _pool(4, MICRO, seed=41)
     model = build(MICRO, seed=cfg.seed)
     snapshots = {}
     history = train_fold(
-        model, frames[:2], frames[2:], cfg,
+        model, x, labels, [0, 1], [2, 3], cfg,
         on_epoch=lambda fold, row: snapshots.setdefault(row["epoch"], model.store.values.copy()),
     )
     assert [row["epoch"] for row in history] == list(range(1, len(history) + 1))
@@ -391,47 +389,52 @@ def test_train_fold_early_stopping_restores_the_best_epoch(monkeypatch, accs, ep
 
 
 def test_train_fold_is_deterministic():
-    frames = _frames(6, MICRO, seed=13)
+    x, labels = _pool(6, MICRO, seed=13)
     cfg = TrainConfig(epochs=3, batch=2, lr=1e-3, folds=2, seed=9)
     runs = []
     for _ in range(2):
         model = build(MICRO, seed=cfg.seed)
-        history = train_fold(model, frames[:4], frames[4:], cfg, fold_id=1)
+        history = train_fold(model, x, labels, [0, 1, 2, 3], [4, 5], cfg, fold_id=1)
         runs.append((history, model.store.values.copy()))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_train_fold_rejects_bad_frames():
-    frames = _frames(4, MICRO, seed=17)
+    # a pool longer than seq_len or of another width is refused by the first
+    # batch's forward, before any step.  Labels beyond the classes are
+    # refused as train reads each CSV (test_cli.py)
     cfg = TrainConfig(epochs=1, batch=2, folds=2)
-    short = [FeatureFrame(np.zeros((3, 4)), np.zeros(3, dtype=np.int64))]
-    with pytest.raises(DomainError, match="training frame shape"):
-        train_fold(build(MICRO), short, frames[2:], cfg)
-    # MICRO has 3 classes, so label 3 has no one-hot column
-    beyond = [FeatureFrame(np.zeros((6, 4)), np.array([0, 1, 2, 3, 2, 0]))]
     model = build(MICRO, seed=0)
     before = model.store.values.copy()
-    with pytest.raises(DomainError, match="^validation labels reach 3, but the network has 3 classes$"):
-        train_fold(model, frames[:2], beyond, cfg)
-    assert np.array_equal(model.store.values, before)  # refused before any step
+    for shape in ((4, 7, 4), (4, 6, 5)):
+        with pytest.raises(DomainError, match=re.escape(f"input shape {(2, *shape[1:])}")):
+            train_fold(model, np.zeros(shape), np.zeros(shape[:2], dtype=np.int64), [0, 1], [2, 3], cfg)
+    assert np.array_equal(model.store.values, before)
 
 
 def test_train_fold_divergence_names_the_fold():
-    frames = _frames(4, MICRO, seed=23)
+    x, labels = _pool(4, MICRO, seed=23)
     cfg = TrainConfig(epochs=2, batch=2, lr=1e200, folds=2, seed=1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged, match="fold 7"):
-            train_fold(build(MICRO, seed=1), frames, frames[:2], cfg, fold_id=7)
+            train_fold(build(MICRO, seed=1), x, labels, [0, 1, 2, 3], [0, 1], cfg, fold_id=7)
 
 
-def test_train_kfold_mechanics():
-    frames = _frames(8, MICRO, seed=29)
-    ids = [f"t{i:02d}" for i in range(8)]
-    by_id = dict(zip(ids, frames))
-    folds = [ids[:4], ids[4:]]
+def test_train_kfold_mechanics(monkeypatch):
+    x, labels = _pool(8, MICRO, seed=29)
+    folds = [[6, 0, 3, 5], [2, 7, 1, 4]]
     cfg = TrainConfig(epochs=2, batch=2, folds=2, seed=3)
-    results = train_kfold(by_id, folds, MICRO, cfg)
+    calls = []
+
+    def spy(model, x, labels, train_rows, val_rows, cfg, fold_id, on_epoch):
+        calls.append((fold_id, list(train_rows), list(val_rows)))
+        return train_fold(model, x, labels, train_rows, val_rows, cfg, fold_id, on_epoch)
+
+    monkeypatch.setattr(model_module, "train_fold", spy)
+    results = train_kfold(x, labels, folds, MICRO, cfg)
+    # fold i validates on folds[i] and trains on the rest, in ascending rows
+    assert calls == [(0, [1, 2, 4, 7], [0, 3, 5, 6]), (1, [0, 3, 5, 6], [1, 2, 4, 7])]
     assert len(results) == 2
     for model, history in results:
         assert history and isinstance(history[0], dict)
@@ -443,21 +446,20 @@ def test_train_kfold_mechanics():
 
 
 def test_train_kfold_models_hold_no_caches():
-    frames = _frames(4, MICRO, seed=37)
-    ids = [f"t{i}" for i in range(4)]
+    x, labels = _pool(4, MICRO, seed=37)
     cfg = TrainConfig(epochs=1, batch=2, folds=2, seed=3)
-    for model, _ in train_kfold(dict(zip(ids, frames)), [ids[:2], ids[2:]], MICRO, cfg):
+    for model, _ in train_kfold(x, labels, [[0, 1], [2, 3]], MICRO, cfg):
         assert all(getattr(layer, "_cache", None) is None for layer in vars(model).values())
 
 
 def test_train_kfold_epoch_callback():
-    frames = _frames(4, MICRO, seed=31)
-    ids = [f"t{i}" for i in range(4)]
+    x, labels = _pool(4, MICRO, seed=31)
     cfg = TrainConfig(epochs=2, batch=2, folds=2, seed=0)
     seen = []
     train_kfold(
-        dict(zip(ids, frames)),
-        [ids[:2], ids[2:]],
+        x,
+        labels,
+        [[0, 1], [2, 3]],
         MICRO,
         cfg,
         on_epoch=lambda fold, row: seen.append((fold, row["epoch"])),
@@ -668,19 +670,23 @@ def test_weights_bad_metadata_is_a_format_error(tmp_path, meta):
 @pytest.mark.parametrize("key, value", [
     ("heads", 1.0), ("bigru1_units", 4.5), ("classes", True), ("dropout1", float("nan")),
     ("dropout3", float("-inf")), ("dropout2", 0), ("scale_factor", "1"),
-], ids=["int-as-float", "fraction", "bool", "nan", "minus-inf", "float-as-int", "string"])
+    ("fold_id", 2.9), ("fold_id", True), ("seed", "2"), ("seed", -1),
+], ids=["int-as-float", "fraction", "bool", "nan", "minus-inf", "float-as-int", "string",
+        "fold-fraction", "fold-bool", "seed-string", "seed-negative"])
 def test_weights_arch_value_of_another_type_is_a_format_error(tmp_path, key, value):
-    # a CRC-valid bundle whose metadata gives an arch value of another JSON
-    # type, or a non-finite one, is refused before a model is built from it
+    # a CRC-valid bundle whose metadata gives an arch value, fold id or seed
+    # of another JSON type, a non-finite value or a negative fold id or seed
+    # is refused before a model is built from it
     _, _, path = _bundle(tmp_path)
     raw = path.read_bytes()
     (length,) = struct.unpack_from("<I", raw, 5)
     meta = json.loads(raw[9 : 9 + length])
-    meta["arch"][key] = value
+    (meta if key in meta else meta["arch"])[key] = value
     text = json.dumps(meta).encode()
     header = raw[:5] + struct.pack("<I", len(text)) + text
     _rechecked(path, header + bytes(-len(header) % 4) + raw[9 + length + (-(9 + length) % 4) : -4])
-    with pytest.raises(FormatError, match=re.escape(f"m.weights: bad metadata block: ValueError(") + f".arch {key} = "):
+    with pytest.raises(FormatError, match=re.escape("m.weights: bad metadata block: ValueError(") + ".*"
+                       + re.escape(f"{key} = {value!r}")):
         load_weights(path)
 
 
