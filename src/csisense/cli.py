@@ -14,11 +14,13 @@ unreadable too.  ``preprocess`` and ``classify`` accept the same trials
 manifest's feature width.  ``preprocess`` holds one trial at a time: until the
 scaler is fitted, the unscaled features wait in an unnamed temporary file
 under ``--out`` (8 bytes per feature cell), gone when the command ends.
+``classify`` holds one fold model at a time, and its scaled features wait
+in such a file while the folds run in turn.
 
 ``simulate``, ``preprocess`` and ``classify`` take --jobs (default 1), a
 number of worker processes for per-trial work; one pool serves the whole
 command.  ``classify`` fans out only the reading and featurizing of trials
-and predicts in the calling process, with the models it loaded.  A count
+and predicts in the calling process.  A count
 flag (--jobs, --pairs, --trials-per-class, --target-len) below 1, or a
 negative or non-finite --pair-variation, is a usage error: exit status 2
 before the command reads or writes anything.
@@ -35,6 +37,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
@@ -57,7 +60,7 @@ from .features import (
     split_dataset,
     trial_features,
 )
-from .model import fold_seed, inference_rows, load_arch_config, load_train_config, train_kfold
+from .model import ArchConfig, fold_seed, inference_rows, load_arch_config, load_train_config, train_kfold
 from .postprocess import (
     PredictionTrace,
     confusion,
@@ -72,7 +75,7 @@ from .profiles import load_profiles
 from .render import render_label_plot
 from .rng import CounterRng
 from .simulate import build_geometry, dataset_trials, synth_trial
-from .weights import ModelWeights, load_weights, model_from_weights, save_weights, weights_from_model
+from .weights import load_weights, model_from_weights, save_weights, weights_from_model
 
 
 class CliError(CsiSenseError):
@@ -278,25 +281,33 @@ def cmd_train(args) -> int:
     split = dataio.load_split(fdir / "splits.json")
 
     # the pool: row k of x and labels holds trial pool_ids[k] (any failure
-    # refuses the pool), of the first CSV's rows by the scaler's width.  Each
-    # CSV is checked as it is read, against that shape and the arch's classes
+    # refuses the pool), of the rows most pool CSVs have by the scaler's
+    # width.  A CSV is stored as it is read if it has the first CSV's shape;
+    # once all are read, each of another shape than the pool's, or with a
+    # label beyond the arch's classes, is refused
     pool_ids = sorted(split.train + split.val)
     paths = [fdir / f"{tid}.csv" for tid in pool_ids]
-    width, failures = scaler.median.size, []
+    width, failures, read = scaler.median.size, [], []  # read: (path, shape, top label)
     x = labels = None
     for k, (path, frame) in enumerate(_per_file(dataio.import_feature_csv, paths, failures)):
+        read.append((path, frame.matrix.shape, frame.labels.max()))
         if x is None:
             x = np.empty((len(pool_ids), len(frame.labels), width))
             labels = np.empty(x.shape[:2], dtype=np.int64)
-            expected = f"{x.shape[1:]}, the rows of {Path(path).name} by the scaler's width"
-        if frame.matrix.shape != x.shape[1:]:
-            failures.append((path, f"feature shape {frame.matrix.shape} does not match {expected}"))
-        elif (top := frame.labels.max()) >= arch.classes:
-            failures.append((path, f"labels reach {top}, but the network has {arch.classes} classes"))
-        else:
+        if frame.matrix.shape == x.shape[1:]:
             x[k], labels[k] = frame.matrix, frame.labels
-    if failures:
-        raise _failed("could not read", "feature", failures)
+    most = Counter(shape[0] for _, shape, _ in read).most_common(1)  # a tie goes to the first read
+    expected = (most[0][0], width) if most else None
+    refused = []
+    for path, shape, top in read:
+        if shape != expected:
+            why = f"does not match {expected}, the rows most pool CSVs have by the scaler's width"
+            refused.append((path, f"feature shape {shape} {why}"))
+        elif top >= arch.classes:
+            refused.append((path, f"labels reach {top}, but the network has {arch.classes} classes"))
+    if failures or refused:
+        groups = (("could not read", failures), ("could not pool", refused))
+        raise CliError("\n".join(str(_failed(verb, "feature", group)) for verb, group in groups if group))
     # an empty pool reads no CSV, and kfold_assign refuses it
     class_names = [] if labels is None else [LABELS[_trial_class(row)] for row in labels]
     folds = kfold_assign(pool_ids, cfg.folds, split.seed, classes=class_names)
@@ -338,44 +349,42 @@ def cmd_train(args) -> int:
 
 # ---------------------------------------------------------------- classify
 
-def _classify_chunk(models, read, paths: list[Path], out: Path, job_map) -> list[tuple[str, str]]:
-    """Classify a chunk of trial files with one batched predict per fold and
-    write each one's prediction CSV under ``out``.  ``read`` gives a path's
-    scaled frame (:func:`_read_frame`) and runs through ``job_map``.  A
-    trial that cannot be read or fails validation is left out and returned as
-    (path, reason).  A function of its own, so that a chunk's frames and
-    batch are freed before the next chunk is read."""
-    failures = []
-    ready = list(_per_file(read, paths, failures, job_map))
-    if not ready:
-        return failures
-    batch = np.stack([frame.matrix for _, (_, _, frame) in ready])
-    per_trial = np.stack([m.predict(batch) for m in models], axis=1)  # (trials, folds, T)
-    for (path, (_, labeled, frame)), per_fold in zip(ready, per_trial):
-        ensembled = ensemble_mode(per_fold)
-        trace = PredictionTrace(
-            trial_id=Path(path).stem,
-            per_fold=per_fold,
-            ensembled=ensembled,
-            smoothed=smooth(ensembled),
-            true_labels=frame.labels if labeled else None,
-        )
-        dataio.write_predictions(trace, out / f"{trace.trial_id}.csv")
-    return failures
+def _bundle_meta(path: Path) -> tuple[int, Path, ArchConfig, RobustScalerParams]:
+    """A bundle's fold id, path, architecture and scaler; its parameter block
+    is freed on return."""
+    bundle = load_weights(path)
+    return bundle.fold_id, path, bundle.arch, bundle.scaler
 
 
-def _load_bundles(weight_paths: list[Path]) -> list[ModelWeights]:
-    """Load every bundle once, ordered by ``(fold_id, path)`` so that the
-    prediction CSV's fold columns follow the fold ids; all must carry the
-    same scaler and architecture."""
-    loaded = sorted(((load_weights(p), p) for p in weight_paths), key=lambda bp: (bp[0].fold_id, bp[1]))
-    first = loaded[0][0]
-    for bundle, path in loaded:
-        if bundle.arch != first.arch:
+def _check_bundles(weight_paths: list[Path]) -> tuple[list[Path], ArchConfig, RobustScalerParams]:
+    """Load and check every bundle, one at a time, keeping only its
+    :func:`_bundle_meta`.  Returns the paths ordered by ``(fold_id, path)``,
+    so that the prediction CSV's fold columns follow the fold ids, and the
+    architecture and scaler that all of them must carry."""
+    metas = sorted((_bundle_meta(p) for p in weight_paths), key=lambda meta: meta[:2])
+    _, _, arch, scaler = metas[0]
+    for _, path, other_arch, other_scaler in metas:
+        if other_arch != arch:
             raise CliError(f"{path}: weight bundles disagree on architecture")
-        if bundle.scaler.to_dict() != first.scaler.to_dict():
+        if other_scaler.to_dict() != scaler.to_dict():
             raise CliError(f"{path}: weight bundles disagree on the feature scaler")
-    return [bundle for bundle, _ in loaded]
+    return [path for _, path, _, _ in metas], arch, scaler
+
+
+def _predict_fold(path: Path, arch: ArchConfig, spill, count: int) -> np.ndarray:
+    """One bundle's labels for the ``count`` scaled frames in ``spill``,
+    ``(count, seq_len)`` at one byte per packet, predicted ``inference_rows``
+    frames at a time.  A function of its own, so that the bundle, its model
+    and the block of frames are freed before the next bundle loads."""
+    model = model_from_weights(load_weights(path))
+    rows = inference_rows(arch)
+    labels = np.empty((count, arch.seq_len), dtype=np.uint8)
+    spill.seek(0)
+    for start in range(0, count, rows):
+        block = np.empty((min(rows, count - start), arch.seq_len, arch.feature_dim))
+        spill.readinto(block)
+        labels[start : start + len(block)] = model.predict(block)
+    return labels
 
 
 def cmd_classify(args) -> int:
@@ -392,19 +401,27 @@ def cmd_classify(args) -> int:
     weight_paths = sorted(Path(args.weights).glob("*.weights"))
     if not weight_paths:
         raise CliError("no trained models found")
-    bundles = _load_bundles(weight_paths)
+    fold_paths, arch, scaler = _check_bundles(weight_paths)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    arch = bundles[0].arch
-    read = partial(_read_frame, seq_len=arch.seq_len, scaler=bundles[0].scaler)
-    models = [model_from_weights(bundle) for bundle in bundles]
-    rows = inference_rows(arch)
-    failures = []
-    with _job_map(args.jobs) as job_map:
-        for i in range(0, len(trial_paths), rows):
-            failures += _classify_chunk(models, read, trial_paths[i : i + rows], out, job_map)
-    _say(f"wrote {len(trial_paths) - len(failures)} prediction files under {out} using {len(weight_paths)} models")
+    # each trial is read and featurized once.  Its scaled frame waits in an
+    # unnamed file under --out while the folds run in turn, so memory holds
+    # one model and one block of frames at a time
+    failures, kept = [], []  # kept: (trial id, true labels or None), in spill order
+    read = partial(_read_frame, seq_len=arch.seq_len, scaler=scaler)
+    with tempfile.TemporaryFile(dir=out) as spill:
+        with _job_map(args.jobs) as job_map:
+            for path, (_, labeled, frame) in _per_file(read, trial_paths, failures, job_map):
+                spill.write(frame.matrix.tobytes())
+                kept.append((Path(path).stem, frame.labels.astype(np.uint8) if labeled else None))
+                del frame  # so that the last one is not held while the folds run
+        per_trial = np.stack([_predict_fold(path, arch, spill, len(kept)) for path in fold_paths], axis=1)
+    for (trial_id, true_labels), per_fold in zip(kept, per_trial):
+        ensembled = ensemble_mode(per_fold)
+        trace = PredictionTrace(trial_id, per_fold, ensembled, smooth(ensembled), true_labels)
+        dataio.write_predictions(trace, out / f"{trial_id}.csv")
+    _say(f"wrote {len(kept)} prediction files under {out} using {len(weight_paths)} models")
     if failures:
         raise _failed("skipped", "trial", failures)
     return 0

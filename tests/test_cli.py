@@ -38,8 +38,8 @@ from csisense.dataio import (
 )
 from csisense.features import robust_fit
 from csisense.model import build
-from csisense.postprocess import PredictionTrace
-from csisense.weights import load_weights, model_from_weights, save_weights
+from csisense.postprocess import PredictionTrace, ensemble_mode, smooth
+from csisense.weights import load_weights, model_from_weights, save_weights, weights_from_model
 
 MICRO_PROFILES = """\
 [meta]
@@ -579,7 +579,7 @@ def test_train_refuses_labels_beyond_the_arch_classes_before_any_epoch(pipeline,
     err = capsys.readouterr().err
     pool = sorted(pipeline["split"].train + pipeline["split"].val)
     pushing = [pipeline["features"] / f"{tid}.csv" for tid in pool if _class_of(tid) == "pushing"]
-    assert f"error: could not read {len(pushing)} feature file(s)" in err
+    assert f"error: could not pool {len(pushing)} feature file(s)" in err
     for path in pushing:
         assert f"  {path}: labels reach 12, but the network has 3 classes" in err
     assert "epoch" not in err
@@ -623,11 +623,11 @@ def test_train_refuses_a_scaler_of_another_width_before_any_epoch(pipeline, tmp_
     assert rc == 2
     err = capsys.readouterr().err
     pool = [features / f"{tid}.csv" for tid in sorted(pipeline["split"].train + pipeline["split"].val)]
-    assert f"error: could not read {len(pool)} feature file(s)" in err
+    assert f"error: could not pool {len(pool)} feature file(s)" in err
     for path in pool:
         assert (
             f"  {path}: feature shape (40, {width}) does not match (40, {width + 1}), "
-            f"the rows of {pool[0].name} by the scaler's width\n"
+            f"the rows most pool CSVs have by the scaler's width\n"
         ) in err
     assert "epoch" not in err
     assert not out.exists()
@@ -635,8 +635,8 @@ def test_train_refuses_a_scaler_of_another_width_before_any_epoch(pipeline, tmp_
 
 @pytest.mark.parametrize("cut", [0, 5], ids=["first", "later"])
 def test_train_names_a_feature_csv_cut_by_a_row(pipeline, tmp_path, capsys, cut):
-    # the pool's shape is the first CSV's rows by the scaler's width: a later
-    # CSV a row short is named, and a first one is named as the one that set it
+    # the pool's shape is the rows most pool CSVs have by the scaler's width:
+    # the short CSV alone is named, whether it is read first or later
     features = tmp_path / "features"
     shutil.copytree(pipeline["features"], features)
     pool = [features / f"{tid}.csv" for tid in sorted(pipeline["split"].train + pipeline["split"].val)]
@@ -650,16 +650,33 @@ def test_train_names_a_feature_csv_cut_by_a_row(pipeline, tmp_path, capsys, cut)
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    if cut:
-        assert (
-            f"error: could not read 1 feature file(s):\n  {victim}: feature shape (39, {width}) does not match "
-            f"(40, {width}), the rows of {pool[0].name} by the scaler's width\n"
-        ) in err
-    else:
-        assert f"error: could not read {len(pool) - 1} feature file(s)" in err
-        assert f"  {pool[1]}: feature shape (40, {width}) does not match (39, {width}), the rows of {victim.name} by" in err
+    assert err.endswith(
+        f"error: could not pool 1 feature file(s):\n  {victim}: feature shape (39, {width}) does not match "
+        f"(40, {width}), the rows most pool CSVs have by the scaler's width\n"
+    )
     assert not re.search(r"^fold \d+ epoch", err, re.M)
     assert not out.exists()
+
+
+def test_train_names_unreadable_and_unpoolable_csvs_under_their_own_headers(pipeline, tmp_path, capsys):
+    features = tmp_path / "features"
+    shutil.copytree(pipeline["features"], features)
+    pool = [features / f"{tid}.csv" for tid in sorted(pipeline["split"].train + pipeline["split"].val)]
+    missing, short = pool[0], pool[1]
+    missing.unlink()
+    short.write_text("".join(short.read_text().splitlines(keepends=True)[:-1]))
+    width = load_scaler(features / "scaler.json").median.size
+    rc = cli.main([
+        "train", "--features", str(features), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: could not read 1 feature file(s):\n  {missing}: [Errno 2] No such file or directory\n"
+        f"could not pool 1 feature file(s):\n  {short}: feature shape (39, {width}) does not match "
+        f"(40, {width}), the rows most pool CSVs have by the scaler's width\n"
+    )
+    assert not (tmp_path / "m").exists()
 
 
 def test_train_refuses_a_split_with_an_empty_pool(pipeline, tmp_path, capsys):
@@ -902,19 +919,60 @@ def test_classify_short_trial_exits_2(pipeline, tmp_path, capsys):
     assert f"{bad}: truncated" in capsys.readouterr().err
 
 
-def test_classify_rejects_bundles_with_different_scalers(pipeline, tmp_path, capsys):
+def _classify_with_a_damaged_bundle(pipeline, tmp_path, monkeypatch, damage):
+    """Classify the test trials with fold1.weights damaged by ``damage``,
+    which rewrites that file; returns the exit status, the trial files read
+    and the bundle's path.  Trials are read in this process (--jobs 1)."""
     models = tmp_path / "models"
     shutil.copytree(pipeline["models"], models)
     path = models / "fold1.weights"
-    bundle = load_weights(path)
-    bundle.scaler.median = bundle.scaler.median + 5.0
-    save_weights(bundle, path)
+    damage(path)
+    reads = []
+    read_trial = cli.dataio.read_trial
+    monkeypatch.setattr(cli.dataio, "read_trial", lambda p: reads.append(p) or read_trial(p))
     rc = cli.main([
         "classify", "--weights", str(models),
         "--input", str(pipeline["test_dir"]), "--out", str(tmp_path / "p"),
     ])
+    return rc, reads, path
+
+
+def _other_scaler(path):
+    bundle = load_weights(path)
+    bundle.scaler.median = bundle.scaler.median + 5.0
+    save_weights(bundle, path)
+
+
+def _other_arch(path):
+    bundle = load_weights(path)
+    save_weights(dataclasses.replace(bundle, arch=dataclasses.replace(bundle.arch, dropout1=0.1)), path)
+
+
+def _flipped_byte(path):
+    body = bytearray(path.read_bytes())
+    body[len(body) // 2] ^= 0x01
+    path.write_bytes(bytes(body))
+
+
+def test_classify_rejects_bundles_with_different_scalers(pipeline, tmp_path, capsys, monkeypatch):
+    # refused before any trial is read or --out is made
+    rc, reads, path = _classify_with_a_damaged_bundle(pipeline, tmp_path, monkeypatch, _other_scaler)
     assert rc == 2
     assert f"{path}: weight bundles disagree on the feature scaler" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (_other_arch, "weight bundles disagree on architecture"),
+    (_flipped_byte, "checksum mismatch; file is corrupted or truncated"),
+], ids=["arch", "flipped-byte"])
+def test_classify_refuses_a_bad_bundle_before_reading_a_trial(pipeline, tmp_path, capsys, monkeypatch, damage, reason):
+    rc, reads, path = _classify_with_a_damaged_bundle(pipeline, tmp_path, monkeypatch, damage)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+    assert reads == []
+    assert not (tmp_path / "p").exists()
 
 
 def test_classify_builds_each_model_once_in_the_calling_process(pipeline, tmp_path, monkeypatch):
@@ -934,6 +992,57 @@ def test_classify_builds_each_model_once_in_the_calling_process(pipeline, tmp_pa
     ]) == 0
     assert built == [0, 1]
     for path in sorted(pipeline["predictions"].glob("*.csv")):
+        assert (out / path.name).read_bytes() == path.read_bytes()
+
+
+def test_classify_holds_one_model_and_one_bundle_block_at_a_time(pipeline, tmp_path, monkeypatch):
+    # three bundles whose file order is not their fold order, one trial per
+    # predict: the check pass and every fold free their block before the next
+    # bundle loads, and each model is gone before the next is built
+    fixture = [load_weights(pipeline["models"] / f"fold{k}.weights") for k in range(2)]
+    extra = weights_from_model(build(fixture[0].arch, seed=9), 0, 9, scaler=fixture[0].scaler)
+    models = tmp_path / "models"
+    models.mkdir()
+    for name, bundle, fold_id in (("a", fixture[1], 2), ("b", extra, 0), ("c", fixture[0], 1)):
+        save_weights(dataclasses.replace(bundle, fold_id=fold_id), models / f"{name}.weights")
+    test_paths = sorted(pipeline["test_dir"].glob("*.trial"))
+    assert len(test_paths) >= 2
+
+    # the expected files, from one model per bundle and one frame per trial
+    want = tmp_path / "want"
+    want.mkdir()
+    nets = [model_from_weights(b) for b in (extra, fixture[0], fixture[1])]
+    for path in test_paths:
+        _, labeled, frame = cli._read_frame(path, seq_len=40, scaler=extra.scaler)
+        per_fold = np.stack([net.predict(frame.matrix[None])[0] for net in nets])
+        ensembled = ensemble_mode(per_fold)
+        trace = PredictionTrace(path.stem, per_fold, ensembled, smooth(ensembled), frame.labels)
+        write_predictions(trace, want / f"{path.stem}.csv")
+    del nets
+
+    monkeypatch.setattr(cli, "inference_rows", lambda arch: 1)
+    blocks, built, alive = [], [], []
+
+    def loading(path):
+        bundle = load_weights(path)
+        blocks.append(weakref.ref(bundle.values))
+        return bundle
+
+    def building(bundle):
+        alive.append((sum(ref() is not None for ref in blocks), sum(ref() is not None for _, ref in built)))
+        model = model_from_weights(bundle)
+        built.append((bundle.fold_id, weakref.ref(model)))
+        return model
+
+    monkeypatch.setattr(cli, "load_weights", loading)
+    monkeypatch.setattr(cli, "model_from_weights", building)
+    out = tmp_path / "p"
+    assert cli.main(["classify", "--weights", str(models), "--input", str(pipeline["test_dir"]), "--out", str(out)]) == 0
+    assert [fold_id for fold_id, _ in built] == [0, 1, 2]
+    assert len(blocks) == 6  # each bundle is loaded by the check pass and by its fold
+    assert alive == [(1, 0)] * 3  # (bundle blocks, models) alive as each model is built
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in want.iterdir())
+    for path in want.iterdir():
         assert (out / path.name).read_bytes() == path.read_bytes()
 
 
@@ -1028,8 +1137,19 @@ def test_classify_skips_bad_trials_and_writes_the_rest(pipeline, tmp_path, capsy
     assert "skipped 2 trial file(s)" in err
     assert f"{short}: truncated" in err
     assert f"{backwards}: invalid trial: non-monotone timestamp" in err
+    # each trial is read once, so a bad one is named once, not once per fold
+    assert err.count(str(short)) == err.count(str(backwards)) == 1
     want = {p.name: p.read_bytes() for p in pipeline["predictions"].glob("*.csv")}
-    assert {p.name: p.read_bytes() for p in out.glob("*.csv")} == want
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == want
+
+
+def test_classify_leaves_only_prediction_csvs_in_out(pipeline, tmp_path):
+    # the scaled frames wait in an unnamed file, gone when the run ends
+    out = tmp_path / "p"
+    assert cli.main([
+        "classify", "--weights", str(pipeline["models"]), "--input", str(pipeline["test_dir"]), "--out", str(out),
+    ]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in pipeline["predictions"].glob("*.csv"))
 
 
 # ---------------------------------------------------------------- evaluate
