@@ -15,7 +15,9 @@ manifest's feature width.  ``preprocess`` holds one trial at a time: until the
 scaler is fitted, the unscaled features wait in an unnamed temporary file
 under ``--out`` (8 bytes per feature cell), gone when the command ends.
 ``classify`` holds one fold model at a time, and its scaled features wait
-in such a file while the folds run in turn.
+in such a file while the folds run in turn.  ``train`` holds its pool's
+labels, one byte per packet, and one batch or validation chunk of its
+features: the checked pool waits in such a file while the folds train.
 
 ``simulate``, ``preprocess`` and ``classify`` take --jobs (default 1), a
 number of worker processes for per-trial work; one pool serves the whole
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import dataio
 from .channel import PropagationConfig
-from .dataio import Manifest, ManifestEntry, _atomic_write_text, write_csv
+from .dataio import Manifest, ManifestEntry, RowSpill, _atomic_write_text, write_csv
 from .domain import LABELS, validate_trial
 from .errors import CsiSenseError, TrainingDiverged
 from .features import (
@@ -133,12 +135,14 @@ def _per_file(reader, paths, failures: list, job_map=map):
     :func:`_job_map`), in input order and one at a time: yields ``(path,
     value)`` for each file it read and appends ``(path, reason)`` to
     ``failures`` for each it could not.  Consume it inside ``job_map``'s
-    pool."""
+    pool, and drop each value before the next, which is then read while no
+    earlier one is held here."""
     for path, ok, value in job_map(partial(_guarded, reader), paths):
         if ok:
             yield path, value
         else:
             failures.append((path, value))
+        del value
 
 
 def _read_frame(path: str, seq_len: int, scaler=None):
@@ -197,19 +201,19 @@ FIT_BLOCK_BYTES = 8 << 20
 fits the scaler; a block is one column wide when a column alone is larger."""
 
 
-def _fit_spilled(spill, pool: list[int], rows: int, width: int) -> RobustScalerParams:
+def _fit_spilled(spill: RowSpill, pool: list[int]) -> RobustScalerParams:
     """``robust_fit`` over the rows of the ``pool`` trials in ``spill``, a
-    block of columns at a time.  ``spill`` holds each trial's ``(rows,
-    width)`` float64 matrix transposed, in trial order, so one trial's part
-    of a block is one contiguous read; ``pool`` lists trial places in it."""
+    block of columns at a time.  Each spill row is a trial's ``(rows,
+    width)`` float64 matrix transposed, so one trial's part of a block is
+    one contiguous read; ``pool`` lists trial places in the spill."""
+    width, rows = spill.shape
     step = max(1, FIT_BLOCK_BYTES // (8 * rows * len(pool)))
     parts = []
     for start in range(0, width, step):
         cols = min(step, width - start)
         block, piece = np.empty((rows * len(pool), cols)), np.empty((cols, rows))
         for k, place in enumerate(pool):
-            spill.seek(8 * rows * (place * width + start))
-            spill.readinto(piece)
+            spill.readinto(piece, place, start * rows)
             block[k * rows : (k + 1) * rows] = piece.T
         parts.append(robust_fit(block))
     return RobustScalerParams.concat(parts)
@@ -229,7 +233,8 @@ def cmd_preprocess(args) -> int:
     # read and have the manifest's feature width.  Their unscaled matrices
     # wait in an unnamed file under --out, so memory holds one trial at a time
     failures, kept = [], []  # kept: (trial id, labels), in spill order
-    with tempfile.TemporaryFile(dir=out) as spill:
+    with tempfile.TemporaryFile(dir=out) as file:
+        spill = RowSpill(file, (width, rows))
         with _job_map(args.jobs) as job_map:
             for path, (tid, labeled, frame) in _per_file(
                 partial(_read_frame, seq_len=rows), paths, failures, job_map
@@ -240,7 +245,7 @@ def cmd_preprocess(args) -> int:
                     found = frame.matrix.shape[1]
                     failures.append((path, f"{found} feature columns, not the {width} of dims {manifest.dims}"))
                 else:
-                    spill.write(frame.matrix.T.tobytes())
+                    spill.append(frame.matrix.T)
                     # one byte per class code: an int64 copy per trial, left
                     # between the freed frame buffers, fragments the heap
                     kept.append((tid, frame.labels.astype(np.uint8)))
@@ -252,12 +257,11 @@ def cmd_preprocess(args) -> int:
         class_names = [LABELS[_trial_class(labels)] for _, labels in kept]
         split = split_dataset(ids, seed=manifest.seed, classes=class_names)
         pool = set(split.train) | set(split.val)
-        scaler = _fit_spilled(spill, [k for k, tid in enumerate(ids) if tid in pool], rows, width)
+        scaler = _fit_spilled(spill, [k for k, tid in enumerate(ids) if tid in pool])
 
-        spill.seek(0)
         matrix = np.empty((width, rows))
-        for tid, labels in kept:
-            spill.readinto(matrix)
+        for k, (tid, labels) in enumerate(kept):
+            spill.readinto(matrix, k)
             frame = FeatureFrame(matrix.T, labels)
             dataio.export_feature_csv(robust_transform(frame, scaler), out / f"{tid}.csv", dims=manifest.dims)
     dataio.save_scaler(scaler, out / "scaler.json")
@@ -270,32 +274,31 @@ def cmd_preprocess(args) -> int:
 
 # ------------------------------------------------------------------- train
 
-def cmd_train(args) -> int:
-    arch = load_arch_config(args.arch)
-    cfg = load_train_config(args.train_cfg)
-    fdir = Path(args.features)
-    for required in ("scaler.json", "splits.json"):
-        if not (fdir / required).exists():
-            raise CliError(f"no preprocessed features found: {fdir / required} is missing")
-    scaler = dataio.load_scaler(fdir / "scaler.json")
-    split = dataio.load_split(fdir / "splits.json")
+def _train_pool(file, fdir: Path, split, width: int, arch: ArchConfig, cfg):
+    """Read and check the pool's feature CSVs into a :class:`RowSpill` over
+    ``file``, then train the folds on it; returns ``train_kfold``'s results
+    and the folds.
 
-    # the pool: row k of x and labels holds trial pool_ids[k] (any failure
-    # refuses the pool), of the rows most pool CSVs have by the scaler's
-    # width.  A CSV is stored as it is read if it has the first CSV's shape;
-    # once all are read, each of another shape than the pool's, or with a
-    # label beyond the arch's classes, is refused
+    Row k of the spill and of the uint8 labels holds trial pool_ids[k] (any
+    failure refuses the pool), of the rows most pool CSVs have by the
+    scaler's ``width``.  A CSV is spilled as it is read if it has the first
+    CSV's shape; once all are read, each of another shape than the pool's,
+    or with a label beyond the arch's classes, is refused."""
     pool_ids = sorted(split.train + split.val)
     paths = [fdir / f"{tid}.csv" for tid in pool_ids]
-    width, failures, read = scaler.median.size, [], []  # read: (path, shape, top label)
-    x = labels = None
-    for k, (path, frame) in enumerate(_per_file(dataio.import_feature_csv, paths, failures)):
+    failures, read = [], []  # read: (path, shape, top label)
+    spill = labels = None
+    # no enumerate: its reused result tuple would hold the last frame
+    # through the next read
+    for path, frame in _per_file(dataio.import_feature_csv, paths, failures):
+        if spill is None:
+            spill = RowSpill(file, frame.matrix.shape)
+            labels = np.empty((len(pool_ids), len(frame.labels)), dtype=np.uint8)
+        if frame.matrix.shape == spill.shape:
+            spill.append(frame.matrix)
+            labels[len(read)] = frame.labels
         read.append((path, frame.matrix.shape, frame.labels.max()))
-        if x is None:
-            x = np.empty((len(pool_ids), len(frame.labels), width))
-            labels = np.empty(x.shape[:2], dtype=np.int64)
-        if frame.matrix.shape == x.shape[1:]:
-            x[k], labels[k] = frame.matrix, frame.labels
+        del frame  # freed before the next read, not beside it
     most = Counter(shape[0] for _, shape, _ in read).most_common(1)  # a tie goes to the first read
     expected = (most[0][0], width) if most else None
     refused = []
@@ -313,7 +316,7 @@ def cmd_train(args) -> int:
     folds = kfold_assign(pool_ids, cfg.folds, split.seed, classes=class_names)
     row_of = {tid: k for k, tid in enumerate(pool_ids)}
     fold_rows = [[row_of[tid] for tid in fold] for fold in folds]
-    arch = dataclasses.replace(arch, seq_len=x.shape[1], feature_dim=width)
+    arch = dataclasses.replace(arch, seq_len=spill.shape[0], feature_dim=width)
 
     def on_epoch(fold_id: int, row: dict) -> None:
         _say(
@@ -321,15 +324,30 @@ def cmd_train(args) -> int:
             f"loss {row['loss']:.4f}  acc {row['acc']:.4f}  lr {row['lr']:.2e}"
         )
 
-    # --out is made before any fold trains, so one that cannot be made costs
-    # no epoch; a run refused for its data or stopped by divergence removes
-    # the directory it made, while it is still empty
+    return train_kfold(spill, labels, fold_rows, arch, cfg, on_epoch=on_epoch), folds
+
+
+def cmd_train(args) -> int:
+    arch = load_arch_config(args.arch)
+    cfg = load_train_config(args.train_cfg)
+    fdir = Path(args.features)
+    for required in ("scaler.json", "splits.json"):
+        if not (fdir / required).exists():
+            raise CliError(f"no preprocessed features found: {fdir / required} is missing")
+    scaler = dataio.load_scaler(fdir / "scaler.json")
+    split = dataio.load_split(fdir / "splits.json")
+
+    # --out is made before the pool is read, since the pool waits in an
+    # unnamed file under it; a run refused for its data, stopped by
+    # divergence or short of disk for the pool removes the directory it
+    # made, while it is still empty
     out = Path(args.out)
     made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     try:
-        results = train_kfold(x, labels, fold_rows, arch, cfg, on_epoch=on_epoch)
-    except CsiSenseError:
+        with tempfile.TemporaryFile(dir=out) as file:
+            results, folds = _train_pool(file, fdir, split, scaler.median.size, arch, cfg)
+    except (CsiSenseError, OSError):
         if made and not any(out.iterdir()):
             out.rmdir()
         raise
@@ -371,7 +389,7 @@ def _check_bundles(weight_paths: list[Path]) -> tuple[list[Path], ArchConfig, Ro
     return [path for _, path, _, _ in metas], arch, scaler
 
 
-def _predict_fold(path: Path, arch: ArchConfig, spill, count: int) -> np.ndarray:
+def _predict_fold(path: Path, arch: ArchConfig, spill: RowSpill, count: int) -> np.ndarray:
     """One bundle's labels for the ``count`` scaled frames in ``spill``,
     ``(count, seq_len)`` at one byte per packet, predicted ``inference_rows``
     frames at a time.  A function of its own, so that the bundle, its model
@@ -379,11 +397,9 @@ def _predict_fold(path: Path, arch: ArchConfig, spill, count: int) -> np.ndarray
     model = model_from_weights(load_weights(path))
     rows = inference_rows(arch)
     labels = np.empty((count, arch.seq_len), dtype=np.uint8)
-    spill.seek(0)
     for start in range(0, count, rows):
-        block = np.empty((min(rows, count - start), arch.seq_len, arch.feature_dim))
-        spill.readinto(block)
-        labels[start : start + len(block)] = model.predict(block)
+        stop = min(start + rows, count)
+        labels[start:stop] = model.predict(spill[range(start, stop)])
     return labels
 
 
@@ -410,12 +426,13 @@ def cmd_classify(args) -> int:
     # one model and one block of frames at a time
     failures, kept = [], []  # kept: (trial id, true labels or None), in spill order
     read = partial(_read_frame, seq_len=arch.seq_len, scaler=scaler)
-    with tempfile.TemporaryFile(dir=out) as spill:
+    with tempfile.TemporaryFile(dir=out) as file:
+        spill = RowSpill(file, (arch.seq_len, arch.feature_dim))
         with _job_map(args.jobs) as job_map:
             for path, (_, labeled, frame) in _per_file(read, trial_paths, failures, job_map):
-                spill.write(frame.matrix.tobytes())
+                spill.append(frame.matrix)
                 kept.append((Path(path).stem, frame.labels.astype(np.uint8) if labeled else None))
-                del frame  # so that the last one is not held while the folds run
+                del frame  # freed before the next read, not beside it
         per_trial = np.stack([_predict_fold(path, arch, spill, len(kept)) for path in fold_paths], axis=1)
     for (trial_id, true_labels), per_fold in zip(kept, per_trial):
         ensembled = ensemble_mode(per_fold)

@@ -79,6 +79,35 @@ def write_csv(path: str | Path, header: list[str], row_format: str, rows) -> Non
     _atomic_write_bytes(path, chunks())
 
 
+class RowSpill:
+    """Equal-shape float64 rows, one after another in an open binary file
+    (an unnamed temporary file, say), so that memory holds only the rows
+    being used.  ``append`` writes the next row; ``spill[rows]`` reads the
+    given rows back, in the order given, as one ``(len(rows), *shape)``
+    array, so a spill stands in for an ndarray wherever rows are gathered by
+    index.  Each row is one ``readinto``, with no file mapping."""
+
+    def __init__(self, file, shape: tuple[int, ...]):
+        self.file, self.shape = file, tuple(shape)
+        self.size = int(np.prod(self.shape))  # values per row
+
+    def append(self, row: np.ndarray) -> None:
+        self.file.seek(0, os.SEEK_END)
+        self.file.write(np.ascontiguousarray(row, dtype=np.float64))
+
+    def readinto(self, out: np.ndarray, row: int, start: int = 0) -> None:
+        """Fill ``out`` with the values of row ``row`` from its value
+        ``start`` on, in the row's own order."""
+        self.file.seek(8 * (row * self.size + start))
+        self.file.readinto(out)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        out = np.empty((len(rows), *self.shape))
+        for place, row in enumerate(rows):
+            self.readinto(out[place], row)
+        return out
+
+
 def _read_text(path: str | Path) -> str:
     """A text file's contents; one that is not UTF-8 is a format error."""
     try:

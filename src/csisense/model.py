@@ -293,8 +293,9 @@ def build(arch: ArchConfig, seed: int = 0) -> SequenceClassifier:
     return SequenceClassifier(arch, seed)
 
 
-def _evaluate(model: SequenceClassifier, x: np.ndarray, labels: np.ndarray, rows, classes: int) -> dict:
-    """Validation loss and metrics over the pool rows ``rows``."""
+def _evaluate(model: SequenceClassifier, x, labels: np.ndarray, rows, classes: int) -> dict:
+    """Validation loss and metrics over the pool rows ``rows``, gathered from
+    ``x`` one :func:`inference_rows` chunk at a time."""
     total_loss = 0.0
     conf = np.zeros((classes, classes), dtype=np.int64)
     step = inference_rows(model.eff)
@@ -314,7 +315,7 @@ def _evaluate(model: SequenceClassifier, x: np.ndarray, labels: np.ndarray, rows
 
 def train_fold(
     model: SequenceClassifier,
-    x: np.ndarray,
+    x,
     labels: np.ndarray,
     train_rows,
     val_rows,
@@ -322,10 +323,13 @@ def train_fold(
     fold_id: int = 0,
     on_epoch=None,
 ) -> list[dict]:
-    """Train one fold on rows ``train_rows`` of the pool ``x`` (trials, T, F)
-    and its ``labels`` (trials, T), validating on ``val_rows``; returns the
+    """Train one fold on rows ``train_rows`` of the pool ``x`` and its
+    ``labels`` (trials, T), validating on ``val_rows``; returns the
     per-epoch history and leaves the model at the best-validation-accuracy
-    epoch's weights, holding no forward caches.  The caller keeps every label
+    epoch's weights, holding no forward caches.  ``x`` is a row source:
+    ``x[rows]`` returns those rows as a (len(rows), T, F) float64 array, as
+    an ndarray pool or a ``dataio.RowSpill`` does, and it is asked for one
+    batch or validation chunk at a time.  The caller keeps every label
     below ``model.eff.classes``.
 
     History rows carry validation-set values (epoch, loss, acc, precision,
@@ -384,16 +388,17 @@ def fold_seed(seed: int, fold_id: int) -> int:
 
 
 def train_kfold(
-    x: np.ndarray,
+    x,
     labels: np.ndarray,
     folds: list[list[int]],
     arch: ArchConfig,
     cfg: TrainConfig,
     on_epoch=None,
 ) -> list[tuple[SequenceClassifier, list[dict]]]:
-    """Cross-validation over the pool ``x`` (trials, T, F) and its int64
-    ``labels`` (trials, T): fold i validates on the rows folds[i] and trains
-    on the rest, each in ascending row order (see :func:`train_fold`).
+    """Cross-validation over the pool ``x``, a row source (see
+    :func:`train_fold`), and its integer ``labels`` (trials, T): fold i
+    validates on the rows folds[i] and trains on the rest, each in ascending
+    row order.
 
     Returns one (model, history) pair per fold; models start from distinct
     seed-mixed initializations of the same architecture.

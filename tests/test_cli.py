@@ -25,8 +25,10 @@ import numpy as np
 import pytest
 
 import csisense
+import csisense.model as model_module
 from csisense import cli
 from csisense.dataio import (
+    RowSpill,
     load_manifest,
     load_scaler,
     load_split,
@@ -346,10 +348,11 @@ def test_the_scaler_fit_by_column_blocks_equals_one_fit_of_the_pool(monkeypatch,
     monkeypatch.setattr(cli, "FIT_BLOCK_BYTES", 8 * rows * len(pool) * width)
     blocks = []
     monkeypatch.setattr(cli, "robust_fit", lambda m: blocks.append(m.shape) or robust_fit(m))
-    with tempfile.TemporaryFile() as spill:
+    with tempfile.TemporaryFile() as file:
+        spill = RowSpill(file, (23, rows))
         for m in trials:
-            spill.write(m.T.tobytes())
-        fitted = cli._fit_spilled(spill, pool, rows, 23)
+            spill.append(m.T)
+        fitted = cli._fit_spilled(spill, pool)
     whole = robust_fit(np.vstack([trials[k] for k in pool]))
     assert blocks == [(rows * len(pool), min(width, 23 - start)) for start in range(0, 23, width)]
     assert whole.degenerate[[9, 16]].all()
@@ -394,6 +397,35 @@ def test_preprocess_memory_does_not_grow_with_the_corpus(pipeline, tmp_path, mon
     assert peaks[4] - peaks[1] < frame_bytes + cli.FIT_BLOCK_BYTES, peaks
 
 
+@pytest.mark.parametrize("command", ["preprocess", "classify", "train"])
+def test_a_read_loop_holds_no_earlier_frame_at_the_next_read(pipeline, tmp_path, monkeypatch, command):
+    # each file's frame is dropped, by _per_file and by the loop that takes
+    # it, before the next file is read, so two frames never coexist
+    refs, alive = [], []
+
+    def spy(read):
+        def reader(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            value = read(*args, **kwargs)
+            refs.append(weakref.ref(value if command == "train" else value[2]))
+            return value
+        return reader
+
+    if command == "train":
+        monkeypatch.setattr(cli.dataio, "import_feature_csv", spy(cli.dataio.import_feature_csv))
+    else:
+        monkeypatch.setattr(cli, "_read_frame", spy(cli._read_frame))
+    argv = {
+        "preprocess": ["--manifest", str(pipeline["dataset"] / "manifest.json"), "--target-len", "40"],
+        "classify": ["--weights", str(pipeline["models"]), "--input", str(pipeline["test_dir"])],
+        "train": ["--features", str(pipeline["features"]), "--arch", str(pipeline["arch"]),
+                  "--train-cfg", str(pipeline["traincfg"])],
+    }[command]
+    assert cli.main([command, *argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(alive) == {"preprocess": 15, "classify": 3, "train": 12}[command]
+    assert alive == [0] * len(alive)
+
+
 @pytest.mark.parametrize("bad", ["none", "one", "all"])
 def test_preprocess_leaves_only_its_artifacts_in_out(pipeline, tmp_path, bad):
     # the unscaled matrices wait in an unnamed file, gone however the run ends
@@ -423,6 +455,50 @@ def test_train_outputs(pipeline):
     assert sorted(tid for f in folds for tid in f) == sorted(
         pipeline["split"].train + pipeline["split"].val
     )
+
+
+def test_train_leaves_only_its_artifacts_in_out(pipeline):
+    # the pool waited in an unnamed file under --out, gone when train ends
+    expected = {f"fold{k}{suffix}" for k in range(2) for suffix in (".weights", "_history.csv")}
+    assert {p.name for p in pipeline["models"].iterdir()} == expected | {"folds.json"}
+
+
+def _features_with_a_pool_of(pipeline, root, size):
+    """A features directory under ``root`` whose split pools ``size`` trials,
+    each a copy of one of the fixture's pool CSVs, in turn."""
+    features = pipeline["features"]
+    root.mkdir()
+    shutil.copy(features / "scaler.json", root / "scaler.json")
+    pool = sorted(pipeline["split"].train + pipeline["split"].val)
+    record = json.loads((features / "splits.json").read_text())
+    record["train"], record["val"] = [f"{pool[i % len(pool)]}-{i:02d}" for i in range(size)], []
+    for i, tid in enumerate(record["train"]):
+        (root / f"{tid}.csv").symlink_to(features / f"{pool[i % len(pool)]}.csv")
+    (root / "splits.json").write_text(json.dumps(record))
+    return root
+
+
+def test_train_memory_does_not_grow_with_the_pool(pipeline, tmp_path, monkeypatch):
+    # train holds one batch or validation chunk of its pool at a time (both
+    # 4 rows here), so 4x the trials may add less than one more batch and frame
+    frame_bytes = 40 * 366 * 8  # a trial's (target_len, F) float64 matrix
+    monkeypatch.setattr(model_module, "inference_rows", lambda arch: 4)
+    peaks = {}
+    for size in (8, 8, 32):  # the first run warms lazy first-call state
+        run = tmp_path / f"run{len(peaks)}-{size}"
+        run.mkdir()
+        features = _features_with_a_pool_of(pipeline, run / "features", size)
+        tracemalloc.start()
+        try:
+            assert cli.main([
+                "train", "--features", str(features), "--arch", str(pipeline["arch"]),
+                "--train-cfg", str(pipeline["traincfg"]), "--out", str(run / "m"),
+            ]) == 0
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(load_split(run / "m" / "folds.json").folds[0]) == 16
+    assert peaks[32] - peaks[8] < 5 * frame_bytes, peaks
 
 
 def test_train_missing_arch_file(pipeline, tmp_path, capsys):
@@ -693,6 +769,21 @@ def test_train_refuses_a_split_with_an_empty_pool(pipeline, tmp_path, capsys):
     ])
     assert rc == 2
     assert capsys.readouterr().err == "error: cannot build 2 folds from 0 trials\n"
+    assert not out.exists()
+
+
+def test_train_short_of_disk_for_its_pool_exits_2_and_removes_out(pipeline, tmp_path, capsys, monkeypatch):
+    def full(self, row):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.RowSpill, "append", full)
+    out = tmp_path / "m"
+    rc = cli.main([
+        "train", "--features", str(pipeline["features"]), "--arch", str(pipeline["arch"]),
+        "--train-cfg", str(pipeline["traincfg"]), "--out", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import struct
+import tempfile
 import zlib
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from csisense import dataio
 from csisense.dataio import (
     Manifest,
     ManifestEntry,
+    RowSpill,
     export_feature_csv,
     feature_column_names,
     import_feature_csv,
@@ -607,3 +609,25 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
     # a successful write keeps the mode an ordinary file write gives
     write_trial(_trial(seed=2), target)
     assert target.stat().st_mode == plain.stat().st_mode
+
+
+# ---------------------------------------------------------------- row spill
+
+def test_a_row_spill_reads_rows_back_in_the_order_asked():
+    rows = np.random.default_rng(5).standard_normal((5, 2, 3))
+    with tempfile.TemporaryFile() as file:
+        spill = RowSpill(file, (2, 3))
+        for row in rows[:3]:
+            spill.append(row)
+        assert spill[[2, 0]].tobytes() == rows[[2, 0]].tobytes()
+        for row in rows[3:]:  # an append after a read still goes to the end
+            spill.append(row)
+        index = np.array([4, 1, 3, 3, 0])
+        assert spill[index].tobytes() == rows[index].tobytes()
+        assert spill[range(1, 3)].tobytes() == rows[1:3].tobytes()
+        assert spill[[]].shape == (0, 2, 3)
+        part = np.empty(4)
+        spill.readinto(part, 3, start=2)  # a row's values from its third on
+        assert part.tobytes() == rows[3].ravel()[2:].tobytes()
+        spill.append(rows[0].T)  # a row is written in its own order
+        assert spill[[5]].tobytes() == np.ascontiguousarray(rows[0].T).tobytes()

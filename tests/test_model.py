@@ -5,12 +5,14 @@ import hashlib
 import json
 import re
 import struct
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
 
 import csisense.model as model_module
+from csisense.dataio import RowSpill
 from csisense.errors import ChecksumError, DomainError, FormatError, TrainingDiverged, VersionError
 from csisense.features import RobustScalerParams, one_hot
 from csisense.model import (
@@ -443,6 +445,32 @@ def test_train_kfold_mechanics(monkeypatch):
     p0 = results[0][0].params
     p1 = results[1][0].params
     assert any(not np.array_equal(p0[k], p1[k]) for k in p0)
+
+
+def test_train_kfold_over_a_spill_equals_over_an_array(tmp_path, monkeypatch):
+    # train gathers each batch and validation chunk from a RowSpill of the
+    # pool, with uint8 labels; nothing may move a bit of a bundle or history
+    x, labels = _pool(9, MICRO, seed=41)
+    folds = [[6, 0, 3, 5, 8], [2, 7, 1, 4]]
+    cfg = TrainConfig(epochs=3, batch=3, folds=2, seed=5)
+    monkeypatch.setattr(model_module, "inference_rows", lambda arch: 3)  # chunks of 3 and a rest
+    with tempfile.TemporaryFile() as file:
+        spill = RowSpill(file, x.shape[1:])
+        for row in x:
+            spill.append(row)
+        runs = {
+            "array": train_kfold(x, labels, folds, MICRO, cfg),
+            "spill": train_kfold(spill, labels.astype(np.uint8), folds, MICRO, cfg),
+        }
+    for name, results in runs.items():
+        for fold_id, (model, _) in enumerate(results):
+            bundle = weights_from_model(model, fold_id, fold_id, scaler=_scaler(MICRO.feature_dim))
+            save_weights(bundle, tmp_path / f"{name}{fold_id}.weights")
+    for fold_id in range(2):
+        array, spilled = (tmp_path / f"{name}{fold_id}.weights" for name in runs)
+        assert array.read_bytes() == spilled.read_bytes()
+        assert runs["array"][fold_id][1] == runs["spill"][fold_id][1]
+        assert len(runs["spill"][fold_id][1]) == 3
 
 
 def test_train_kfold_models_hold_no_caches():
