@@ -14,10 +14,10 @@ unreadable too.  ``preprocess`` and ``classify`` accept the same trials
 manifest's feature width.  ``preprocess`` holds one trial at a time: until the
 scaler is fitted, the unscaled features wait in an unnamed temporary file
 under ``--out`` (8 bytes per feature cell), gone when the command ends.
-``classify`` holds one fold model at a time, and its scaled features wait
-in such a file while the folds run in turn.  ``train`` holds its pool's
-labels, one byte per packet, and one batch or validation chunk of its
-features: the checked pool waits in such a file while the folds train.
+``classify`` holds one fold model and its probabilities for every trial at a
+time; the scaled features wait in such a file while the folds run in turn.
+``train`` holds its pool's labels, one byte per packet, and one batch or
+validation chunk of its features: the checked pool waits in such a file.
 
 ``simulate``, ``preprocess`` and ``classify`` take --jobs (default 1), a
 number of worker processes for per-trial work; one pool serves the whole
@@ -62,7 +62,7 @@ from .features import (
     split_dataset,
     trial_features,
 )
-from .model import ArchConfig, fold_seed, inference_rows, load_arch_config, load_train_config, train_kfold
+from .model import ArchConfig, fold_seed, load_arch_config, load_train_config, train_kfold
 from .postprocess import (
     PredictionTrace,
     confusion,
@@ -389,18 +389,13 @@ def _check_bundles(weight_paths: list[Path]) -> tuple[list[Path], ArchConfig, Ro
     return [path for _, path, _, _ in metas], arch, scaler
 
 
-def _predict_fold(path: Path, arch: ArchConfig, spill: RowSpill, count: int) -> np.ndarray:
+def _predict_fold(path: Path, spill: RowSpill, count: int) -> np.ndarray:
     """One bundle's labels for the ``count`` scaled frames in ``spill``,
-    ``(count, seq_len)`` at one byte per packet, predicted ``inference_rows``
-    frames at a time.  A function of its own, so that the bundle, its model
-    and the block of frames are freed before the next bundle loads."""
+    ``(count, seq_len)`` at one byte per packet: the argmax of its model's
+    ``predict``.  A function of its own, so that the bundle, its model and
+    the probabilities are freed before the next bundle loads."""
     model = model_from_weights(load_weights(path))
-    rows = inference_rows(arch)
-    labels = np.empty((count, arch.seq_len), dtype=np.uint8)
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        labels[start:stop] = model.predict(spill[range(start, stop)])
-    return labels
+    return np.argmax(model.predict(spill, range(count)), axis=-1).astype(np.uint8)
 
 
 def cmd_classify(args) -> int:
@@ -433,7 +428,9 @@ def cmd_classify(args) -> int:
                 spill.append(frame.matrix)
                 kept.append((Path(path).stem, frame.labels.astype(np.uint8) if labeled else None))
                 del frame  # freed before the next read, not beside it
-        per_trial = np.stack([_predict_fold(path, arch, spill, len(kept)) for path in fold_paths], axis=1)
+        if not kept:
+            raise _failed("skipped", "trial", failures)
+        per_trial = np.stack([_predict_fold(path, spill, len(kept)) for path in fold_paths], axis=1)
     for (trial_id, true_labels), per_fold in zip(kept, per_trial):
         ensembled = ensemble_mode(per_fold)
         trace = PredictionTrace(trial_id, per_fold, ensembled, smooth(ensembled), true_labels)

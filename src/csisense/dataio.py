@@ -97,9 +97,10 @@ class RowSpill:
 
     def readinto(self, out: np.ndarray, row: int, start: int = 0) -> None:
         """Fill ``out`` with the values of row ``row`` from its value
-        ``start`` on, in the row's own order."""
+        ``start`` on, in the row's own order, or refuse a read past the end."""
         self.file.seek(8 * (row * self.size + start))
-        self.file.readinto(out)
+        if self.file.readinto(out) != out.nbytes:
+            raise FormatError(f"a read of row {row} runs past the end of the spill")
 
     def __getitem__(self, rows) -> np.ndarray:
         out = np.empty((len(rows), *self.shape))

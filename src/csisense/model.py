@@ -25,14 +25,15 @@ again.  A bundle model's probabilities are therefore float32, within
 float32 rounding of a float64 store holding the same values.
 
 Only a training forward keeps activations, each layer's cache for the
-backward that reads and clears it; an inference forward (``predict``,
-validation) keeps none, so an idle model holds no activations.  Inside a
-layer, an inference forward holds only what its current step needs: each
-BiGRU the step it is on (beside one block of input projections and its
-output), the attention one head's (T, T) probabilities at a time.  An inference
-forward is also batch-invariant: row i of a (B, T, F) forward equals the
-forward of that row alone bit for bit, so validation and ``classify`` run
-their sequences in chunks of :func:`inference_rows` without moving a bit.
+backward that reads and clears it; an inference forward keeps none, so an
+idle model holds no activations.  Inside a layer, an inference forward holds
+only what its current step needs: each BiGRU the step it is on (beside one
+block of input projections and its output), the attention one head's (T, T)
+probabilities at a time.  An inference forward is also batch-invariant: row
+i of a (B, T, F) forward equals the forward of that row alone bit for bit, so
+``predict``, the one inference entry point, runs its rows in chunks of
+:func:`inference_rows` without moving a bit.  Validation scores its class
+probabilities, and ``classify`` takes their argmax.
 
 Training minimizes per-timestep categorical cross-entropy with Adam, reduces
 the learning rate on validation-accuracy plateaus (by ``LR_FACTOR``, down to
@@ -283,10 +284,14 @@ class SequenceClassifier:
         dh = self.bigru1.backward(self.drop1.backward(dh), input_grad)
         return self.posenc.backward(dh)  # the identity, so None stays None
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Per-timestep argmax labels from an inference forward, which keeps
-        no layer's activations."""
-        return np.argmax(self.forward(x), axis=-1)
+    def predict(self, x, rows) -> np.ndarray:
+        """Per-timestep class probabilities ``(len(rows), T, classes)`` in
+        the store's dtype for the rows ``rows``, in the order given, of the
+        row source ``x`` (see :func:`train_fold`), one :func:`inference_rows`
+        chunk per inference forward."""
+        step = inference_rows(self.eff)
+        chunks = [self.forward(x[rows[start : start + step]]) for start in range(0, len(rows), step)]
+        return np.concatenate(chunks)
 
 
 def build(arch: ArchConfig, seed: int = 0) -> SequenceClassifier:
@@ -294,17 +299,14 @@ def build(arch: ArchConfig, seed: int = 0) -> SequenceClassifier:
 
 
 def _evaluate(model: SequenceClassifier, x, labels: np.ndarray, rows, classes: int) -> dict:
-    """Validation loss and metrics over the pool rows ``rows``, gathered from
-    ``x`` one :func:`inference_rows` chunk at a time."""
-    total_loss = 0.0
-    conf = np.zeros((classes, classes), dtype=np.int64)
-    step = inference_rows(model.eff)
-    for start in range(0, len(rows), step):
-        chunk = rows[start : start + step]
-        for probs, truth in zip(model.forward(x[chunk], training=False), labels[chunk]):
-            total_loss += cross_entropy(probs, one_hot(truth, classes))
-            conf += confusion(truth, np.argmax(probs, axis=-1), classes)
-    report = metrics(conf)
+    """Validation loss and metrics over the pool rows ``rows``, from their
+    ``predict`` probabilities; the per-row losses are summed in row order."""
+    probs = model.predict(x, rows)
+    truth = labels[rows]
+    total_loss = 0.0  # a plain running sum: sum() compensates from Python 3.12 on
+    for row_probs, row_truth in zip(probs, truth):
+        total_loss += cross_entropy(row_probs, one_hot(row_truth, classes))
+    report = metrics(confusion(truth, np.argmax(probs, axis=-1), classes))
     return {
         "loss": total_loss / len(rows),
         "acc": report.accuracy,

@@ -10,6 +10,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -945,13 +946,16 @@ def test_classify_missing_input(pipeline, tmp_path, capsys, monkeypatch):
 
 
 class _FoldIdModel:
-    """Stands in for a bundle's model: predicts its fold id at every packet."""
+    """Stands in for a bundle's model: its fold id is the likeliest class at
+    every packet."""
 
     def __init__(self, bundle):
         self.fold_id = bundle.fold_id
 
-    def predict(self, batch):
-        return np.full(batch.shape[:2], self.fold_id, dtype=np.int64)
+    def predict(self, x, rows):
+        probs = np.zeros((*x[rows].shape[:2], self.fold_id + 1))
+        probs[..., self.fold_id] = 1.0
+        return probs
 
 
 def test_classify_orders_fold_columns_by_fold_id(pipeline, tmp_path, monkeypatch):
@@ -998,16 +1002,20 @@ def test_classify_unlabeled_trial(pipeline, tmp_path):
         assert np.array_equal(blind.smoothed, labeled.smoothed), tid
 
 
-def test_classify_short_trial_exits_2(pipeline, tmp_path, capsys):
+def test_classify_short_trial_exits_2(pipeline, tmp_path, capsys, monkeypatch):
     bad = tmp_path / "short.trial"
     body = (pipeline["test_dir"] / f"{pipeline['split'].test[0]}.trial").read_bytes()[:10]
     bad.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    built = []  # with no trial read, no fold model is built
+    spy = lambda bundle: built.append(bundle.fold_id) or model_from_weights(bundle)
+    monkeypatch.setattr(cli, "model_from_weights", spy)
     rc = cli.main([
         "classify", "--weights", str(pipeline["models"]),
         "--input", str(bad), "--out", str(tmp_path / "p"),
     ])
     assert rc == 2
     assert f"{bad}: truncated" in capsys.readouterr().err
+    assert built == []
 
 
 def _classify_with_a_damaged_bundle(pipeline, tmp_path, monkeypatch, damage):
@@ -1068,7 +1076,7 @@ def test_classify_refuses_a_bad_bundle_before_reading_a_trial(pipeline, tmp_path
 
 def test_classify_builds_each_model_once_in_the_calling_process(pipeline, tmp_path, monkeypatch):
     # one trial per chunk, over two jobs: still one model per bundle, built here
-    monkeypatch.setattr(cli, "inference_rows", lambda arch: 1)
+    monkeypatch.setattr(model_module, "inference_rows", lambda arch: 1)
     built = []
 
     def counting(bundle):
@@ -1105,13 +1113,13 @@ def test_classify_holds_one_model_and_one_bundle_block_at_a_time(pipeline, tmp_p
     nets = [model_from_weights(b) for b in (extra, fixture[0], fixture[1])]
     for path in test_paths:
         _, labeled, frame = cli._read_frame(path, seq_len=40, scaler=extra.scaler)
-        per_fold = np.stack([net.predict(frame.matrix[None])[0] for net in nets])
+        per_fold = np.stack([np.argmax(net.predict(frame.matrix[None], [0])[0], axis=-1) for net in nets])
         ensembled = ensemble_mode(per_fold)
         trace = PredictionTrace(path.stem, per_fold, ensembled, smooth(ensembled), frame.labels)
         write_predictions(trace, want / f"{path.stem}.csv")
     del nets
 
-    monkeypatch.setattr(cli, "inference_rows", lambda arch: 1)
+    monkeypatch.setattr(model_module, "inference_rows", lambda arch: 1)
     blocks, built, alive = [], [], []
 
     def loading(path):
@@ -1137,9 +1145,33 @@ def test_classify_holds_one_model_and_one_bundle_block_at_a_time(pipeline, tmp_p
         assert (out / path.name).read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_classify_runs_one_inference_forward_per_fold_and_chunk(pipeline, tmp_path, monkeypatch, chunk):
+    # predict is classify's one forward: folds x ceil(trials / chunk) calls,
+    # none of them a training forward, and the same bytes at every chunk
+    monkeypatch.setattr(model_module, "inference_rows", lambda arch: chunk)
+    calls = []
+    forward = model_module.SequenceClassifier.forward
+
+    def counting(self, x, training=False):
+        calls.append(training)
+        return forward(self, x, training)
+
+    monkeypatch.setattr(model_module.SequenceClassifier, "forward", counting)
+    out = tmp_path / "p"
+    assert cli.main([
+        "classify", "--weights", str(pipeline["models"]), "--input", str(pipeline["test_dir"]), "--out", str(out),
+    ]) == 0
+    trials = len(list(pipeline["test_dir"].glob("*.trial")))
+    folds = len(list(pipeline["models"].glob("*.weights")))
+    assert calls == [False] * folds * math.ceil(trials / chunk)
+    for path in sorted(pipeline["predictions"].glob("*.csv")):
+        assert (out / path.name).read_bytes() == path.read_bytes()
+
+
 def test_classify_opens_one_worker_pool_for_the_whole_command(pipeline, tmp_path, monkeypatch):
     # one trial per chunk: every chunk is read by the same pool of two workers
-    monkeypatch.setattr(cli, "inference_rows", lambda arch: 1)
+    monkeypatch.setattr(model_module, "inference_rows", lambda arch: 1)
     pools = []
 
     class CountingPool(cli.ProcessPoolExecutor):
@@ -1185,7 +1217,7 @@ def test_classify_models_hold_their_bundles_bytes_and_are_freed_on_return(pipeli
 
 def test_classify_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
     # chunks of two trials, so that both workers classify a chunk
-    monkeypatch.setattr(cli, "inference_rows", lambda arch: 2)
+    monkeypatch.setattr(model_module, "inference_rows", lambda arch: 2)
     par = tmp_path / "par"
     assert cli.main([
         "classify", "--weights", str(pipeline["models"]),

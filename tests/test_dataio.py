@@ -631,3 +631,16 @@ def test_a_row_spill_reads_rows_back_in_the_order_asked():
         assert part.tobytes() == rows[3].ravel()[2:].tobytes()
         spill.append(rows[0].T)  # a row is written in its own order
         assert spill[[5]].tobytes() == np.ascontiguousarray(rows[0].T).tobytes()
+
+
+def test_a_row_spill_refuses_a_read_past_its_end():
+    rows = np.random.default_rng(6).standard_normal((2, 2, 3))
+    with tempfile.TemporaryFile() as file:
+        spill = RowSpill(file, (2, 3))
+        for row in rows:
+            spill.append(row)
+        with pytest.raises(FormatError, match="a read of row 5 runs past the end of the spill"):
+            spill[[1, 5, 0]]
+        with pytest.raises(FormatError, match="a read of row 1 runs past"):
+            spill.readinto(np.empty(4), 1, start=3)  # the row holds 3 values from there
+        assert spill[[1, 0]].tobytes() == rows[[1, 0]].tobytes()

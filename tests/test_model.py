@@ -170,9 +170,7 @@ def test_forward_shapes_and_prob_rows():
     batched = model.forward(np.concatenate([x, x + 1.0]))
     assert batched.shape == (2, 6, 3)
     assert np.allclose(batched[:1], p, atol=1e-12)
-    labels = model.predict(x)
-    assert labels.shape == (1, 6)
-    assert np.array_equal(labels, np.argmax(p, axis=-1))
+    assert np.array_equal(model.predict(x, [0]), p)
     short = model.forward(x[:, :4])  # a shorter sequence reuses the positional table's head
     assert short.shape == (1, 4, 3)
 
@@ -190,11 +188,35 @@ def test_desk_batched_predict_equals_per_trial_predicts(batch, bundle):
     if bundle:  # a float32 store, as classify loads it, computes in float32
         model = model_from_weights(weights_from_model(model, fold_id=0, seed=3, scaler=_scaler(366)))
     x = np.random.default_rng(batch).standard_normal((batch, 156, 366))
-    probs, labels = model.forward(x), model.predict(x)
-    assert probs.dtype == model.store.values.dtype
+    probs, predicted = model.forward(x), model.predict(x, range(batch))
+    assert probs.dtype == predicted.dtype == model.store.values.dtype
     for i in range(batch):
         assert np.array_equal(probs[i : i + 1], model.forward(x[i : i + 1]))
-        assert np.array_equal(labels[i : i + 1], model.predict(x[i : i + 1]))
+        assert np.array_equal(predicted[i : i + 1], model.predict(x, [i]))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 50])
+@pytest.mark.parametrize("bundle", [False, True], ids=["float64", "bundle"])
+def test_predict_over_a_spill_equals_predict_over_an_array(monkeypatch, chunk, bundle):
+    model = build(MICRO, seed=7)
+    if bundle:  # a float32 store, as classify loads it
+        model = model_from_weights(weights_from_model(model, fold_id=0, seed=7, scaler=_scaler(4)))
+    monkeypatch.setattr(model_module, "inference_rows", lambda arch: chunk)
+    x, _ = _pool(9, MICRO, seed=8)
+    rows = [6, 2, 8, 0, 5, 3, 7]  # unsorted, and rows 1 and 4 left out
+    with tempfile.TemporaryFile() as file:
+        spill = RowSpill(file, x.shape[1:])
+        for row in x:
+            spill.append(row)
+        spilled = model.predict(spill, rows)
+    probs = model.predict(x, rows)
+    assert probs.shape == (7, 6, 3)
+    assert probs.dtype == spilled.dtype == model.store.values.dtype
+    assert probs.tobytes() == spilled.tobytes()
+    for place, r in enumerate(rows):
+        alone = model.forward(x[r][None])[0]
+        assert np.array_equal(probs[place], alone)
+        assert np.array_equal(np.argmax(probs[place], axis=-1), np.argmax(alone, axis=-1))
 
 
 def test_batched_evaluate_equals_a_per_frame_loop():
@@ -260,7 +282,7 @@ def test_only_a_training_forward_keeps_caches_until_its_backward():
     model.backward(probs)
     assert all(layer._cache is None for layer in layers)
     # an inference forward keeps nothing, and lets go of a cache no backward read
-    for infer in (model.predict, lambda x: model.forward(x, training=False)):
+    for infer in (lambda x: model.predict(x, [0]), lambda x: model.forward(x, training=False)):
         model.forward(x, training=True)
         infer(x)
         assert all(layer._cache is None for layer in layers)
@@ -326,7 +348,7 @@ def test_train_fold_history_and_best_restore():
     # the model is left at the best validation epoch
     correct = total = 0
     for r in (4, 5):
-        pred = model.predict(x[r][None])[0]
+        pred = np.argmax(model.predict(x, [r])[0], axis=-1)
         correct += int((pred == labels[r]).sum())
         total += labels[r].size
     assert abs(correct / total - max(r["acc"] for r in history)) < 1e-12
@@ -537,7 +559,7 @@ def test_weights_round_trip(tmp_path):
 def test_loaded_model_predict_writes_no_gradient(tmp_path):
     _, _, path = _bundle(tmp_path)
     model = model_from_weights(load_weights(path))
-    model.predict(np.random.default_rng(8).standard_normal((1, 6, 4)))
+    model.predict(np.random.default_rng(8).standard_normal((1, 6, 4)), [0])
     assert not model.store.grads.any()
 
 
@@ -556,7 +578,7 @@ def test_bundle_model_keeps_float32_weights_and_predicts_in_float32(tmp_path):
     probs, want = m32.forward(x), m64.forward(x)
     assert probs.dtype == np.float32 and want.dtype == np.float64
     assert np.array_equal(np.argmax(probs, axis=-1), np.argmax(want, axis=-1))
-    assert np.array_equal(m32.predict(x[1:2]), m64.predict(x[1:2]))
+    assert np.array_equal(np.argmax(m32.predict(x, [1]), axis=-1), np.argmax(m64.predict(x, [1]), axis=-1))
     # measured 1.3e-7 on this input: float32 rounding, not a changed network
     assert np.abs(probs - want).max() < 1e-6
 
